@@ -13,7 +13,7 @@
 ///
 /// Layouts: activations are HWC (height, width, channel), weights are
 /// (kh, kw, ic, oc), outputs HWC. The im2row matrix is stored column-major
-/// (matching gemm::blisGemm's operand convention) with m = oh*ow rows.
+/// (matching gemm::Engine::sgemm's operand convention) with m = oh*ow rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 #include "dnn/Models.h"
 #include "exo/support/Error.h"
 #include "gemm/Engine.h"
-#include "gemm/MicroKernel.h"
 
 #include <cstdint>
 
@@ -44,8 +43,13 @@ struct ConvParams {
 };
 
 /// Materializes the IM2ROW matrix of \p In (HWC) into \p A, column-major
-/// gemmM() x gemmK() with leading dimension gemmM(). Out-of-image taps
-/// (padding) contribute zeros.
+/// gemmM() x gemmK() with leading dimension gemmM(): element
+/// (oh*outW() + ow, (kh*Kw + kw)*InC + c) is
+/// In[((oh*Stride - Pad + kh)*InW + ow*Stride - Pad + kw)*InC + c], or 0.0f
+/// where that tap falls in the padding. The output is bitwise equal to that
+/// element formula. It is computed as a blocked transpose (per tap, per
+/// 16-channel block, per output row) with no per-element division. Writes
+/// nothing when outH() or outW() is below 1.
 void im2row(const ConvParams &P, const float *In, float *A);
 
 /// Reshapes (kh, kw, ic, oc) weights into the column-major
@@ -62,14 +66,6 @@ void convDirect(const ConvParams &P, const float *In, const float *W,
 /// steady state of an inference loop) reuses the cached plan. Out is HWC
 /// like convDirect.
 exo::Error convViaGemm(const ConvParams &P, gemm::Engine &Engine,
-                       const float *In, const float *W, float *Out);
-
-/// Convolution through IM2ROW + the BLIS-like GEMM with the given
-/// micro-kernel provider. Out is HWC like convDirect.
-///
-/// Deprecated: prefer the Engine overload above, which plans the layer
-/// shape once instead of re-deriving blocking per call.
-exo::Error convViaGemm(const ConvParams &P, gemm::KernelProvider &Provider,
                        const float *In, const float *W, float *Out);
 
 } // namespace dnn

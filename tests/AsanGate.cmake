@@ -1,9 +1,10 @@
 # Invoked by the asan_gate ctest (see tests/CMakeLists.txt): configures and
 # builds a nested ASan+UBSan-instrumented tree (-DEXO_UKR_SANITIZE=address),
 # then runs the memory-sensitive tests — the macro-kernel/pack paths
-# (gemm_test), the generated-kernel numerics (ukr_test) and the fuzz smoke
-# sweep, whose random ldc slack and edge shapes are exactly where an
-# out-of-bounds store would land — failing on any ASan/UBSan report.
+# (gemm_test), the generated-kernel numerics (ukr_test), the im2row
+# lowering's computed-offset copies (dnn_test) and the fuzz smoke sweep,
+# whose random ldc slack and edge shapes are exactly where an out-of-bounds
+# store would land — failing on any ASan/UBSan report.
 #
 # Variables: SRC (source root), BIN (nested binary dir).
 
@@ -16,7 +17,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BIN} --target gemm_test ukr_test
-          fuzz_test
+          dnn_test fuzz_test
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "asan_gate: build failed")
@@ -30,6 +31,11 @@ endif()
 execute_process(COMMAND ${BIN}/tests/ukr_test RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "asan_gate: ukr_test failed under ASan/UBSan")
+endif()
+
+execute_process(COMMAND ${BIN}/tests/dnn_test RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "asan_gate: dnn_test failed under ASan/UBSan")
 endif()
 
 # A reduced sweep: the host process is instrumented (interpreter, rewrite

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <random>
 #include <vector>
 
 using namespace dnn;
@@ -30,6 +33,43 @@ std::string convName(const testing::TestParamInfo<ConvParams> &Info) {
                    static_cast<long long>(P.Pad));
 }
 
+/// The element formula im2row must reproduce bitwise: one division and
+/// one bounds test per element of A.
+void im2rowRef(const ConvParams &P, const float *In, float *A) {
+  const int64_t M = P.gemmM();
+  const int64_t OutW = P.outW();
+  for (int64_t Kh = 0; Kh < P.Kh; ++Kh) {
+    for (int64_t Kw = 0; Kw < P.Kw; ++Kw) {
+      for (int64_t C = 0; C < P.InC; ++C) {
+        int64_t Col = (Kh * P.Kw + Kw) * P.InC + C;
+        float *ACol = A + Col * M;
+        for (int64_t Row = 0; Row < M; ++Row) {
+          int64_t Oh = Row / OutW, Ow = Row % OutW;
+          int64_t Ih = Oh * P.Stride - P.Pad + Kh;
+          int64_t Iw = Ow * P.Stride - P.Pad + Kw;
+          bool Inside = Ih >= 0 && Ih < P.InH && Iw >= 0 && Iw < P.InW;
+          ACol[Row] = Inside ? In[(Ih * P.InW + Iw) * P.InC + C] : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+/// True when some kernel column reads only padding for every output
+/// column (Pad >= Kw on a tiny image, say).
+bool hasPaddingOnlyTap(const ConvParams &P) {
+  for (int64_t Kw = 0; Kw < P.Kw; ++Kw) {
+    bool Reads = false;
+    for (int64_t Ow = 0; Ow < P.outW(); ++Ow) {
+      int64_t Iw = Ow * P.Stride - P.Pad + Kw;
+      Reads |= Iw >= 0 && Iw < P.InW;
+    }
+    if (!Reads)
+      return true;
+  }
+  return false;
+}
+
 } // namespace
 
 TEST_P(ConvTest, GemmLoweringMatchesDirectConvolution) {
@@ -42,8 +82,11 @@ TEST_P(ConvTest, GemmLoweringMatchesDirectConvolution) {
   std::vector<float> Direct(P.gemmM() * P.OutC), ViaGemm(Direct.size());
   convDirect(P, In.data(), W.data(), Direct.data());
 
-  gemm::ExoProvider Provider(8, 12);
-  exo::Error Err = convViaGemm(P, Provider, In.data(), W.data(),
+  gemm::EngineConfig Cfg;
+  Cfg.Series = gemm::EngineSeries::Custom;
+  Cfg.Provider = std::make_shared<gemm::ExoProvider>(8, 12);
+  gemm::Engine Engine(Cfg);
+  exo::Error Err = convViaGemm(P, Engine, In.data(), W.data(),
                                ViaGemm.data());
   ASSERT_FALSE(Err) << Err.message();
   float Tol = 1e-4f * static_cast<float>(P.gemmK());
@@ -106,4 +149,51 @@ TEST(Im2RowTest, StrideSkipsPixels) {
   EXPECT_EQ(A[1], 2.0f);
   EXPECT_EQ(A[2], 8.0f);
   EXPECT_EQ(A[3], 10.0f);
+}
+
+TEST(Im2RowTest, MatchesElementFormulaOnRandomConvs) {
+  // Seeded draws over every parameter, including channel counts that are
+  // not multiples of the 16-channel block and padding wider than the
+  // kernel. A guard value fills A and 8 floats past it: im2row must write
+  // exactly what the element formula writes, and nothing beyond M*K.
+  constexpr float Guard = -1234.5f;
+  constexpr size_t Slack = 8;
+  std::mt19937_64 Rng(13);
+  auto draw = [&](int64_t Lo, int64_t Hi) {
+    return std::uniform_int_distribution<int64_t>(Lo, Hi)(Rng);
+  };
+  int Checked = 0, PaddingOnly = 0, ChannelTail = 0;
+  while (Checked < 5000) {
+    ConvParams P;
+    P.InC = draw(1, 40);
+    P.OutC = 1;
+    P.InH = draw(1, 20);
+    P.InW = draw(1, 20);
+    P.Kh = draw(1, 7);
+    P.Kw = draw(1, 7);
+    P.Stride = draw(1, 4);
+    P.Pad = draw(0, 6);
+    if (P.outH() < 1 || P.outW() < 1)
+      continue; // no output pixels: im2row writes nothing
+    ++Checked;
+    PaddingOnly += hasPaddingOnlyTap(P);
+    ChannelTail += P.InC > 16 && P.InC % 16 != 0;
+
+    // Distinct values, so a tap read from the wrong pixel or channel shows.
+    std::vector<float> In(P.InH * P.InW * P.InC);
+    for (size_t I = 0; I != In.size(); ++I)
+      In[I] = static_cast<float>(I + 1);
+    const size_t Elems = static_cast<size_t>(P.gemmM() * P.gemmK());
+    std::vector<float> Want(Elems + Slack, Guard), Got(Want);
+    im2rowRef(P, In.data(), Want.data());
+    im2row(P, In.data(), Got.data());
+    ASSERT_EQ(
+        std::memcmp(Got.data(), Want.data(), Got.size() * sizeof(float)), 0)
+        << "InC=" << P.InC << " In=" << P.InH << "x" << P.InW
+        << " K=" << P.Kh << "x" << P.Kw << " Stride=" << P.Stride
+        << " Pad=" << P.Pad;
+  }
+  // The draws must reach the cases fixed shapes miss.
+  EXPECT_GT(PaddingOnly, 100);
+  EXPECT_GT(ChannelTail, 100);
 }
