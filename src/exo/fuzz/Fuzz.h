@@ -23,8 +23,8 @@
 ///   3. cross:   every host-executable instruction library that fits the
 ///               shape (portable, AVX2, AVX-512, plus the scalar kernel)
 ///               agrees bitwise on the same sample, and the threaded
-///               blisGemmT driver agrees with the naive reference at every
-///               team size.
+///               GEMM driver (Engine::sgemm over the sample's kernel)
+///               agrees with the naive reference at every team size.
 ///
 /// Failing samples are auto-minimized (steps dropped, sizes shrunk while the
 /// mismatch reproduces) and serialized as standalone repro files that the
@@ -143,7 +143,7 @@ struct OracleOptions {
   int InterpTrials = 2;  ///< Oracle 1 random instantiations.
   bool CheckJit = true;  ///< Oracle 2 (skipped when no compiler / non-host ISA).
   bool CheckCross = true;///< Oracle 3a: cross-library kernel agreement.
-  bool CheckDriver = false; ///< Oracle 3b: threaded blisGemmT vs reference.
+  bool CheckDriver = false; ///< Oracle 3b: threaded Engine vs reference.
   unsigned InputSeed = 1;///< Seed for oracle input data.
 };
 

@@ -10,8 +10,9 @@
 // Oracle 3 (cross):   every host-executable kernel family for the sample's
 //                     shape (scalar C, portable, AVX2, AVX-512) agrees with
 //                     the interpreter bitwise on the same inputs, and the
-//                     threaded blisGemmT driver reproduces the naive
-//                     reference exactly at several team sizes.
+//                     threaded GEMM driver (an Engine over the sample's
+//                     kernel) reproduces the naive reference exactly at
+//                     several team sizes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +24,8 @@
 #include "exo/jit/Jit.h"
 #include "exo/sched/Validate.h"
 #include "exo/support/Str.h"
+#include "gemm/Engine.h"
 #include "gemm/ExoProvider.h"
-#include "gemm/Gemm.h"
 #include "gemm/RefGemm.h"
 #include "ukr/KernelService.h"
 
@@ -166,7 +167,7 @@ std::string kernelFamily(const ukr::Kernel &K) {
                                                         : K.Cfg.Isa->name();
 }
 
-/// Oracle 3b: the threaded BLIS driver over a problem derived from the
+/// Oracle 3b: the threaded GEMM driver over a problem derived from the
 /// sample's tile, against the naive reference, exactly (integer data), at
 /// team sizes 1 and 3, which must also agree with each other bitwise.
 Error checkDriver(const FuzzSample &S, std::mt19937_64 &Rng) {
@@ -191,20 +192,23 @@ Error checkDriver(const FuzzSample &S, std::mt19937_64 &Rng) {
   gemm::refSgemm(M, N, K, Alpha, A.data(), M, B.data(), K, Beta, Ref.data(),
                  M);
 
-  gemm::ExoProvider P(S.MR, S.NR);
+  auto P = std::make_shared<gemm::ExoProvider>(S.MR, S.NR);
   // One monolithic kernel via the scratch-tile edge path: driver checks are
   // rationed for wall time, so don't compile a whole edge family per sample.
-  P.setSpecializeEdges(false);
-  gemm::GemmPlan Plan = gemm::GemmPlan::standard(P);
-  Plan.PackMode = gemm::EdgePack::ZeroPad;
+  P->setSpecializeEdges(false);
+  gemm::EngineConfig Cfg;
+  Cfg.Series = gemm::EngineSeries::Custom;
+  Cfg.Provider = P;
+  Cfg.PackMode = gemm::EdgePack::ZeroPad;
+  Cfg.Governor = 0; // pin the team sizes under test
 
   std::vector<float> C1;
   for (int64_t T : {int64_t(1), int64_t(3)}) {
-    Plan.Threads = T;
+    Cfg.Threads = T;
+    gemm::Engine Eng(Cfg);
     std::vector<float> C = CInit;
-    if (Error E = gemm::blisGemmT(Plan, P, gemm::Trans::None,
-                                  gemm::Trans::None, M, N, K, Alpha, A.data(),
-                                  M, B.data(), K, Beta, C.data(), M))
+    if (Error E = Eng.sgemm(M, N, K, Alpha, A.data(), M, B.data(), K, Beta,
+                            C.data(), M))
       return errorf("driver oracle (%lld threads): %s",
                     static_cast<long long>(T), E.message().c_str());
     for (int64_t X = 0; X != M * N; ++X)

@@ -98,11 +98,15 @@ public:
   /// vdotq_laneq_s32 / vbfdotq_laneq_f32 shape; VNNI on x86). Null when the
   /// ISA has no dot instruction for \p InTy — callers fall back to scalar
   /// code.
-  virtual InstrPtr dotAccum(ScalarKind InTy) const { return nullptr; }
+  virtual InstrPtr dotAccum([[maybe_unused]] ScalarKind InTy) const {
+    return nullptr;
+  }
 
   /// Register space of dotAccum's accumulator operand; null iff dotAccum
   /// returns null for \p InTy.
-  virtual const MemSpace *accSpace(ScalarKind InTy) const { return nullptr; }
+  virtual const MemSpace *accSpace([[maybe_unused]] ScalarKind InTy) const {
+    return nullptr;
+  }
 };
 
 /// Built-in libraries.

@@ -34,9 +34,7 @@ struct PlanKey {
   int64_t M = 0, N = 0, K = 0;
   int64_t T = 1;
   const exo::IsaLib *Isa = nullptr;
-  /// DType of the call, as uint8_t. Last (and defaulted) so the f32 entry
-  /// points' aggregate initializers stay valid — omitting it is F32.
-  uint8_t Ty = 0;
+  uint8_t Ty = 0; ///< DType of the call
 
   bool operator<(const PlanKey &O) const {
     return std::tie(TA, TB, M, N, K, T, Isa, Ty) <
@@ -53,7 +51,6 @@ struct ExecPlan {
   std::vector<std::optional<MicroKernel>> Edges;
   std::shared_ptr<KernelProvider> Provider;
   PlanChoice Choice;
-  GemmPlan Legacy;
   /// Built over an async provider's portable fallback; re-resolved after
   /// RebuildPeriod further calls in the hope the specialized kernels have
   /// landed.
@@ -66,12 +63,19 @@ struct ExecPlan {
   std::mutex PoolMu;
   std::vector<std::unique_ptr<detail::GemmWorkspace>> Pool;
 
+  /// A pooled workspace, or a freshly ensured one when every pooled
+  /// workspace is in use.
   std::unique_ptr<detail::GemmWorkspace> acquire() {
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    if (Pool.empty())
-      return nullptr;
-    std::unique_ptr<detail::GemmWorkspace> W = std::move(Pool.back());
-    Pool.pop_back();
+    {
+      std::lock_guard<std::mutex> Lock(PoolMu);
+      if (!Pool.empty()) {
+        std::unique_ptr<detail::GemmWorkspace> W = std::move(Pool.back());
+        Pool.pop_back();
+        return W;
+      }
+    }
+    auto W = std::make_unique<detail::GemmWorkspace>();
+    W->ensure(G);
     return W;
   }
   void release(std::unique_ptr<detail::GemmWorkspace> W) {
@@ -102,6 +106,66 @@ int64_t envPlanCacheCap() {
 bool envPlanCacheOn() {
   return exo::envBool("EXO_GEMM_PLAN_CACHE",
                       std::getenv("EXO_GEMM_PLAN_CACHE"), true);
+}
+
+/// Answered by the quick return: nothing to multiply, so the call never
+/// plans, allocates, or reads A/B (BLAS semantics).
+bool isDegenerate(int64_t M, int64_t N, int64_t K, double Alpha) {
+  return M == 0 || N == 0 || K == 0 || Alpha == 0.0;
+}
+
+/// The argument rules every call and every batch item obeys, in
+/// gemm::Client's order: negative dimensions; for I8I32, scales that are
+/// not exact integers; then — only for calls past the quick return — a
+/// leading dimension smaller than its operand's stored rows, which would
+/// make the executor read or write out of range.
+Error checkCall(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                double Alpha, double Beta, int64_t Lda, int64_t Ldb,
+                int64_t Ldc) {
+  if (M < 0 || N < 0 || K < 0)
+    return errorf("gemm engine: negative dimension");
+  if (Ty == DType::I8I32) {
+    // Integer alpha/beta only: they scale the i32 accumulator exactly.
+    // A fractional scale is a quantization policy decision that belongs in
+    // the caller, not a silently-rounded GEMM parameter (DType.h).
+    constexpr double Lim = 9.0e18; // < 2^63, exactly representable
+    if (Alpha != std::nearbyint(Alpha) || Beta != std::nearbyint(Beta) ||
+        std::fabs(Alpha) > Lim || std::fabs(Beta) > Lim)
+      return errorf("gemm engine: i8 alpha/beta must be exact integers "
+                    "(got alpha=%g beta=%g)",
+                    Alpha, Beta);
+  }
+  if (isDegenerate(M, N, K, Alpha))
+    return Error::success();
+  const int64_t ARows = TA == Trans::None ? M : K;
+  const int64_t BRows = TB == Trans::None ? K : N;
+  if (Lda < ARows || Ldb < BRows || Ldc < M)
+    return errorf("gemm engine: leading dimension smaller than rows "
+                  "(lda=%lld ldb=%lld ldc=%lld for %lldx%lldx%lld)",
+                  static_cast<long long>(Lda), static_cast<long long>(Ldb),
+                  static_cast<long long>(Ldc), static_cast<long long>(M),
+                  static_cast<long long>(N), static_cast<long long>(K));
+  return Error::success();
+}
+
+/// The executor's call bundle from the user-facing scalars: f32 scales for
+/// the float dtypes, exact integers for I8I32 (checkCall vetted them).
+detail::GemmCall makeCall(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
+                          int64_t K, double Alpha, const void *A, int64_t Lda,
+                          const void *B, int64_t Ldb, double Beta, void *C,
+                          int64_t Ldc) {
+  detail::GemmCall Cl{TA, TB, M, N, K, static_cast<float>(Alpha),
+                      static_cast<float>(Beta), 1, 1, A, Lda, B, Ldb, C, Ldc};
+  if (Ty == DType::I8I32) {
+    Cl.AlphaI = static_cast<int64_t>(Alpha);
+    Cl.BetaI = static_cast<int64_t>(Beta);
+  }
+  return Cl;
+}
+
+detail::GemmCall itemCall(const GemmBatchItem &It) {
+  return makeCall(DType::F32, It.TA, It.TB, It.M, It.N, It.K, It.Alpha, It.A,
+                  It.Lda, It.B, It.Ldb, It.Beta, It.C, It.Ldc);
 }
 
 } // namespace
@@ -181,100 +245,102 @@ struct Engine::Impl {
     return P;
   }
 
+  PlanKey key(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+              int64_t T) const {
+    return PlanKey{static_cast<uint8_t>(TA), static_cast<uint8_t>(TB), M, N,
+                   K, T, Cfg.Isa, static_cast<uint8_t>(Ty)};
+  }
+
   Expected<std::shared_ptr<ExecPlan>> build(const PlanKey &Key);
   std::shared_ptr<ExecPlan> lookupOrBuild(const PlanKey &Key, Error &Err);
   void evictLocked(const PlanKey *Keep = nullptr);
   void maybeRebuild(const PlanKey &Key,
                     const std::shared_ptr<ExecPlan> &Old);
+  std::shared_ptr<ExecPlan> plan(const PlanKey &Key, uint64_t Calls,
+                                 Error &Err);
+  void execute(const ExecPlan &Plan, const detail::GemmCall &Call,
+               detail::GemmWorkspace &WS);
+  Error run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+            double Alpha, const void *A, int64_t Lda, const void *B,
+            int64_t Ldb, double Beta, void *C, int64_t Ldc);
 };
 
 Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   EXO_OBS_SPAN("plan.build");
-  // Every entry point (sgemm, planFor, warm) funnels through here, so this
-  // is the one place the misconfiguration must be caught before the
-  // fixed-series branch dereferences a null provider.
+  // Every entry point (sgemm, gemm, batches, planFor, warm) funnels through
+  // here, so this is the one place the misconfiguration must be caught
+  // before the fixed-series branch dereferences a null provider.
   if (Cfg.Series == EngineSeries::Custom && !Fixed)
     return errorf("gemm engine: custom series without a provider");
   const DType Ty = static_cast<DType>(Key.Ty);
 
-  // I8I32: no provider, no JIT — the typed executor's built-in K-grouped
-  // scalar dot runs the plan's fixed tile (Planner.h). Geometry and
-  // workspace sizing still flow through the shared machinery so the pooled
-  // steady state is identical to every other dtype.
-  if (Ty == DType::I8I32) {
-    PlanChoice Choice = choosePlanWithDb(Key.M, Key.N, Key.K, nullptr, "",
-                                         nullptr, nullptr, Ty);
-    MicroKernel Main;
-    Main.MR = Choice.MR;
-    Main.NR = Choice.NR;
-    Main.Fn = nullptr; // unused: I8I32 geometries never call Main.Fn
-    GemmPlan Legacy;
-    Legacy.Blocks = analyticalBlockSizes(CacheConfig::host(), Choice.MR,
-                                         Choice.NR, dtypePackBytes(Ty));
-    if (Cfg.Blocks)
-      Legacy.Blocks = *Cfg.Blocks;
-    Legacy.PackMode = EdgePack::ZeroPad;
-    Legacy.Threads = Key.T;
-    PlansFromModel.fetch_add(1, std::memory_order_relaxed);
-    obs::mark("plan.source.model");
-    auto P = std::make_shared<ExecPlan>();
-    P->Choice = Choice;
-    P->Legacy = Legacy;
-    P->G = detail::deriveGeometry(Legacy, Main, Key.M, Key.N, Key.K);
-    P->G.Ty = Ty;
-    P->Pool.reserve(WorkspacePoolCap);
-    auto WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(P->G);
-    P->Pool.push_back(std::move(WS));
-    return P;
-  }
-
   PlanChoice Choice;
   std::shared_ptr<KernelProvider> Provider;
-  const bool WantExo = Cfg.Series == EngineSeries::Exo ||
-                       Cfg.Series == EngineSeries::Auto;
-  if (WantExo) {
-    if (Cfg.ForceMR > 0 && Cfg.ForceNR > 0) {
-      Choice = PlanChoice::make(Cfg.ForceMR, Cfg.ForceNR, PlanSource::Forced);
-    } else {
-      PlanOutcome Out;
-      Choice = choosePlanWithDb(Key.M, Key.N, Key.K, Cfg.Isa, Cfg.PriorPath,
-                                Cfg.TunedPriors ? &PriorDb::global() : nullptr,
-                                &Out, Ty);
-      PriorRejected.fetch_add(Out.PriorRejected + Out.TunedRejected,
-                              std::memory_order_relaxed);
-    }
-    Provider = exoProviderFor(Choice.MR, Choice.NR,
-                              Cfg.UnrollCompute || Choice.UnrollCompute);
+  MicroKernel Main;
+  if (Ty == DType::I8I32) {
+    // The i8 policy's built-in K-grouped dot: no provider, no JIT — the
+    // planner answers with the dot's fixed tile (Planner.h).
+    Choice = choosePlanWithDb(Key.M, Key.N, Key.K, nullptr, "", nullptr,
+                              nullptr, Ty);
+    Main.MR = Choice.MR;
+    Main.NR = Choice.NR;
   } else {
-    Provider = Fixed;
-    MicroKernel Mk = Provider->main();
-    Choice = PlanChoice::make(Mk.MR, Mk.NR, PlanSource::Fixed);
-  }
+    const bool WantExo = Cfg.Series == EngineSeries::Exo ||
+                         Cfg.Series == EngineSeries::Auto;
+    if (WantExo) {
+      if (Cfg.ForceMR > 0 && Cfg.ForceNR > 0) {
+        Choice =
+            PlanChoice::make(Cfg.ForceMR, Cfg.ForceNR, PlanSource::Forced);
+      } else {
+        PlanOutcome Out;
+        Choice = choosePlanWithDb(
+            Key.M, Key.N, Key.K, Cfg.Isa, Cfg.PriorPath,
+            Cfg.TunedPriors ? &PriorDb::global() : nullptr, &Out, Ty);
+        PriorRejected.fetch_add(Out.PriorRejected + Out.TunedRejected,
+                                std::memory_order_relaxed);
+      }
+      Provider = exoProviderFor(Choice.MR, Choice.NR,
+                                Cfg.UnrollCompute || Choice.UnrollCompute);
+    } else {
+      Provider = Fixed;
+      MicroKernel Mk = Provider->main();
+      Choice = PlanChoice::make(Mk.MR, Mk.NR, PlanSource::Fixed);
+    }
 
-  MicroKernel Main = Provider->main();
-  if (!Main.Fn && Cfg.Series == EngineSeries::Auto) {
-    // No generated kernel (JIT or compiler unavailable): degrade to the
-    // portable BLIS-style kernel so Auto engines always serve.
-    Provider = Fixed;
     Main = Provider->main();
-    Choice = PlanChoice::make(Main.MR, Main.NR, PlanSource::Fallback);
+    if (!Main.Fn && Cfg.Series == EngineSeries::Auto) {
+      // No generated kernel (JIT or compiler unavailable): degrade to the
+      // portable BLIS-style kernel so Auto engines always serve.
+      Provider = Fixed;
+      Main = Provider->main();
+      Choice = PlanChoice::make(Main.MR, Main.NR, PlanSource::Fallback);
+    }
+    if (!Main.Fn)
+      return errorf("gemm engine (%s): provider '%s' has no runnable kernel "
+                    "for %lldx%lldx%lld",
+                    Name, Provider->name(), static_cast<long long>(Key.M),
+                    static_cast<long long>(Key.N),
+                    static_cast<long long>(Key.K));
   }
-  if (!Main.Fn)
-    return errorf("gemm engine (%s): provider '%s' has no runnable kernel "
-                  "for %lldx%lldx%lld",
-                  Name, Provider->name(), static_cast<long long>(Key.M),
-                  static_cast<long long>(Key.N),
-                  static_cast<long long>(Key.K));
 
-  GemmPlan Legacy = GemmPlan::standard(*Provider);
+  GemmPlan Plan;
+  if (Provider)
+    Plan = GemmPlan::standard(*Provider);
+  else
+    Plan.Blocks = analyticalBlockSizes(CacheConfig::host(), Main.MR, Main.NR,
+                                       dtypePackBytes(Ty));
   if (Cfg.Blocks)
-    Legacy.Blocks = *Cfg.Blocks;
+    Plan.Blocks = *Cfg.Blocks;
   else if (Choice.Blocks)
-    Legacy.Blocks = *Choice.Blocks;
+    Plan.Blocks = *Choice.Blocks;
   if (Cfg.PackMode)
-    Legacy.PackMode = *Cfg.PackMode;
-  Legacy.Threads = Key.T;
+    Plan.PackMode = *Cfg.PackMode;
+  // Only the f32 policy dispatches specialized edge kernels; the others
+  // run the main kernel (or the i8 dot) over zero-padded panels, so no
+  // edge kernel is resolved or JIT'd for them.
+  if (Ty != DType::F32)
+    Plan.PackMode = EdgePack::ZeroPad;
+  Plan.Threads = Key.T;
 
   // Per-plan provenance: one count and one obs mark per plan built. Forced,
   // fixed-series, and fallback plans mark but do not count — the three
@@ -301,32 +367,19 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   auto P = std::make_shared<ExecPlan>();
   P->Provider = Provider;
   P->Choice = Choice;
-  P->Legacy = Legacy;
-  P->G = detail::deriveGeometry(Legacy, Main, Key.M, Key.N, Key.K);
-  if (Ty != DType::F32) {
-    // F16/BF16: the plan's f32 kernel runs over convert-packed (always
-    // zero-padded) panels through the scratch tile; specialized edge
-    // kernels never dispatch, so none are resolved or JIT'd.
-    P->G.Ty = Ty;
-    P->G.PackMode = EdgePack::ZeroPad;
-    P->Provisional = Cfg.Async && Main.IsFallback;
-    P->Pool.reserve(WorkspacePoolCap);
-    auto WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(P->G);
-    P->Pool.push_back(std::move(WS));
-    return P;
-  }
-  detail::resolveEdgeKernels(*Provider, P->G, Key.N, P->Edges);
+  P->G = detail::deriveGeometry(Plan, Main, Key.M, Key.N, Key.K);
+  P->G.Ty = Ty;
   bool EdgeFallback = false;
-  for (const std::optional<MicroKernel> &E : P->Edges)
-    if (E && E->IsFallback)
-      EdgeFallback = true;
+  if (P->G.PackMode == EdgePack::Tight) {
+    detail::resolveEdgeKernels(*Provider, P->G, Key.N, P->Edges);
+    for (const std::optional<MicroKernel> &E : P->Edges)
+      if (E && E->IsFallback)
+        EdgeFallback = true;
+  }
   P->Provisional =
-      Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.NeedBPad);
+      Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.MissingEdge);
   P->Pool.reserve(WorkspacePoolCap);
-  auto WS = std::make_unique<detail::GemmWorkspace>();
-  WS->ensure(P->G);
-  P->Pool.push_back(std::move(WS));
+  P->Pool.push_back(P->acquire());
   return P;
 }
 
@@ -490,180 +543,97 @@ Engine &Engine::global() {
   return E;
 }
 
-Error Engine::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                    float Alpha, const float *A, int64_t Lda, const float *B,
-                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemm engine: negative dimension");
-  // Degenerate quick returns, ahead of the plan cache: trivial calls never
-  // plan, allocate, or read A/B (BLAS semantics; beta == 0 overwrites).
-  if (M == 0 || N == 0) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    return Error::success();
-  }
-  if (K == 0 || Alpha == 0.0f) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    detail::scaleByBeta(M, N, Beta, C, Ldc);
-    return Error::success();
-  }
-  if (I->Cfg.Series == EngineSeries::Custom && !I->Fixed)
-    return errorf("gemm engine: custom series without a provider");
-
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-
+std::shared_ptr<ExecPlan> Engine::Impl::plan(const PlanKey &Key,
+                                             uint64_t Calls, Error &Err) {
   std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    I->Misses.fetch_add(1, std::memory_order_relaxed);
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    I->Builds.fetch_add(1, std::memory_order_relaxed);
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
+  if (CacheOn) {
+    Plan = lookupOrBuild(Key, Err);
     if (!Plan)
-      return Err;
+      return nullptr;
+  } else {
+    Misses.fetch_add(1, std::memory_order_relaxed);
+    Expected<std::shared_ptr<ExecPlan>> Built = build(Key);
+    if (!Built) {
+      Err = Built.takeError();
+      return nullptr;
+    }
+    Builds.fetch_add(1, std::memory_order_relaxed);
+    Plan = Built.take();
   }
-
-  if (Plan->Provisional &&
-      (Plan->Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
-              RebuildPeriod ==
-          0)
-    I->maybeRebuild(Key, Plan);
-
-  std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  if (!WS) {
-    WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(Plan->G);
+  // Credit the executions this lookup serves; a provisional plan rebuilds
+  // when the count crosses a period boundary.
+  if (Plan->Provisional && Calls > 0) {
+    const uint64_t Before =
+        Plan->Calls.fetch_add(Calls, std::memory_order_relaxed);
+    if (Before / RebuildPeriod != (Before + Calls) / RebuildPeriod)
+      maybeRebuild(Key, Plan);
   }
-  const detail::GemmCall Call{TA, TB, M,    N, K,   Alpha, A,
-                              Lda, B,  Ldb, Beta, C, Ldc};
+  return Plan;
+}
+
+void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall &Call,
+                           detail::GemmWorkspace &WS) {
   // Governed dispatch: the process-wide governor grants this call a team
   // width in [1, plan width] from the shape model and live occupancy;
   // results are bitwise identical at every width (Gemm.h), so this only
   // changes scheduling. Nested calls skip the governor and take
   // executeGemm's collapse path — a reservation cannot form from inside a
   // pool job.
-  if (I->governorOn() && Plan->G.T > 1 &&
-      !ThreadPool::global().inParallel()) {
+  if (Plan.G.T > 1 && governorOn() && !ThreadPool::global().inParallel()) {
     Governor::Grant Grant;
-    Governor::global().acquire(M, N, K, Plan->G.T, Grant);
-    I->countGrant(Grant);
-    detail::executeGemmReserved(Plan->G, Call, *WS, Grant.reservation());
+    Governor::global().acquire(Call.M, Call.N, Call.K, Plan.G.T, Grant);
+    countGrant(Grant);
+    detail::executeGemm(Plan.G, Call, WS, &Grant.reservation());
   } else {
-    detail::executeGemm(Plan->G, Call, *WS);
+    detail::executeGemm(Plan.G, Call, WS);
   }
+}
+
+Error Engine::Impl::run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
+                        int64_t K, double Alpha, const void *A, int64_t Lda,
+                        const void *B, int64_t Ldb, double Beta, void *C,
+                        int64_t Ldc) {
+  if (Error E = checkCall(Ty, TA, TB, M, N, K, Alpha, Beta, Lda, Ldb, Ldc))
+    return E;
+  // Degenerate quick returns, ahead of the plan cache (beta == 0
+  // overwrites in storage type; m == 0 or n == 0 touches nothing).
+  if (isDegenerate(M, N, K, Alpha)) {
+    Degenerate.fetch_add(1, std::memory_order_relaxed);
+    if (M != 0 && N != 0)
+      detail::scaleByBeta(Ty, M, N, Beta, C, Ldc);
+    return Error::success();
+  }
+  Error Err = Error::success();
+  std::shared_ptr<ExecPlan> Plan =
+      plan(key(Ty, TA, TB, M, N, K, plannedThreads()), 1, Err);
+  if (!Plan)
+    return Err;
+  std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
+  execute(*Plan,
+          makeCall(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc),
+          *WS);
   Plan->release(std::move(WS));
   return Error::success();
+}
+
+Error Engine::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                    float Alpha, const float *A, int64_t Lda, const float *B,
+                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
+  return I->run(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
+                Ldc);
 }
 
 Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                    int64_t K, double Alpha, const void *A, int64_t Lda,
                    const void *B, int64_t Ldb, double Beta, void *C,
                    int64_t Ldc) {
-  // F32 takes the historical path verbatim — same code, bitwise-identical
-  // results (the front doors differ only in spelling).
-  if (Ty == DType::F32)
-    return sgemm(TA, TB, M, N, K, static_cast<float>(Alpha),
-                 static_cast<const float *>(A), Lda,
-                 static_cast<const float *>(B), Ldb,
-                 static_cast<float>(Beta), static_cast<float *>(C), Ldc);
-
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemm engine: negative dimension");
-  int64_t AlphaI = 1, BetaI = 1;
-  if (Ty == DType::I8I32) {
-    // Integer alpha/beta only: they scale the i32 accumulator exactly.
-    // A fractional scale is a quantization policy decision that belongs in
-    // the caller, not a silently-rounded GEMM parameter (DType.h).
-    constexpr double Lim = 9.0e18; // < 2^63, exactly representable
-    if (Alpha != std::nearbyint(Alpha) || Beta != std::nearbyint(Beta) ||
-        std::fabs(Alpha) > Lim || std::fabs(Beta) > Lim)
-      return errorf("gemm engine: i8 alpha/beta must be exact integers "
-                    "(got alpha=%g beta=%g)",
-                    Alpha, Beta);
-    AlphaI = static_cast<int64_t>(Alpha);
-    BetaI = static_cast<int64_t>(Beta);
+  // The f32 door takes sgemm's f32 scales, so the two spellings agree
+  // bitwise (including which tiny alpha counts as zero).
+  if (Ty == DType::F32) {
+    Alpha = static_cast<float>(Alpha);
+    Beta = static_cast<float>(Beta);
   }
-  // Degenerate quick returns, in storage type (beta == 0 overwrites; A/B
-  // never read — the same BLAS semantics as sgemm).
-  if (M == 0 || N == 0) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    return Error::success();
-  }
-  if (K == 0 || Alpha == 0.0) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    detail::scaleByBetaTyped(Ty, M, N, Beta, C, Ldc);
-    return Error::success();
-  }
-  if (I->Cfg.Series == EngineSeries::Custom && !I->Fixed)
-    return errorf("gemm engine: custom series without a provider");
-
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa,
-              static_cast<uint8_t>(Ty)};
-
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    I->Misses.fetch_add(1, std::memory_order_relaxed);
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    I->Builds.fetch_add(1, std::memory_order_relaxed);
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-
-  if (Plan->Provisional &&
-      (Plan->Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
-              RebuildPeriod ==
-          0)
-    I->maybeRebuild(Key, Plan);
-
-  std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  if (!WS) {
-    WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(Plan->G);
-  }
-  detail::GemmCallT Call;
-  Call.Ty = Ty;
-  Call.TA = TA;
-  Call.TB = TB;
-  Call.M = M;
-  Call.N = N;
-  Call.K = K;
-  Call.Alpha = static_cast<float>(Alpha);
-  Call.Beta = static_cast<float>(Beta);
-  Call.AlphaI = AlphaI;
-  Call.BetaI = BetaI;
-  Call.A = A;
-  Call.Lda = Lda;
-  Call.B = B;
-  Call.Ldb = Ldb;
-  Call.C = C;
-  Call.Ldc = Ldc;
-  // Typed dispatch runs at the plan width (the governor's reserved-team
-  // form exists only for the f32 executor); nested calls still collapse to
-  // width 1 inside executeGemmTyped, so the pool never deadlocks.
-  detail::executeGemmTyped(Plan->G, Call, *WS);
-  Plan->release(std::move(WS));
-  return Error::success();
+  return I->run(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc);
 }
 
 namespace {
@@ -683,14 +653,8 @@ struct BatchJob {
 
 void runBatchItems(void *Ctx, int64_t Tid) {
   const BatchJob &J = *static_cast<BatchJob *>(Ctx);
-  for (int64_t I = Tid; I < J.NItems; I += J.W) {
-    const GemmBatchItem &It = J.Base[J.Idx[I]];
-    detail::executeGemm(*J.G,
-                        detail::GemmCall{It.TA, It.TB, It.M, It.N, It.K,
-                                         It.Alpha, It.A, It.Lda, It.B, It.Ldb,
-                                         It.Beta, It.C, It.Ldc},
-                        *J.WSs[Tid]);
-  }
+  for (int64_t I = Tid; I < J.NItems; I += J.W)
+    detail::executeGemm(*J.G, itemCall(J.Base[J.Idx[I]]), *J.WSs[Tid]);
 }
 
 /// Max items per cross-item dispatch: chunking bounds the per-batch index
@@ -710,41 +674,43 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
     return errorf("gemm engine: null batch item array");
   // Validate the whole batch before touching any C: a batch either starts
   // or fails — callers never see half-written output on a bad item.
-  for (int64_t Ix = 0; Ix < Count; ++Ix)
-    if (Items[Ix].M < 0 || Items[Ix].N < 0 || Items[Ix].K < 0)
-      return errorf("gemm engine: negative dimension in batch item %lld",
-                    static_cast<long long>(Ix));
-  if (I->Cfg.Series == EngineSeries::Custom && !I->Fixed)
-    return errorf("gemm engine: custom series without a provider");
+  for (int64_t Ix = 0; Ix < Count; ++Ix) {
+    const GemmBatchItem &It = Items[Ix];
+    if (Error E = checkCall(DType::F32, It.TA, It.TB, It.M, It.N, It.K,
+                            It.Alpha, It.Beta, It.Lda, It.Ldb, It.Ldc))
+      return errorf("batch item %lld: %s", static_cast<long long>(Ix),
+                    E.message().c_str());
+  }
   I->BatchedItems.fetch_add(static_cast<uint64_t>(Count),
                             std::memory_order_relaxed);
   if (Count == 0)
     return Error::success();
 
-  // Degenerate items resolve inline (sgemm's quick-return semantics, in
-  // batch order — they never group or plan); the rest group by shape so
-  // each distinct (TA, TB, M, N, K) plans once.
+  // Non-degenerate items group by shape so each distinct (TA, TB, M, N, K)
+  // plans once. Every group plans before any C is written, so a plan error
+  // (a shape with no runnable kernel, a Custom series without a provider)
+  // also leaves the whole batch untouched.
   std::map<std::tuple<uint8_t, uint8_t, int64_t, int64_t, int64_t>,
            std::vector<int64_t>>
       Groups;
   for (int64_t Ix = 0; Ix < Count; ++Ix) {
     const GemmBatchItem &It = Items[Ix];
-    if (It.M == 0 || It.N == 0) {
-      I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (It.K == 0 || It.Alpha == 0.0f) {
-      I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-      detail::scaleByBeta(It.M, It.N, It.Beta, It.C, It.Ldc);
-      continue;
-    }
-    Groups[{static_cast<uint8_t>(It.TA), static_cast<uint8_t>(It.TB), It.M,
-            It.N, It.K}]
-        .push_back(Ix);
+    if (!isDegenerate(It.M, It.N, It.K, It.Alpha))
+      Groups[{static_cast<uint8_t>(It.TA), static_cast<uint8_t>(It.TB), It.M,
+              It.N, It.K}]
+          .push_back(Ix);
   }
 
   const int64_t T = I->plannedThreads();
   const bool Governed = I->governorOn() && !ThreadPool::global().inParallel();
+  struct GroupPlan {
+    const std::vector<int64_t> &Idx;
+    int64_t M, N, K;
+    bool Cross;
+    std::shared_ptr<ExecPlan> Plan;
+  };
+  std::vector<GroupPlan> Plans;
+  Plans.reserve(Groups.size());
   for (const auto &[Shape, Idx] : Groups) {
     const auto &[TA, TB, M, N, K] = Shape;
     const int64_t GroupItems = static_cast<int64_t>(Idx.size());
@@ -754,59 +720,38 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
     // Cross-item groups run every item single-threaded, so they want the
     // T == 1 plan — a distinct cache key from the intra-item plan, which
     // is exactly right: the two strategies use different geometry.
-    PlanKey Key{TA, TB, M, N, K, Cross ? 1 : T, I->Cfg.Isa};
+    Error Err = Error::success();
+    std::shared_ptr<ExecPlan> Plan = I->plan(
+        I->key(DType::F32, static_cast<Trans>(TA), static_cast<Trans>(TB), M,
+               N, K, Cross ? 1 : T),
+        static_cast<uint64_t>(GroupItems), Err);
+    if (!Plan)
+      return Err;
+    Plans.push_back({Idx, M, N, K, Cross, std::move(Plan)});
+  }
 
-    std::shared_ptr<ExecPlan> Plan;
-    if (!I->CacheOn) {
-      I->Misses.fetch_add(1, std::memory_order_relaxed);
-      Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-      if (!Built)
-        return Built.takeError();
-      I->Builds.fetch_add(1, std::memory_order_relaxed);
-      Plan = Built.take();
-    } else {
-      Error Err = Error::success();
-      Plan = I->lookupOrBuild(Key, Err);
-      if (!Plan)
-        return Err;
-    }
+  // Degenerate items resolve inline (sgemm's quick-return semantics, in
+  // batch order — they never group or plan).
+  for (int64_t Ix = 0; Ix < Count; ++Ix) {
+    const GemmBatchItem &It = Items[Ix];
+    if (!isDegenerate(It.M, It.N, It.K, It.Alpha))
+      continue;
+    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
+    if (It.M != 0 && It.N != 0)
+      detail::scaleByBeta(DType::F32, It.M, It.N, It.Beta, It.C, It.Ldc);
+  }
+
+  for (const auto &[Idx, M, N, K, Cross, Plan] : Plans) {
+    const int64_t GroupItems = static_cast<int64_t>(Idx.size());
     I->BatchedGroups.fetch_add(1, std::memory_order_relaxed);
 
-    if (Plan->Provisional) {
-      // Credit the whole group; rebuild when the count crosses a period
-      // boundary (the batched analogue of sgemm's per-call check).
-      uint64_t Before = Plan->Calls.fetch_add(
-          static_cast<uint64_t>(GroupItems), std::memory_order_relaxed);
-      if (Before / RebuildPeriod !=
-          (Before + static_cast<uint64_t>(GroupItems)) / RebuildPeriod)
-        I->maybeRebuild(Key, Plan);
-    }
-
     if (!Cross) {
-      // Intra-item slab parallelism: the sgemm execution body, amortizing
-      // one workspace acquisition over the group.
+      // Intra-item slab parallelism: the sgemm execution body (governed per
+      // item, so each grant tracks occupancy as sibling callers come and go
+      // over a long batch), amortizing one workspace over the group.
       std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-      if (!WS) {
-        WS = std::make_unique<detail::GemmWorkspace>();
-        WS->ensure(Plan->G);
-      }
-      for (int64_t Ix : Idx) {
-        const GemmBatchItem &It = Items[Ix];
-        const detail::GemmCall Call{It.TA,  It.TB, It.M,    It.N, It.K,
-                                    It.Alpha, It.A, It.Lda, It.B, It.Ldb,
-                                    It.Beta, It.C, It.Ldc};
-        if (Governed && Plan->G.T > 1) {
-          // Per item, like sgemm: each item's grant tracks occupancy as
-          // sibling callers come and go over a long batch.
-          Governor::Grant Grant;
-          Governor::global().acquire(It.M, It.N, It.K, Plan->G.T, Grant);
-          I->countGrant(Grant);
-          detail::executeGemmReserved(Plan->G, Call, *WS,
-                                      Grant.reservation());
-        } else {
-          detail::executeGemm(Plan->G, Call, *WS);
-        }
-      }
+      for (int64_t Ix : Idx)
+        I->execute(*Plan, itemCall(Items[Ix]), *WS);
       Plan->release(std::move(WS));
       continue;
     }
@@ -838,10 +783,6 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
       std::vector<detail::GemmWorkspace *> WSs(static_cast<size_t>(W));
       for (int64_t WI = 0; WI < W; ++WI) {
         Owned[WI] = Plan->acquire();
-        if (!Owned[WI]) {
-          Owned[WI] = std::make_unique<detail::GemmWorkspace>();
-          Owned[WI]->ensure(Plan->G);
-        }
         WSs[WI] = Owned[WI].get();
       }
       BatchJob Job{&Plan->G, Items, Idx.data() + At, NItems, W, WSs.data()};
@@ -898,59 +839,36 @@ Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,
                                      int64_t N, int64_t K) {
   if (M <= 0 || N <= 0 || K <= 0)
     return errorf("gemm engine: planFor needs positive dimensions");
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    return Built.take()->Choice;
-  }
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan = I->lookupOrBuild(Key, Err);
+  std::shared_ptr<ExecPlan> Plan = I->plan(
+      I->key(DType::F32, TA, TB, M, N, K, I->plannedThreads()), 0, Err);
   if (!Plan)
-    return std::move(Err);
+    return Err;
   return Plan->Choice;
 }
 
-Error Engine::warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                   bool Wait) {
+Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
+                   int64_t K, bool Wait) {
   if (M <= 0 || N <= 0 || K <= 0)
     return Error::success(); // degenerate shapes never plan
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
+  Error Err = Error::success();
+  std::shared_ptr<ExecPlan> Plan =
+      I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()), 0, Err);
+  if (!Plan)
+    return Err;
   const PlanChoice &Choice = Plan->Choice;
   const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
                        (I->Cfg.Series == EngineSeries::Auto &&
                         Choice.Src != PlanSource::Fallback);
-  if (!WantExo)
-    return Error::success(); // fixed kernels have nothing to precompile
-  // Prefetch the plan's whole kernel family (main + the edge widths this
-  // problem dispatches) so the disk cache serves every later process. The
-  // plan's resolved geometry — not the host cache model — supplies NC, so
-  // an EngineConfig::Blocks override prefetches the edges it will use.
+  // Fixed kernels and the i8 policy's built-in dot have nothing to
+  // precompile.
+  if (!WantExo || Ty == DType::I8I32)
+    return Error::success();
+  // Prefetch the plan's kernel family so the disk cache serves every later
+  // process: the main kernel, plus — for f32, the only policy that
+  // dispatches edge kernels — the edge widths this problem uses. The
+  // plan's resolved geometry, not the host cache model, supplies NC, so an
+  // EngineConfig::Blocks override prefetches the edges it will use.
   const exo::IsaLib *PIsa =
       I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
   std::vector<ukr::UkrConfig> Family;
@@ -958,7 +876,7 @@ Error Engine::warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
       ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
   const int64_t Nc = std::max<int64_t>(Plan->G.Nc, 1);
   std::vector<bool> Seen(static_cast<size_t>(Choice.NR), false);
-  for (int64_t Jc = 0; Jc < N; Jc += Nc) {
+  for (int64_t Jc = 0; Ty == DType::F32 && Jc < N; Jc += Nc) {
     int64_t W = std::min(Nc, N - Jc) % Choice.NR;
     if (W == 0 || Seen[W])
       continue;
@@ -966,53 +884,6 @@ Error Engine::warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
     Family.push_back(
         ukr::shapeConfig(Choice.MR, W, PIsa, I->Cfg.UnrollCompute));
   }
-  ukr::KernelService::global().prefetchBatch(Family);
-  if (Wait)
-    ukr::KernelService::global().wait();
-  return Error::success();
-}
-
-Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, bool Wait) {
-  if (Ty == DType::F32)
-    return warm(TA, TB, M, N, K, Wait);
-  if (M <= 0 || N <= 0 || K <= 0)
-    return Error::success(); // degenerate shapes never plan
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa,
-              static_cast<uint8_t>(Ty)};
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-  if (Ty == DType::I8I32)
-    return Error::success(); // built-in scalar dot: nothing to precompile
-  // F16/BF16 plans execute the f32 main kernel over convert-packed panels
-  // and never dispatch edge kernels, so only the main config prefetches.
-  const PlanChoice &Choice = Plan->Choice;
-  const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
-                       (I->Cfg.Series == EngineSeries::Auto &&
-                        Choice.Src != PlanSource::Fallback);
-  if (!WantExo)
-    return Error::success();
-  const exo::IsaLib *PIsa =
-      I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
-  std::vector<ukr::UkrConfig> Family;
-  Family.push_back(
-      ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
   ukr::KernelService::global().prefetchBatch(Family);
   if (Wait)
     ukr::KernelService::global().wait();

@@ -14,10 +14,11 @@
 /// §IV) moves from bench-harness code into the dispatch layer.
 ///
 /// Guarantees:
-///   - Results are bitwise identical to the legacy blisGemm/blisGemmT path
-///     for the same (provider, tile, plan): both front doors execute the
-///     exact same detail::executeGemm (enforced by EngineTest's
-///     differential sweep).
+///   - One executor for every dtype: sgemm, gemm, the batched entries and
+///     warm-up share one validate -> plan -> dispatch routine and the one
+///     five-loop detail::executeGemm, so sgemm and gemm(F32) agree
+///     bitwise, and every dtype is governed, pooled and thread-count
+///     invariant alike (EngineTest, PrecisionTest, GemmDriverTest).
 ///   - Degenerate calls (m/n/k == 0, alpha == 0) return before touching
 ///     the plan cache and never allocate or plan.
 ///   - The steady state performs zero heap allocations per call: plans are
@@ -126,9 +127,10 @@ struct EngineStats {
   uint64_t GovOccClamped = 0;   ///< grants narrowed by occupancy/budget
   uint64_t GovWidthSum = 0;     ///< sum of granted widths (avg = /GovGrants)
   /// Live plan-cache entries per dtype, indexed by DType (the
-  /// `ukr_cachectl stats --json` per-dtype breakdown). Counted at build
-  /// time, decremented on eviction — unlike the monotonic counters above,
-  /// these describe the cache's current contents.
+  /// `ukr_cachectl stats --json` per-dtype breakdown). A gauge, not a
+  /// counter: stats() counts the cache's current contents, so unlike the
+  /// monotonic counters above these drop when plans are evicted or
+  /// cleared.
   uint64_t PlansByDtype[DTypeCount] = {};
 };
 
@@ -178,8 +180,11 @@ public:
   ///          in the caller).
   ///
   /// Degenerate semantics match sgemm (beta == 0 overwrites in storage
-  /// type; A/B unread). Every dtype flows through the same plan cache,
-  /// pooled workspaces, and five-loop executor; plans are keyed by dtype.
+  /// type; A/B unread), and so do the errors: negative dimensions, and —
+  /// past the quick return — a leading dimension smaller than its
+  /// operand's stored rows (the gemm::Client rule). Every dtype flows
+  /// through the same plan cache, pooled workspaces, governor and
+  /// five-loop executor; plans are keyed by dtype.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
@@ -187,10 +192,10 @@ public:
 
   /// C = alpha * op(A) * op(B) + beta * C, column-major, through the plan
   /// cache — the f32 door of gemm() above (same plans, same executor;
-  /// kept as the BLAS-shaped entry the rest of the stack calls). Identical
-  /// semantics to blisGemmT (beta == 0 overwrites, A/B unread on
-  /// degenerate calls); fails on negative dimensions or when no runnable
-  /// kernel exists for the shape.
+  /// kept as the BLAS-shaped entry the rest of the stack calls). Beta == 0
+  /// overwrites, A/B are unread on degenerate calls; fails on negative
+  /// dimensions, leading dimensions smaller than the stored rows, or when
+  /// no runnable kernel exists for the shape.
   exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
                    float Alpha, const float *A, int64_t Lda, const float *B,
                    int64_t Ldb, float Beta, float *C, int64_t Ldc);
@@ -211,8 +216,8 @@ public:
   /// intra-item team split, small items run whole — one item per pool
   /// worker with its own pooled packing workspace — so a batch of
   /// thousands of tiny GEMMs stops wasting the pool on shapes too small
-  /// to split. Validates every item before any work: on error, no C is
-  /// written. Degenerate items (M/N/K == 0, alpha == 0) follow sgemm's
+  /// to split. Validates every item (sgemm's argument rules) before any
+  /// work: on an invalid item, no C is written. Degenerate items (M/N/K == 0, alpha == 0) follow sgemm's
   /// quick-return semantics wherever they sit in the batch.
   exo::Error sgemmBatched(const GemmBatchItem *Items, int64_t Count);
 
@@ -235,17 +240,19 @@ public:
                                  int64_t BatchCount);
 
   /// Builds (and caches) the plan for a shape ahead of traffic and
-  /// prefetches its kernel family through KernelService. \p Wait blocks
-  /// until the background builds resolve, so the next sgemm runs fully
-  /// specialized — the `ukr_cachectl warm --shape/--model` path.
-  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                  bool Wait = true);
-
-  /// Dtype-aware warm-up (`ukr_cachectl warm --shape --dtype`): builds the
-  /// typed plan and prefetches its (single-config, for non-f32) kernel
-  /// family. F32 is exactly the overload above.
+  /// prefetches its kernel family through KernelService — the main kernel,
+  /// plus the edge widths the shape dispatches for F32 (the other dtypes
+  /// run no edge kernels; I8I32 compiles nothing). \p Wait blocks until
+  /// the background builds resolve, so the next call runs fully
+  /// specialized — the `ukr_cachectl warm --shape/--model/--dtype` path.
   exo::Error warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, bool Wait = true);
+
+  /// F32 warm-up.
+  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                  bool Wait = true) {
+    return warm(DType::F32, TA, TB, M, N, K, Wait);
+  }
 
   /// Tile + provider the cached (or freshly built) plan for this shape
   /// uses; builds the plan as a side effect. For tests and bench labels.

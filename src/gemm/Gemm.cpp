@@ -18,26 +18,11 @@ GemmPlan GemmPlan::standard(KernelProvider &P) {
   Plan.Blocks =
       analyticalBlockSizes(CacheConfig::host(), K.MR, K.NR, sizeof(float));
   // The probe only picks the *preferred* mode; a provider whose edge family
-  // turns out to be partial at run time degrades per-strip to the re-padded
-  // scratch path inside the executor instead of failing (see executeGemm).
+  // turns out to be partial at run time degrades per strip to a zero-padded
+  // panel and the scratch tile instead of failing (see F32Panels).
   Plan.PackMode = P.edge(K.MR, 1).has_value() ? EdgePack::Tight
                                               : EdgePack::ZeroPad;
   return Plan;
-}
-
-void detail::scaleByBeta(int64_t M, int64_t N, float Beta, float *C,
-                         int64_t Ldc) {
-  // Beta == 0 must *overwrite*, not scale: 0 * NaN == NaN, and serving
-  // workloads hand in pooled, uninitialized C buffers (the classic BLAS
-  // beta-zero rule).
-  for (int64_t J = 0; J < N; ++J) {
-    float *Col = C + J * Ldc;
-    if (Beta == 0.0f)
-      std::fill(Col, Col + M, 0.0f);
-    else
-      for (int64_t I = 0; I < M; ++I)
-        Col[I] *= Beta;
-  }
 }
 
 detail::GemmGeometry detail::deriveGeometry(const GemmPlan &Plan,
@@ -92,9 +77,9 @@ void detail::resolveEdgeKernels(
   // the JIT), and a fixed kernel per width keeps one GEMM call bitwise
   // invariant under the thread count. A width whose specialized kernel is
   // unavailable (partial edge family, or an async provider still
-  // compiling) stays nullopt and takes the re-padded scratch path.
+  // compiling) stays nullopt and takes the zero-padded scratch path.
   Storage.assign(static_cast<size_t>(G.Nr), std::nullopt);
-  G.NeedBPad = false;
+  G.MissingEdge = false;
   if (G.PackMode == EdgePack::Tight) {
     std::vector<bool> Probed(G.Nr, false);
     for (int64_t Jc = 0; Jc < N; Jc += G.Nc) {
@@ -106,46 +91,239 @@ void detail::resolveEdgeKernels(
       if (E && E->Fn)
         Storage[W] = *E;
       else
-        G.NeedBPad = true;
+        G.MissingEdge = true;
     }
   }
   G.EdgeKernels = Storage.data();
 }
 
-void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
-  // Shared packed-B block (written cooperatively, panel-interleaved, read
-  // by everyone after the barrier) and per-thread working memory: A pack
-  // buffer, scratch tile, and — only when a Tight-mode width lacks its
-  // kernel — a re-padded B panel. Every resize is a no-op when the
-  // workspace already fits this geometry (the Engine's pooled hot path).
-  if (G.Ty == DType::I8I32) {
-    // K-grouped byte panels and i32 scratch tiles; panel depth is the
-    // group count rounded up (the pack zero-fills the K remainder).
-    const int64_t KG = (G.Kc + I8KGroup - 1) / I8KGroup;
-    BBufI8.resize(((G.Nc + G.Nr - 1) / G.Nr) * KG * I8KGroup * G.Nr);
-    ABufsI8.resize(G.T);
-    ScratchesI32.resize(G.T);
-    for (int64_t I = 0; I < G.T; ++I) {
-      ABufsI8[I].resize(((G.Mc + G.Mr - 1) / G.Mr) * KG * I8KGroup * G.Mr);
-      ScratchesI32[I].resize(G.Mr * G.Nr);
-    }
-    return;
+namespace {
+
+//===----------------------------------------------------------------------===//
+// Panel policies
+//===----------------------------------------------------------------------===//
+//
+// Everything the five-loop nest below does differently per dtype, fixed at
+// compile time: the element types, the packed panel depth, packA / packB,
+// the tile (micro-kernel plus copy-out into C) and beta in storage type.
+// The nest owns the loops, the team grid, the barriers and the obs spans,
+// so every dtype inherits the same bitwise thread-count invariance.
+
+/// f32: the plan's kernels over f32 panels, alpha folded into packA. Full
+/// tiles and Tight-mode strips with a specialized edge kernel write C
+/// directly; every other edge runs through the zero-initialized scratch
+/// tile and accumulates its valid window back.
+struct F32Panels {
+  using In = float;     ///< A/B storage element
+  using Out = float;    ///< C storage element
+  using Packed = float; ///< panel element
+  using Acc = float;    ///< scratch-tile element
+
+  static int64_t depth(int64_t Kc) { return Kc; }
+  static bool betaIsOne(const detail::GemmCall &Cl) { return Cl.Beta == 1.0f; }
+  static void scale(float *Col, int64_t Len, const detail::GemmCall &Cl) {
+    // Beta == 0 must *overwrite*, not scale: 0 * NaN == NaN, and serving
+    // workloads hand in pooled, uninitialized C buffers (the classic BLAS
+    // beta-zero rule).
+    if (Cl.Beta == 0.0f)
+      std::fill(Col, Col + Len, 0.0f);
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        Col[I] *= Cl.Beta;
   }
-  // F32 — and F16/BF16, whose panels are convert-packed to f32 with the
-  // identical layout (the scratch tile doubles as the rounding staging
-  // area at copy-out).
-  BBuf.resize(((G.Nc + G.Nr - 1) / G.Nr) * G.Kc * G.Nr);
-  ABufs.resize(G.T);
-  Scratches.resize(G.T);
-  BPads.resize(G.T);
-  for (int64_t I = 0; I < G.T; ++I) {
-    ABufs[I].resize(((G.Mc + G.Mr - 1) / G.Mr) * G.Kc * G.Mr);
-    Scratches[I].resize(G.Mr * G.Nr);
-    BPads[I].resize(G.NeedBPad ? G.Kc * G.Nr : 0);
+  static void packA(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+                    const float *Src, int64_t RS, int64_t CS, int64_t Mc,
+                    int64_t Kc, float *Dst) {
+    // A panels are always zero-padded to the full Mr: edge kernels keep
+    // the full vector width along m and the copy-out is masked instead
+    // (rows >= mr_eff contribute zeros).
+    packAStrided(Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha, EdgePack::ZeroPad, Dst);
+  }
+  static void packB(const detail::GemmGeometry &G, const float *Src,
+                    int64_t RS, int64_t CS, int64_t Kc, int64_t W,
+                    float *Dst) {
+    // A Tight-mode strip whose width has no specialized kernel packs
+    // zero-padded and runs the main kernel through the scratch tile — a
+    // partial edge family degrades instead of failing. Only the last panel
+    // can be partial, and its slot holds Kc * Nr elements either way.
+    EdgePack Mode = G.PackMode;
+    if (Mode == EdgePack::Tight && W < G.Nr && !G.EdgeKernels[W])
+      Mode = EdgePack::ZeroPad;
+    packBStrided(Src, RS, CS, Kc, W, G.Nr, /*Alpha=*/1.0f, Mode, Dst);
+  }
+  static void tile(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+                   int64_t Kc, int64_t MrEff, int64_t NrEff, const float *Ap,
+                   const float *Bp, float *CTile, float *Scratch) {
+    const MicroKernel *Kern = &G.Main;
+    const bool Edge = NrEff < G.Nr && G.PackMode == EdgePack::Tight &&
+                      G.EdgeKernels[NrEff];
+    if (Edge)
+      Kern = &*G.EdgeKernels[NrEff];
+    if (MrEff == G.Mr && (NrEff == G.Nr || Edge)) {
+      // Full tile, or a specialized kernel at full vector width along m
+      // and the exact nr_eff along n (tight B panel).
+      Kern->Fn(Kc, Cl.Ldc, Ap, Bp, CTile);
+      return;
+    }
+    const int64_t Mr = G.Mr, Ldc = Cl.Ldc;
+    std::fill(Scratch, Scratch + Mr * G.Nr, 0.0f);
+    Kern->Fn(Kc, Mr, Ap, Bp, Scratch);
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I)
+        CTile[I + J * Ldc] += Scratch[J * Mr + I];
+  }
+};
+
+/// f16 / bf16: the plan's f32 main kernel over convert-packed f32 panels
+/// (alpha applied in f32 at packA), beta applied in f32 and rounded back.
+template <DType Ty> struct HalfPanels {
+  using In = uint16_t;
+  using Out = uint16_t;
+  using Packed = float;
+  using Acc = float;
+
+  static float load(uint16_t H) {
+    return Ty == DType::BF16 ? bf16ToF32(H) : f16ToF32(H);
+  }
+  static uint16_t store(float F) {
+    return Ty == DType::BF16 ? f32ToBf16(F) : f32ToF16(F);
+  }
+
+  static int64_t depth(int64_t Kc) { return Kc; }
+  static bool betaIsOne(const detail::GemmCall &Cl) { return Cl.Beta == 1.0f; }
+  static void scale(uint16_t *Col, int64_t Len, const detail::GemmCall &Cl) {
+    if (Cl.Beta == 0.0f)
+      std::fill(Col, Col + Len, uint16_t(0));
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        Col[I] = store(load(Col[I]) * Cl.Beta);
+  }
+  static void packA(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+                    const uint16_t *Src, int64_t RS, int64_t CS, int64_t Mc,
+                    int64_t Kc, float *Dst) {
+    packAConvStrided(Ty, Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha, Dst);
+  }
+  static void packB(const detail::GemmGeometry &G, const uint16_t *Src,
+                    int64_t RS, int64_t CS, int64_t Kc, int64_t W,
+                    float *Dst) {
+    packBConvStrided(Ty, Src, RS, CS, Kc, W, G.Nr, /*Alpha=*/1.0f, Dst);
+  }
+  static void tile(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+                   int64_t Kc, int64_t MrEff, int64_t NrEff, const float *Ap,
+                   const float *Bp, uint16_t *CTile, float *Scratch) {
+    // Always the scratch tile: the f32 kernel computes the block's
+    // contribution, and the C update (read storage, accumulate in f32,
+    // round to storage) happens exactly once per Kc block — the documented
+    // rounding contract.
+    const int64_t Mr = G.Mr, Ldc = Cl.Ldc;
+    std::fill(Scratch, Scratch + Mr * G.Nr, 0.0f);
+    G.Main.Fn(Kc, Mr, Ap, Bp, Scratch);
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I) {
+        uint16_t &H = CTile[I + J * Ldc];
+        H = store(load(H) + Scratch[J * Mr + I]);
+      }
+  }
+};
+
+/// Wrapping i32 scale used by the i8 policy's alpha/beta application.
+inline int32_t mulWrapI32(int32_t V, int64_t S) {
+  return int32_t(uint32_t(uint64_t(int64_t(V) * S)));
+}
+
+/// The K-grouped scalar dot micro-kernel (the portable stand-in for
+/// sdot/VNNI): Scratch[j*Mr + i] += sum over (g, kk) of
+/// Ac[g][i][kk] * Bc[g][j][kk], panels in the packAI8Strided layout.
+/// Accumulation is two's-complement i32; the uint32_t detour keeps the
+/// wraparound defined. The group's dot is written out rather than looped:
+/// a 4-trip inner loop stays a loop at -O2, and its per-step branch made
+/// the kernel's speed swing by a third with code placement. Kept out of
+/// line: inlined into the loop nest, the dot loses its registers to the
+/// nest's live values and spills on every k step.
+[[gnu::noinline]] void i8DotTile(int64_t KGroups, int64_t Mr, int64_t Nr,
+                                 const int8_t *Ac, const int8_t *Bc,
+                                 int32_t *Scratch) {
+  static_assert(I8KGroup == 4, "the dot below spells out one k group");
+  for (int64_t G = 0; G < KGroups; ++G) {
+    const int8_t *Ag = Ac + G * Mr * I8KGroup;
+    const int8_t *Bg = Bc + G * Nr * I8KGroup;
+    for (int64_t J = 0; J < Nr; ++J) {
+      const int8_t *Bq = Bg + J * I8KGroup;
+      for (int64_t I = 0; I < Mr; ++I) {
+        const int8_t *Aq = Ag + I * I8KGroup;
+        const int32_t Dot = int32_t(Aq[0]) * Bq[0] + int32_t(Aq[1]) * Bq[1] +
+                            int32_t(Aq[2]) * Bq[2] + int32_t(Aq[3]) * Bq[3];
+        uint32_t Acc = uint32_t(Scratch[J * Mr + I]) + uint32_t(Dot);
+        Scratch[J * Mr + I] = int32_t(Acc);
+      }
+    }
   }
 }
 
-namespace {
+/// i8 -> i32: K-grouped byte panels (depth rounded up to whole groups, the
+/// pack zero-fills the remainder), the scalar dot into an i32 scratch tile,
+/// and alpha/beta as exact integers with two's-complement wraparound.
+struct I8Panels {
+  using In = int8_t;
+  using Out = int32_t;
+  using Packed = int8_t;
+  using Acc = int32_t;
+
+  static int64_t depth(int64_t Kc) {
+    return (Kc + I8KGroup - 1) / I8KGroup * I8KGroup;
+  }
+  static bool betaIsOne(const detail::GemmCall &Cl) { return Cl.BetaI == 1; }
+  static void scale(int32_t *Col, int64_t Len, const detail::GemmCall &Cl) {
+    if (Cl.BetaI == 0)
+      std::fill(Col, Col + Len, 0);
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        Col[I] = mulWrapI32(Col[I], Cl.BetaI);
+  }
+  static void packA(const detail::GemmGeometry &G, const detail::GemmCall &,
+                    const int8_t *Src, int64_t RS, int64_t CS, int64_t Mc,
+                    int64_t Kc, int8_t *Dst) {
+    // No alpha: integer scaling happens exactly at copy-out.
+    packAI8Strided(Src, RS, CS, Mc, Kc, G.Mr, Dst);
+  }
+  static void packB(const detail::GemmGeometry &G, const int8_t *Src,
+                    int64_t RS, int64_t CS, int64_t Kc, int64_t W,
+                    int8_t *Dst) {
+    packBI8Strided(Src, RS, CS, Kc, W, G.Nr, Dst);
+  }
+  static void tile(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+                   int64_t Kc, int64_t MrEff, int64_t NrEff, const int8_t *Ap,
+                   const int8_t *Bp, int32_t *CTile, int32_t *Scratch) {
+    const int64_t Mr = G.Mr, Ldc = Cl.Ldc, AlphaI = Cl.AlphaI;
+    std::fill(Scratch, Scratch + Mr * G.Nr, 0);
+    i8DotTile(depth(Kc) / I8KGroup, Mr, G.Nr, Ap, Bp, Scratch);
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I) {
+        int32_t &V = CTile[I + J * Ldc];
+        V = int32_t(uint32_t(V) +
+                    uint32_t(mulWrapI32(Scratch[J * Mr + I], AlphaI)));
+      }
+  }
+};
+
+/// Calls \p F with the panel policy of \p Ty — the one place a dtype is
+/// switched on, once per call and never inside the loops.
+template <class Fn> void withPanels(DType Ty, Fn &&F) {
+  switch (Ty) {
+  case DType::F32:
+    return F(F32Panels{});
+  case DType::F16:
+    return F(HalfPanels<DType::F16>{});
+  case DType::BF16:
+    return F(HalfPanels<DType::BF16>{});
+  case DType::I8I32:
+    return F(I8Panels{});
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The five-loop nest
+//===----------------------------------------------------------------------===//
 
 /// Per-call context handed to the raw ThreadPool callback: pointers only,
 /// so dispatching a team performs no allocation.
@@ -156,15 +334,8 @@ struct TeamJob {
   TeamBarrier *Bar;
 };
 
-/// Same shape for the typed executor's call bundle.
-struct TeamJobT {
-  const detail::GemmGeometry *G;
-  const detail::GemmCallT *Call;
-  detail::GemmWorkspace *WS;
-  TeamBarrier *Bar;
-};
-
-void runTeamMember(void *Ctx, int64_t Tid) {
+template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
+  using Packed = typename Policy::Packed;
   const TeamJob &Job = *static_cast<TeamJob *>(Ctx);
   const detail::GemmGeometry &G = *Job.G;
   const detail::GemmCall &Cl = *Job.Call;
@@ -172,57 +343,52 @@ void runTeamMember(void *Ctx, int64_t Tid) {
   const int64_t Mr = G.Mr, Nr = G.Nr, Mc = G.Mc, Kc = G.Kc, Nc = G.Nc;
   const int64_t NIc = G.NIc, T = G.T, Tic = G.Tic, Tjr = G.Tjr;
   const int64_t M = Cl.M, N = Cl.N, K = Cl.K;
-  const MicroKernel &Main = G.Main;
+  const auto *A = static_cast<const typename Policy::In *>(Cl.A);
+  const auto *B = static_cast<const typename Policy::In *>(Cl.B);
+  auto *C = static_cast<typename Policy::Out *>(Cl.C);
+  // Transposition swaps the element strides: element (i, k) of op(A) is
+  // A[i*ARS + k*ACS] and (k, j) of op(B) is B[k*BRS + j*BCS].
+  const int64_t ARS = Cl.TA == Trans::None ? 1 : Cl.Lda;
+  const int64_t ACS = Cl.TA == Trans::None ? Cl.Lda : 1;
+  const int64_t BRS = Cl.TB == Trans::None ? 1 : Cl.Ldb;
+  const int64_t BCS = Cl.TB == Trans::None ? Cl.Ldb : 1;
 
   // Grid position: ic team owns row blocks BIdx % Tic == IcTeam; within
   // a team, jr strips (and pre-scale columns) split by JrIdx.
   const int64_t IcTeam = Tid / Tjr, JrIdx = Tid % Tjr;
-  float *ABuf = WS.ABufs[Tid].data();
-  float *Scratch = WS.Scratches[Tid].data();
-  float *BPad = WS.BPads[Tid].empty() ? nullptr : WS.BPads[Tid].data();
+  Packed *ABuf = reinterpret_cast<Packed *>(WS.ABufs[Tid].data());
+  Packed *BBuf = reinterpret_cast<Packed *>(WS.BBuf.data());
+  auto *Scratch =
+      reinterpret_cast<typename Policy::Acc *>(WS.Scratches[Tid].data());
 
   for (int64_t Jc = 0; Jc < N; Jc += Nc) {            // Loop L1
     const int64_t NcEff = std::min(Nc, N - Jc);
     const int64_t NPan = (NcEff + Nr - 1) / Nr;
     for (int64_t Pc = 0; Pc < K; Pc += Kc) {          // Loop L2
       const int64_t KcEff = std::min(Kc, K - Pc);
+      const int64_t Depth = Policy::depth(KcEff);
       // Cooperative packB: panel P goes to thread P % T. Packing panel
       // by panel reproduces the monolithic layout exactly (slot stride
-      // KcEff * Nr; only the last panel can be partial).
+      // Depth * Nr; only the last panel can be partial).
       {
         EXO_OBS_SPAN("gemm.packB");
         for (int64_t P = Tid; P < NPan; P += T) {
-        const int64_t J0 = Jc + P * Nr;
-        const int64_t W = std::min(Nr, NcEff - P * Nr);
-        float *Dst = WS.BBuf.data() + P * KcEff * Nr;
-        // Element (k, j) of the logical block; transposition swaps
-        // strides.
-        if (Cl.TB == Trans::None)
-          packBStrided(Cl.B + Pc + J0 * Cl.Ldb, 1, Cl.Ldb, KcEff, W, Nr,
-                       /*Alpha=*/1.0f, G.PackMode, Dst);
-        else
-          packBStrided(Cl.B + J0 + Pc * Cl.Ldb, Cl.Ldb, 1, KcEff, W, Nr,
-                       /*Alpha=*/1.0f, G.PackMode, Dst);
+          const int64_t J0 = Jc + P * Nr;
+          Policy::packB(G, B + Pc * BRS + J0 * BCS, BRS, BCS, KcEff,
+                        std::min(Nr, NcEff - P * Nr), BBuf + P * Depth * Nr);
         }
       }
 
       // Apply beta once per (jc) column block, before the first update.
-      // Beta == 0 overwrites (see scaleByBeta). Ownership: rows by ic
-      // team, columns round-robin within the team — every C element has
-      // exactly one writer.
-      if (Pc == 0 && Cl.Beta != 1.0f) {
+      // Ownership: rows by ic team, columns round-robin within the team —
+      // every C element has exactly one writer.
+      if (Pc == 0 && !Policy::betaIsOne(Cl)) {
         EXO_OBS_SPAN("gemm.beta");
         for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
           const int64_t Ic = BIdx * Mc;
           const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr) {
-            float *Col = Cl.C + Ic + (Jc + J) * Cl.Ldc;
-            if (Cl.Beta == 0.0f)
-              std::fill(Col, Col + McEff, 0.0f);
-            else
-              for (int64_t I = 0; I < McEff; ++I)
-                Col[I] *= Cl.Beta;
-          }
+          for (int64_t J = JrIdx; J < NcEff; J += Tjr)
+            Policy::scale(C + Ic + (Jc + J) * Cl.Ldc, McEff, Cl);
         }
       }
       if (T > 1) {
@@ -233,74 +399,24 @@ void runTeamMember(void *Ctx, int64_t Tid) {
       for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
         const int64_t Ic = BIdx * Mc;
         const int64_t McEff = std::min(Mc, M - Ic);
-        // A panels are always zero-padded to the full Mr: edge kernels
-        // keep the full vector width along m and the driver masks the
-        // copy-out instead (rows >= mr_eff contribute zeros). Each
-        // thread packs into its own buffer; members of the same ic team
-        // duplicate the pack, trading redundant bandwidth for zero
+        // Each thread packs into its own buffer; members of the same ic
+        // team duplicate the pack, trading redundant bandwidth for zero
         // intra-team synchronization.
         {
           EXO_OBS_SPAN("gemm.packA");
-          if (Cl.TA == Trans::None)
-            packAStrided(Cl.A + Ic + Pc * Cl.Lda, 1, Cl.Lda, McEff, KcEff,
-                         Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
-          else
-            packAStrided(Cl.A + Pc + Ic * Cl.Lda, Cl.Lda, 1, McEff, KcEff,
-                         Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
+          Policy::packA(G, Cl, A + Ic * ARS + Pc * ACS, ARS, ACS, McEff,
+                        KcEff, ABuf);
         }
 
         EXO_OBS_SPAN("gemm.ukr");
         for (int64_t P = JrIdx; P < NPan; P += Tjr) {  // Loop L4
           const int64_t Jr = P * Nr;
           const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          const float *BPanel = WS.BBuf.data() + P * KcEff * Nr;
-          // The edge kernel depends only on the strip width; resolved
-          // once per plan (or per legacy call). A Tight-mode strip
-          // without its specialized kernel re-pads the tight panel and
-          // runs the monolithic kernel through the scratch tile — a
-          // partial edge family degrades instead of failing.
-          const MicroKernel *Strip = &Main;
-          bool Padded = G.PackMode == EdgePack::ZeroPad;
-          if (NrEff < Nr && G.PackMode == EdgePack::Tight) {
-            if (G.EdgeKernels[NrEff]) {
-              Strip = &*G.EdgeKernels[NrEff];
-            } else {
-              for (int64_t Kk = 0; Kk < KcEff; ++Kk) {
-                float *Row = BPad + Kk * Nr;
-                for (int64_t J = 0; J < NrEff; ++J)
-                  Row[J] = BPanel[Kk * NrEff + J];
-                std::fill(Row + NrEff, Row + Nr, 0.0f);
-              }
-              BPanel = BPad;
-              Padded = true;
-            }
-          }
-          for (int64_t Ir = 0; Ir < McEff; Ir += Mr) { // Loop L5
-            const int64_t MrEff = std::min(Mr, McEff - Ir);
-            const float *APanel = ABuf + (Ir / Mr) * KcEff * Mr;
-            float *CTile = Cl.C + (Ic + Ir) + (Jc + Jr) * Cl.Ldc;
-
-            if (MrEff == Mr && NrEff == Nr) {
-              Main.Fn(KcEff, Cl.Ldc, APanel, BPanel, CTile);
-              continue;
-            }
-            if (!Padded && MrEff == Mr) {
-              // Specialized kernel at full vector width along m and the
-              // exact nr_eff along n (B panels are tight).
-              Strip->Fn(KcEff, Cl.Ldc, APanel, BPanel, CTile);
-              continue;
-            }
-            // Scratch tile: the kernel (specialized when the m edge is
-            // short, monolithic on the padded path) computes into a
-            // zero-initialized Mr x Nr tile — the A panel's padded rows
-            // are zero — and the valid window is accumulated back.
-            const MicroKernel *Kern = Padded ? &Main : Strip;
-            std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
-            Kern->Fn(KcEff, Mr, APanel, BPanel, Scratch);
-            for (int64_t J = 0; J < NrEff; ++J)
-              for (int64_t I = 0; I < MrEff; ++I)
-                CTile[I + J * Cl.Ldc] += Scratch[J * Mr + I];
-          }
+          const Packed *BPanel = BBuf + P * Depth * Nr;
+          for (int64_t Ir = 0; Ir < McEff; Ir += Mr)   // Loop L5
+            Policy::tile(G, Cl, KcEff, std::min(Mr, McEff - Ir), NrEff,
+                         ABuf + (Ir / Mr) * Depth * Mr, BPanel,
+                         C + (Ic + Ir) + (Jc + Jr) * Cl.Ldc, Scratch);
         }
       }
       if (T > 1) {
@@ -311,365 +427,85 @@ void runTeamMember(void *Ctx, int64_t Tid) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Typed (non-f32) executor
-//===----------------------------------------------------------------------===//
-
-/// Storage decode/encode for the half-precision paths.
-inline float loadHalf(DType Ty, uint16_t H) {
-  return Ty == DType::BF16 ? bf16ToF32(H) : f16ToF32(H);
-}
-inline uint16_t storeHalf(DType Ty, float F) {
-  return Ty == DType::BF16 ? f32ToBf16(F) : f32ToF16(F);
-}
-
-/// The K-grouped scalar dot micro-kernel (the portable stand-in for
-/// sdot/VNNI): Scratch[j*Mr + i] += sum over (g, kk) of
-/// Ac[g][i][kk] * Bc[g][j][kk], panels in the packAI8Strided layout.
-/// Accumulation is two's-complement i32; the uint32_t detour keeps the
-/// wraparound defined.
-void i8DotTile(int64_t KGroups, int64_t Mr, int64_t Nr, const int8_t *Ac,
-               const int8_t *Bc, int32_t *Scratch) {
-  for (int64_t G = 0; G < KGroups; ++G) {
-    const int8_t *Ag = Ac + G * Mr * I8KGroup;
-    const int8_t *Bg = Bc + G * Nr * I8KGroup;
-    for (int64_t J = 0; J < Nr; ++J) {
-      const int8_t *Bq = Bg + J * I8KGroup;
-      for (int64_t I = 0; I < Mr; ++I) {
-        const int8_t *Aq = Ag + I * I8KGroup;
-        int32_t Dot = 0;
-        for (int64_t Kk = 0; Kk < I8KGroup; ++Kk)
-          Dot += int32_t(Aq[Kk]) * int32_t(Bq[Kk]);
-        uint32_t Acc = uint32_t(Scratch[J * Mr + I]) + uint32_t(Dot);
-        Scratch[J * Mr + I] = int32_t(Acc);
-      }
+template <class Policy>
+void runTeam(const detail::GemmGeometry &G, const detail::GemmCall &Call,
+             detail::GemmWorkspace &WS, ThreadPool::Reservation *Res) {
+  ThreadPool &Pool = ThreadPool::global();
+  if (!Res) {
+    // Nested call (this thread is already inside a pool job): a T-member
+    // team cannot form, and letting the pool degrade a T > 1 job inline
+    // would deadlock on the TeamBarrier (each Tid would wait for teammates
+    // that never run concurrently). Collapse to the single-member geometry
+    // instead — results are bitwise identical for every team size, so this
+    // only changes scheduling, never output.
+    if (G.T > 1 && Pool.inParallel()) {
+      const detail::GemmGeometry G1 = detail::reteamGeometry(G, 1);
+      TeamJob Job{&G1, &Call, &WS, nullptr}; // T == 1 never touches Bar
+      runTeamMember<Policy>(&Job, 0);
+      return;
     }
+    TeamBarrier Bar(G.T);
+    TeamJob Job{&G, &Call, &WS, &Bar};
+    Pool.parallel(G.T, &runTeamMember<Policy>, &Job);
+    return;
   }
-}
-
-/// Wrapping i32 scale used by the i8 path's alpha/beta application.
-inline int32_t mulWrapI32(int32_t V, int64_t S) {
-  return int32_t(uint32_t(uint64_t(int64_t(V) * S)));
-}
-
-/// Mirror of runTeamMember for the non-f32 dtypes: identical loop
-/// structure, barriers and ownership grid, so the bitwise
-/// thread-count-invariance argument carries over unchanged. The branches
-/// select the pack / pre-scale / copy-out flavour; the inner kernel is the
-/// plan's f32 kernel over converted panels (f16/bf16) or the scalar i8 dot.
-void runTeamMemberTyped(void *Ctx, int64_t Tid) {
-  const TeamJobT &Job = *static_cast<TeamJobT *>(Ctx);
-  const detail::GemmGeometry &G = *Job.G;
-  const detail::GemmCallT &Cl = *Job.Call;
-  detail::GemmWorkspace &WS = *Job.WS;
-  const int64_t Mr = G.Mr, Nr = G.Nr, Mc = G.Mc, Kc = G.Kc, Nc = G.Nc;
-  const int64_t NIc = G.NIc, T = G.T, Tic = G.Tic, Tjr = G.Tjr;
-  const int64_t M = Cl.M, N = Cl.N, K = Cl.K;
-  const DType Ty = Cl.Ty;
-  const bool IsInt = Ty == DType::I8I32;
-
-  const int64_t IcTeam = Tid / Tjr, JrIdx = Tid % Tjr;
-
-  for (int64_t Jc = 0; Jc < N; Jc += Nc) {              // Loop L1
-    const int64_t NcEff = std::min(Nc, N - Jc);
-    const int64_t NPan = (NcEff + Nr - 1) / Nr;
-    for (int64_t Pc = 0; Pc < K; Pc += Kc) {            // Loop L2
-      const int64_t KcEff = std::min(Kc, K - Pc);
-      const int64_t KG = (KcEff + I8KGroup - 1) / I8KGroup;
-      {
-        EXO_OBS_SPAN("gemm.packB");
-        for (int64_t P = Tid; P < NPan; P += T) {
-          const int64_t J0 = Jc + P * Nr;
-          const int64_t W = std::min(Nr, NcEff - P * Nr);
-          // Transposition swaps the element strides, exactly as in the f32
-          // path: (k, j) of the logical block is B[k*RS + j*CS].
-          const int64_t RS = Cl.TB == Trans::None ? 1 : Cl.Ldb;
-          const int64_t CS = Cl.TB == Trans::None ? Cl.Ldb : 1;
-          if (IsInt) {
-            const int8_t *Src = static_cast<const int8_t *>(Cl.B) +
-                                (Cl.TB == Trans::None ? Pc + J0 * Cl.Ldb
-                                                      : J0 + Pc * Cl.Ldb);
-            packBI8Strided(Src, RS, CS, KcEff, W, Nr,
-                           WS.BBufI8.data() + P * KG * I8KGroup * Nr);
-          } else {
-            const uint16_t *Src = static_cast<const uint16_t *>(Cl.B) +
-                                  (Cl.TB == Trans::None ? Pc + J0 * Cl.Ldb
-                                                        : J0 + Pc * Cl.Ldb);
-            packBConvStrided(Ty, Src, RS, CS, KcEff, W, Nr, /*Alpha=*/1.0f,
-                             WS.BBuf.data() + P * KcEff * Nr);
-          }
-        }
-      }
-
-      // Beta pre-scale, once per column block before its first update;
-      // same one-writer ownership grid as the f32 path.
-      const bool BetaIsOne = IsInt ? Cl.BetaI == 1 : Cl.Beta == 1.0f;
-      if (Pc == 0 && !BetaIsOne) {
-        EXO_OBS_SPAN("gemm.beta");
-        for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
-          const int64_t Ic = BIdx * Mc;
-          const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr) {
-            if (IsInt) {
-              int32_t *Col =
-                  static_cast<int32_t *>(Cl.C) + Ic + (Jc + J) * Cl.Ldc;
-              if (Cl.BetaI == 0)
-                std::fill(Col, Col + McEff, 0);
-              else
-                for (int64_t I = 0; I < McEff; ++I)
-                  Col[I] = mulWrapI32(Col[I], Cl.BetaI);
-            } else {
-              uint16_t *Col =
-                  static_cast<uint16_t *>(Cl.C) + Ic + (Jc + J) * Cl.Ldc;
-              if (Cl.Beta == 0.0f)
-                std::fill(Col, Col + McEff, uint16_t(0));
-              else
-                for (int64_t I = 0; I < McEff; ++I)
-                  Col[I] = storeHalf(Ty, loadHalf(Ty, Col[I]) * Cl.Beta);
-            }
-          }
-        }
-      }
-      if (T > 1) {
-        EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait();
-      }
-
-      for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
-        const int64_t Ic = BIdx * Mc;
-        const int64_t McEff = std::min(Mc, M - Ic);
-        {
-          EXO_OBS_SPAN("gemm.packA");
-          const int64_t RS = Cl.TA == Trans::None ? 1 : Cl.Lda;
-          const int64_t CS = Cl.TA == Trans::None ? Cl.Lda : 1;
-          if (IsInt) {
-            const int8_t *Src = static_cast<const int8_t *>(Cl.A) +
-                                (Cl.TA == Trans::None ? Ic + Pc * Cl.Lda
-                                                      : Pc + Ic * Cl.Lda);
-            packAI8Strided(Src, RS, CS, McEff, KcEff, Mr,
-                           WS.ABufsI8[Tid].data());
-          } else {
-            const uint16_t *Src = static_cast<const uint16_t *>(Cl.A) +
-                                  (Cl.TA == Trans::None ? Ic + Pc * Cl.Lda
-                                                        : Pc + Ic * Cl.Lda);
-            packAConvStrided(Ty, Src, RS, CS, McEff, KcEff, Mr, Cl.Alpha,
-                             WS.ABufs[Tid].data());
-          }
-        }
-
-        EXO_OBS_SPAN("gemm.ukr");
-        for (int64_t P = JrIdx; P < NPan; P += Tjr) {    // Loop L4
-          const int64_t Jr = P * Nr;
-          const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          for (int64_t Ir = 0; Ir < McEff; Ir += Mr) {   // Loop L5
-            const int64_t MrEff = std::min(Mr, McEff - Ir);
-            if (IsInt) {
-              const int8_t *APanel =
-                  WS.ABufsI8[Tid].data() + (Ir / Mr) * KG * I8KGroup * Mr;
-              const int8_t *BPanel =
-                  WS.BBufI8.data() + P * KG * I8KGroup * Nr;
-              int32_t *Scratch = WS.ScratchesI32[Tid].data();
-              std::fill(Scratch, Scratch + Mr * Nr, 0);
-              i8DotTile(KG, Mr, Nr, APanel, BPanel, Scratch);
-              int32_t *CTile = static_cast<int32_t *>(Cl.C) + (Ic + Ir) +
-                               (Jc + Jr) * Cl.Ldc;
-              for (int64_t J = 0; J < NrEff; ++J)
-                for (int64_t I = 0; I < MrEff; ++I) {
-                  uint32_t Acc =
-                      uint32_t(CTile[I + J * Cl.Ldc]) +
-                      uint32_t(mulWrapI32(Scratch[J * Mr + I], Cl.AlphaI));
-                  CTile[I + J * Cl.Ldc] = int32_t(Acc);
-                }
-            } else {
-              // Always the scratch-tile path: the f32 kernel computes the
-              // block's contribution, and the C update (read storage,
-              // accumulate in f32, round to storage) happens exactly once
-              // per Kc block — the documented rounding contract.
-              const float *APanel =
-                  WS.ABufs[Tid].data() + (Ir / Mr) * KcEff * Mr;
-              const float *BPanel = WS.BBuf.data() + P * KcEff * Nr;
-              float *Scratch = WS.Scratches[Tid].data();
-              std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
-              G.Main.Fn(KcEff, Mr, APanel, BPanel, Scratch);
-              uint16_t *CTile = static_cast<uint16_t *>(Cl.C) + (Ic + Ir) +
-                                (Jc + Jr) * Cl.Ldc;
-              for (int64_t J = 0; J < NrEff; ++J)
-                for (int64_t I = 0; I < MrEff; ++I) {
-                  uint16_t &H = CTile[I + J * Cl.Ldc];
-                  H = storeHalf(Ty,
-                                loadHalf(Ty, H) + Scratch[J * Mr + I]);
-                }
-            }
-          }
-        }
-      }
-      if (T > 1) {
-        EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait();
-      }
-    }
-  }
+  // The granted team: the caller plus every reserved worker, re-teamed to
+  // that width. The governor caps its ask at the plan width, so the copy
+  // fits the workspace ensured for G (which holds G.T members); a wider
+  // reservation is handed back and the call runs on the caller alone.
+  if (1 + Res->Count > G.T)
+    Pool.release(*Res);
+  const detail::GemmGeometry G2 = detail::reteamGeometry(G, 1 + Res->Count);
+  TeamBarrier Bar(G2.T);
+  TeamJob Job{&G2, &Call, &WS, &Bar};
+  Pool.runTeam(*Res, &runTeamMember<Policy>, &Job);
 }
 
 } // namespace
 
+void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
+  // Shared packed-B block (written cooperatively, panel-interleaved, read
+  // by everyone after the barrier) and per-thread A pack buffer and
+  // scratch tile, in the policy's panel and accumulator element sizes.
+  // Every resize is a no-op when the workspace already fits this geometry
+  // (the Engine's pooled hot path).
+  withPanels(G.Ty, [&](auto Pol) {
+    using Policy = decltype(Pol);
+    const int64_t Depth = Policy::depth(G.Kc);
+    const int64_t PackB = sizeof(typename Policy::Packed);
+    BBuf.resize(((G.Nc + G.Nr - 1) / G.Nr) * Depth * G.Nr * PackB);
+    ABufs.resize(G.T);
+    Scratches.resize(G.T);
+    for (int64_t I = 0; I < G.T; ++I) {
+      ABufs[I].resize(((G.Mc + G.Mr - 1) / G.Mr) * Depth * G.Mr * PackB);
+      Scratches[I].resize(G.Mr * G.Nr * sizeof(typename Policy::Acc));
+    }
+  });
+}
+
 void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
-                         GemmWorkspace &WS) {
+                         GemmWorkspace &WS, ThreadPool::Reservation *Res) {
   // Tracing (see docs/OBSERVABILITY.md): spans attribute time to the
-  // packA / packB / micro-kernel / barrier phases at block granularity —
-  // coarse enough that an *enabled* trace stays cheap, and each Span
-  // construction is a single relaxed load when EXO_OBS is unset. The
-  // spans only observe; results are bitwise identical either way.
+  // packA / packB / micro-kernel / beta / barrier phases at block
+  // granularity — coarse enough that an *enabled* trace stays cheap, and
+  // each Span construction is a single relaxed load when EXO_OBS is unset.
+  // The spans only observe; results are bitwise identical either way.
   EXO_OBS_SPAN("gemm.call");
-  // Nested call (this thread is already inside a pool job — e.g. a batched
-  // cross-item worker, or a user callback issuing a GEMM): a T-member team
-  // cannot form, and letting the pool degrade a T > 1 job inline would
-  // deadlock on the TeamBarrier (each Tid would wait for teammates that
-  // never run concurrently). Collapse to the single-member geometry
-  // instead — results are bitwise identical for every team size by the
-  // thread-count-invariance guarantee (see Gemm.h), so this only changes
-  // scheduling, never output.
-  if (G.T > 1 && ThreadPool::global().inParallel()) {
-    GemmGeometry G1 = G;
-    G1.T = 1;
-    G1.Tic = 1;
-    G1.Tjr = 1;
-    TeamJob Job{&G1, &Call, &WS, nullptr}; // T == 1 never touches the barrier
-    runTeamMember(&Job, 0);
-    return;
-  }
-  TeamBarrier Bar(G.T);
-  TeamJob Job{&G, &Call, &WS, &Bar};
-  ThreadPool::global().parallel(G.T, &runTeamMember, &Job);
+  withPanels(G.Ty, [&](auto Pol) {
+    runTeam<decltype(Pol)>(G, Call, WS, Res);
+  });
 }
 
-void detail::executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
-                                 GemmWorkspace &WS,
-                                 ThreadPool::Reservation &Res) {
-  EXO_OBS_SPAN("gemm.call");
-  // The granted team: the caller plus every reserved worker. Res.Count is
-  // already <= G.T - 1 (the governor caps its ask at the plan width), so
-  // the re-teamed copy fits the workspace ensured for G, and by the
-  // thread-count-invariance guarantee the narrower team produces bitwise
-  // the same C.
-  const int64_t Width = 1 + Res.Count;
-  if (Width >= G.T && G.T > 1) {
-    // Full width granted: run the plan's own geometry directly.
-    TeamBarrier Bar(G.T);
-    TeamJob Job{&G, &Call, &WS, &Bar};
-    ThreadPool::global().runTeam(Res, &runTeamMember, &Job);
-    return;
-  }
-  GemmGeometry G2 = reteamGeometry(G, Width);
-  if (G2.T < Width) {
-    // The shape offers less parallel work than the grant (tiny problem on
-    // a wide plan): return the surplus workers before dispatching.
-    ThreadPool::global().release(Res);
-    if (G2.T <= 1) {
-      TeamJob Job{&G2, &Call, &WS, nullptr};
-      runTeamMember(&Job, 0);
-      return;
-    }
-    TeamBarrier Bar(G2.T);
-    TeamJob Job{&G2, &Call, &WS, &Bar};
-    ThreadPool::global().parallel(G2.T, &runTeamMember, &Job);
-    return;
-  }
-  TeamBarrier Bar(G2.T);
-  TeamJob Job{&G2, &Call, &WS, G2.T > 1 ? &Bar : nullptr};
-  ThreadPool::global().runTeam(Res, &runTeamMember, &Job);
-}
-
-void detail::scaleByBetaTyped(DType Ty, int64_t M, int64_t N, double Beta,
-                              void *C, int64_t Ldc) {
-  if (Ty == DType::F32) {
-    scaleByBeta(M, N, float(Beta), static_cast<float *>(C), Ldc);
-    return;
-  }
-  if (Ty == DType::I8I32) {
-    const int64_t BetaI = int64_t(Beta);
-    for (int64_t J = 0; J < N; ++J) {
-      int32_t *Col = static_cast<int32_t *>(C) + J * Ldc;
-      if (BetaI == 0)
-        std::fill(Col, Col + M, 0);
-      else
-        for (int64_t I = 0; I < M; ++I)
-          Col[I] = int32_t(uint32_t(uint64_t(int64_t(Col[I]) * BetaI)));
-    }
-    return;
-  }
-  const float BetaF = float(Beta);
-  for (int64_t J = 0; J < N; ++J) {
-    uint16_t *Col = static_cast<uint16_t *>(C) + J * Ldc;
-    if (BetaF == 0.0f) {
-      std::fill(Col, Col + M, uint16_t(0));
-      continue;
-    }
-    for (int64_t I = 0; I < M; ++I) {
-      const float V =
-          (Ty == DType::BF16 ? bf16ToF32(Col[I]) : f16ToF32(Col[I])) * BetaF;
-      Col[I] = Ty == DType::BF16 ? f32ToBf16(V) : f32ToF16(V);
-    }
-  }
-}
-
-void detail::executeGemmTyped(const GemmGeometry &G, const GemmCallT &Call,
-                              GemmWorkspace &WS) {
-  EXO_OBS_SPAN("gemm.call");
-  // Nested-call collapse, for the same deadlock reason as executeGemm.
-  if (G.T > 1 && ThreadPool::global().inParallel()) {
-    GemmGeometry G1 = G;
-    G1.T = 1;
-    G1.Tic = 1;
-    G1.Tjr = 1;
-    TeamJobT Job{&G1, &Call, &WS, nullptr};
-    runTeamMemberTyped(&Job, 0);
-    return;
-  }
-  TeamBarrier Bar(G.T);
-  TeamJobT Job{&G, &Call, &WS, &Bar};
-  ThreadPool::global().parallel(G.T, &runTeamMemberTyped, &Job);
-}
-
-Error gemm::blisGemm(const GemmPlan &Plan, KernelProvider &Provider,
-                     int64_t M, int64_t N, int64_t K, float Alpha,
-                     const float *A, int64_t Lda, const float *B,
-                     int64_t Ldb, float Beta, float *C, int64_t Ldc) {
-  return blisGemmT(Plan, Provider, Trans::None, Trans::None, M, N, K, Alpha,
-                   A, Lda, B, Ldb, Beta, C, Ldc);
-}
-
-Error gemm::blisGemmT(const GemmPlan &Plan, KernelProvider &Provider,
-                      Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                      float Alpha, const float *A, int64_t Lda,
-                      const float *B, int64_t Ldb, float Beta, float *C,
-                      int64_t Ldc) {
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemm: negative dimension");
-  if (M == 0 || N == 0)
-    return Error::success();
-
-  // K == 0 and alpha == 0 both degenerate to a beta scaling: the update
-  // term is empty (or scaled away), and per BLAS semantics A and B are
-  // never read — callers may legally pass null.
-  if (K == 0 || Alpha == 0.0f) {
-    detail::scaleByBeta(M, N, Beta, C, Ldc);
-    return Error::success();
-  }
-
-  MicroKernel Main = Provider.main();
-  if (!Main.Fn)
-    return errorf("gemm: provider '%s' has no runnable kernel",
-                  Provider.name());
-
-  detail::GemmGeometry G = detail::deriveGeometry(Plan, Main, M, N, K);
-  std::vector<std::optional<MicroKernel>> Edges;
-  detail::resolveEdgeKernels(Provider, G, N, Edges);
-  detail::GemmWorkspace WS;
-  WS.ensure(G);
-  detail::executeGemm(
-      G, detail::GemmCall{TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
-                          Ldc},
-      WS);
-  return Error::success();
+void detail::scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta,
+                         void *C, int64_t Ldc) {
+  GemmCall Cl;
+  Cl.Beta = static_cast<float>(Beta);
+  if (Ty == DType::I8I32)
+    Cl.BetaI = static_cast<int64_t>(Beta);
+  withPanels(Ty, [&](auto Pol) {
+    using Policy = decltype(Pol);
+    auto *Out = static_cast<typename Policy::Out *>(C);
+    for (int64_t J = 0; J < N; ++J)
+      Policy::scale(Out + J * Ldc, M, Cl);
+  });
 }

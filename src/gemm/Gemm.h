@@ -10,7 +10,10 @@
 /// blocks (Ac packed for L2), then jr/ir micro-tile loops invoking the
 /// micro-kernel. Edge tiles either dispatch to a provider-specialized
 /// kernel (EXO mode, tight packing) or run the monolithic kernel into a
-/// zero-padded scratch tile (BLIS mode).
+/// zero-padded scratch tile (BLIS mode). One loop nest serves every dtype:
+/// a compile-time panel policy per dtype supplies the packs, the tile
+/// kernel and the storage-type copy-out. gemm::Engine (Engine.h) is the
+/// front door; this header is its executor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +36,7 @@ struct GemmPlan {
   /// Tight for providers with per-edge kernels; ZeroPad for monolithic
   /// kernels routed through the scratch tile. Tight mode tolerates a
   /// *partial* edge family: a strip width without a specialized kernel
-  /// degrades to the monolithic kernel over a re-padded panel copy.
+  /// degrades to the monolithic kernel over a zero-padded panel.
   EdgePack PackMode = EdgePack::ZeroPad;
   /// Macro-kernel team size. 0 (the default) resolves through
   /// EXO_GEMM_THREADS — unset means 1, preserving the paper's single-core
@@ -52,58 +55,16 @@ struct GemmPlan {
 /// same as the plain case — the BLIS property.
 enum class Trans : uint8_t { None, Transpose };
 
-/// Column-major SGEMM, C = alpha*A*B + beta*C, through the macro-kernel.
-/// Beta == 0 overwrites C without reading it (BLAS semantics: NaN/Inf in
-/// an uninitialized C buffer never propagates). Fails on invalid shapes or
-/// a provider with no runnable main kernel; missing *edge* kernels degrade
-/// to the scratch-tile path instead of failing.
-///
-/// Deprecated: new code should call Engine::sgemm (Engine.h), which caches
-/// the per-shape plan and workspace this entry re-derives on every call.
-/// Kept as a thin shim over the shared executor; results are bitwise
-/// identical between the two front doors.
-exo::Error blisGemm(const GemmPlan &Plan, KernelProvider &Provider,
-                    int64_t M, int64_t N, int64_t K, float Alpha,
-                    const float *A, int64_t Lda, const float *B, int64_t Ldb,
-                    float Beta, float *C, int64_t Ldc);
-
-/// General form: C = alpha * op(A) * op(B) + beta * C with op per operand.
-/// op(A) is m x k; with TA == Transpose, A is stored k x m (leading
-/// dimension >= k), and symmetrically for B.
-///
-/// Deprecated: prefer Engine::sgemm (Engine.h); see blisGemm above.
-exo::Error blisGemmT(const GemmPlan &Plan, KernelProvider &Provider,
-                     Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                     float Alpha, const float *A, int64_t Lda,
-                     const float *B, int64_t Ldb, float Beta, float *C,
-                     int64_t Ldc);
-
 namespace detail {
 
-/// One GEMM call's operands and scalars, bundled so the resolved executor
-/// below can be shared verbatim between the legacy entry points and the
-/// Engine's cached-plan path (bitwise identity between the two front doors
-/// falls out of running the same code).
+/// One GEMM call's operands and scalars, C = alpha * op(A) * op(B) +
+/// beta * C, column-major. op(A) is m x k; with TA == Transpose, A is
+/// stored k x m (leading dimension >= k), and symmetrically for B. The
+/// operand pointers are raw storage in the executing geometry's element
+/// types (dtypeInBytes / dtypeOutBytes); Alpha/Beta carry the f32 scale of
+/// the float dtypes and AlphaI/BetaI the exact integer scale of i8 -> i32
+/// (set from the same user-facing doubles by the Engine front door).
 struct GemmCall {
-  Trans TA = Trans::None, TB = Trans::None;
-  int64_t M = 0, N = 0, K = 0;
-  float Alpha = 1.0f;
-  const float *A = nullptr;
-  int64_t Lda = 0;
-  const float *B = nullptr;
-  int64_t Ldb = 0;
-  float Beta = 1.0f;
-  float *C = nullptr;
-  int64_t Ldc = 0;
-};
-
-/// The dtype-generic call bundle used by the non-f32 executor paths. The
-/// operand pointers are raw storage in Ty's element types (dtypeInBytes /
-/// dtypeOutBytes); Alpha/Beta carry the f32 scale for the half-precision
-/// paths and AlphaI/BetaI the exact integer scale for i8 -> i32 (set from
-/// the same user-facing doubles by the Engine front door).
-struct GemmCallT {
-  DType Ty = DType::F32;
   Trans TA = Trans::None, TB = Trans::None;
   int64_t M = 0, N = 0, K = 0;
   float Alpha = 1.0f, Beta = 1.0f;
@@ -119,14 +80,15 @@ struct GemmCallT {
 /// Everything the five-loop executor needs that does not depend on the
 /// operand pointers or scalars: resolved kernels, problem-clamped blocking,
 /// and the team factorization. Deriving this once per (shape, plan) is what
-/// the Engine caches; blisGemmT derives it per call.
+/// the Engine caches.
 struct GemmGeometry {
   MicroKernel Main{};
-  /// Element type this geometry executes. F32 runs the historical executor
-  /// verbatim; F16/BF16 run the f32 kernels over convert-packed panels with
-  /// per-Kc-block rounding at copy-out; I8I32 runs the K-grouped scalar dot
-  /// (Main.Fn unused). Non-f32 geometries are always ZeroPad with no edge
-  /// kernels.
+  /// Element type this geometry executes; selects the executor's panel
+  /// policy (Gemm.cpp). F32 runs the plan's kernels over f32 panels with
+  /// Tight-mode edge kernels; F16/BF16 run the f32 main kernel over
+  /// convert-packed panels with per-Kc-block rounding at copy-out; I8I32
+  /// runs the K-grouped scalar dot (Main.Fn unused). Non-f32 geometries are
+  /// always ZeroPad with no edge kernels.
   DType Ty = DType::F32;
   EdgePack PackMode = EdgePack::ZeroPad;
   int64_t Mr = 0, Nr = 0;
@@ -134,27 +96,22 @@ struct GemmGeometry {
   int64_t NIc = 0;                ///< ic block count
   int64_t T = 1;                  ///< team size, clamped to available work
   int64_t Tic = 1, Tjr = 1;       ///< 2D team factorization (ic x jr)
-  /// Strip-width-indexed edge kernels, Nr entries; a nullopt width takes
-  /// the re-padded scratch path. Points into caller-owned storage (the
-  /// resolveEdgeKernels Storage argument) which must outlive execution.
+  /// Strip-width-indexed edge kernels, Nr entries; a nullopt width packs
+  /// its B panel zero-padded and runs the main kernel through the scratch
+  /// tile. Points into caller-owned storage (the resolveEdgeKernels Storage
+  /// argument) which must outlive execution; unset unless PackMode is
+  /// Tight.
   const std::optional<MicroKernel> *EdgeKernels = nullptr;
-  bool NeedBPad = false; ///< some Tight-mode width lacks its edge kernel
+  bool MissingEdge = false; ///< some Tight-mode strip width has no edge kernel
 };
 
-/// Pack buffers and per-thread scratch for one geometry. ensure() resizes
-/// to fit and is idempotent: a second call with the same geometry performs
-/// no allocation, which is what keeps the Engine's pooled steady state
-/// allocation-free.
+/// Pack buffers and per-thread scratch for one geometry, in bytes sized by
+/// the geometry's panel policy. ensure() resizes to fit and is idempotent:
+/// a second call with the same geometry performs no allocation, which is
+/// what keeps the Engine's pooled steady state allocation-free.
 struct GemmWorkspace {
-  std::vector<float> BBuf;
-  std::vector<std::vector<float>> ABufs, Scratches, BPads;
-  /// I8I32 geometries pack into byte panels and accumulate into i32
-  /// scratch tiles instead; the float vectors above stay empty for them
-  /// (and vice versa), so a pooled workspace is sized for exactly one
-  /// dtype — which is what the per-plan pools hold anyway.
-  std::vector<int8_t> BBufI8;
-  std::vector<std::vector<int8_t>> ABufsI8;
-  std::vector<std::vector<int32_t>> ScratchesI32;
+  std::vector<unsigned char> BBuf;
+  std::vector<std::vector<unsigned char>> ABufs, Scratches;
   void ensure(const GemmGeometry &G);
 };
 
@@ -172,16 +129,10 @@ void factorizeTeam(GemmGeometry &G);
 
 /// Resolves the kernel for every partial strip width occurring in an N-wide
 /// problem into \p Storage (resized to Nr) and points G.EdgeKernels at it;
-/// sets G.NeedBPad when some width lacks a runnable specialized kernel.
+/// sets G.MissingEdge when some width lacks a runnable specialized kernel.
 /// Must run on a thread allowed to call into the provider (may JIT).
 void resolveEdgeKernels(KernelProvider &Provider, GemmGeometry &G, int64_t N,
                         std::vector<std::optional<MicroKernel>> &Storage);
-
-/// The five-loop macro-kernel over a fully resolved geometry. Performs no
-/// validation, no heap allocation, and never calls into the provider; the
-/// workspace must already satisfy WS.ensure(G).
-void executeGemm(const GemmGeometry &G, const GemmCall &Call,
-                 GemmWorkspace &WS);
 
 /// Returns \p G re-factorized for a team of \p Width (1 <= Width <= G.T):
 /// same blocking, same kernels, recomputed T / Tic / Tjr via the divisor
@@ -192,35 +143,28 @@ void executeGemm(const GemmGeometry &G, const GemmCall &Call,
 /// workspace ensured for G already fits the re-teamed copy.
 GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 
-/// executeGemm on a team granted by the governor: Tid 0 on the caller and
-/// one Tid per worker of \p Res (consumed; see ThreadPool::runTeam). The
-/// geometry is re-teamed to the granted width 1 + Res.Count. Must not be
-/// called from inside a pool job — reserve-then-run is for top-level
-/// callers; nested calls take the plain executeGemm collapse path.
-void executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
-                         GemmWorkspace &WS, ThreadPool::Reservation &Res);
+/// The five-loop macro-kernel over a fully resolved geometry, for every
+/// dtype (G.Ty picks the panel policy once per call). Performs no
+/// validation, no heap allocation, and never calls into the provider; the
+/// workspace must already satisfy WS.ensure(G). The team is:
+///   - Res == nullptr: G.T members from the global pool — or, when this
+///     thread is already inside a pool job (a batched cross-item worker, a
+///     user callback issuing a GEMM), a single member, since a nested team
+///     cannot form without deadlocking on its barrier;
+///   - Res != nullptr: a team granted by the governor — Tid 0 on the caller
+///     and one Tid per worker of *Res (consumed; see ThreadPool::runTeam),
+///     the geometry re-teamed to the granted width 1 + Res->Count. Must not
+///     be called from inside a pool job.
+/// Results are bitwise identical for every team size.
+void executeGemm(const GemmGeometry &G, const GemmCall &Call,
+                 GemmWorkspace &WS, ThreadPool::Reservation *Res = nullptr);
 
-/// The shared degenerate path (K == 0 or alpha == 0): C = beta * C, with
-/// beta == 0 overwriting rather than scaling (NaN-safe). Allocation-free.
-void scaleByBeta(int64_t M, int64_t N, float Beta, float *C, int64_t Ldc);
-
-/// The five-loop macro-kernel for non-f32 dtypes (same team structure,
-/// barriers and ownership rules as executeGemm, hence the same bitwise
-/// thread-count invariance). F16/BF16 convert-pack to f32 panels, run
-/// G.Main.Fn into a zeroed f32 scratch tile and round the C update to
-/// storage once per Kc block; I8I32 packs K-grouped byte panels and runs
-/// the scalar dot into an i32 scratch with two's-complement wraparound.
-/// Call.Ty must equal G.Ty and must not be F32 (f32 stays on executeGemm,
-/// byte for byte).
-void executeGemmTyped(const GemmGeometry &G, const GemmCallT &Call,
-                      GemmWorkspace &WS);
-
-/// Degenerate-path beta scaling in storage type: f32 behaves exactly like
-/// scaleByBeta; f16/bf16 scale in f32 and round back to storage; i8->i32
-/// scales the i32 C by the integer beta with wraparound. Beta == 0
-/// overwrites with zero storage everywhere (NaN-safe).
-void scaleByBetaTyped(DType Ty, int64_t M, int64_t N, double Beta, void *C,
-                      int64_t Ldc);
+/// The shared degenerate path (K == 0 or alpha == 0): C = beta * C in \p
+/// Ty's storage type — f32 directly, f16/bf16 scaled in f32 and rounded
+/// back, i8 -> i32 scaled by the integer beta with wraparound. Beta == 0
+/// overwrites with zero rather than scaling (NaN-safe). Allocation-free.
+void scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta, void *C,
+                 int64_t Ldc);
 
 } // namespace detail
 

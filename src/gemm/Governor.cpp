@@ -61,7 +61,7 @@ void Governor::releaseBudget(int64_t Extra) {
 Governor::Grant::~Grant() {
   if (!Gov)
     return;
-  // Workers are normally consumed by executeGemmReserved; return any that
+  // Workers are normally consumed by detail::executeGemm; return any that
   // were not (error paths, tests), then the budget.
   ThreadPool::global().release(Res);
   Gov->releaseBudget(Width - 1);

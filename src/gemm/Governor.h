@@ -64,7 +64,7 @@ class Governor {
 public:
   /// One granted team: the caller plus Res.Count reserved workers. RAII —
   /// destruction returns unused workers and the budget. Move-free: bind it
-  /// to a stack local around executeGemmReserved (which consumes Res but
+  /// to a stack local around detail::executeGemm (which consumes Res but
   /// not the budget; the budget outlives execution by design, so the sum
   /// invariant covers running teams, not just reservations).
   class Grant {

@@ -60,7 +60,7 @@ namespace gemm {
 /// See file comment.
 class ThreadPool {
 public:
-  /// The process-wide pool used by blisGemmT.
+  /// The process-wide pool used by the GEMM executor.
   static ThreadPool &global();
 
   ThreadPool() = default;

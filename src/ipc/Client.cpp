@@ -205,7 +205,7 @@ Error Client::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
   if (M == 0 || N == 0)
     return Error::success();
   if (K == 0 || Alpha == 0.0f) {
-    detail::scaleByBeta(M, N, Beta, C, Ldc);
+    detail::scaleByBeta(DType::F32, M, N, Beta, C, Ldc);
     return Error::success();
   }
   const int64_t ARows = TA == Trans::None ? M : K;
@@ -316,7 +316,7 @@ Error Client::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
   if (M == 0 || N == 0)
     return Error::success();
   if (K == 0 || Alpha == 0.0) {
-    detail::scaleByBetaTyped(Ty, M, N, Beta, C, Ldc);
+    detail::scaleByBeta(Ty, M, N, Beta, C, Ldc);
     return Error::success();
   }
   const int64_t ARows = TA == Trans::None ? M : K;
@@ -435,7 +435,7 @@ Error Client::sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
     return Error::success();
   if (K == 0 || Alpha == 0.0f) {
     for (int64_t I = 0; I < BatchCount; ++I)
-      detail::scaleByBeta(M, N, Beta, C + I * StrideC, Ldc);
+      detail::scaleByBeta(DType::F32, M, N, Beta, C + I * StrideC, Ldc);
     return Error::success();
   }
   if (BatchCount > 1 && StrideC < Ldc * N)

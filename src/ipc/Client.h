@@ -86,7 +86,7 @@ public:
   /// they must be exactly representable in f32 (for I8I32 they must also
   /// be integers — both enforced client-side so the error names the caller
   /// rather than costing a round trip). Degenerate calls resolve locally
-  /// through the same scaleByBetaTyped path the Engine uses.
+  /// through the same scaleByBeta path the Engine uses.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,

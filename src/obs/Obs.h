@@ -15,7 +15,7 @@
 ///      the macro-kernel's block loops permanently. Results are bitwise
 ///      identical with tracing on or off; the spans only observe.
 ///   2. Thread-aware. Every OS thread appends to its own buffer and gets
-///      a small stable id in registration order, so a threaded blisGemmT
+///      a small stable id in registration order, so a threaded GEMM call
 ///      renders one lane per worker in the chrome trace.
 ///   3. Pull, don't push. Nothing is written anywhere until a caller
 ///      collects: `events()` snapshots, `stageTotals()` aggregates by

@@ -3,8 +3,9 @@
 // Proves the Engine front door's "zero heap allocations per call once
 // warm" guarantee (Engine.h): global operator new/delete are replaced with
 // counting versions, the Engine is warmed on the workload's shapes, and
-// then a batch of hot calls — cache hits, both transpose forms, plus a
-// degenerate quick return — must leave the allocation counter untouched.
+// then a batch of hot calls — cache hits, both transpose forms, the f16,
+// bf16 and i8 -> i32 doors, plus a degenerate quick return — must leave the
+// allocation counter untouched.
 //
 // Deliberately not a gtest: the framework allocates on every assertion, so
 // the counted window must stay free of any harness code. Exit 0 on pass,
@@ -67,6 +68,35 @@ int run() {
     A[I] = static_cast<float>(I % 13) * 0.25f;
   for (size_t I = 0; I != B.size(); ++I)
     B[I] = static_cast<float>(I % 7) * 0.5f;
+  // Typed operands: the same values in f16 and bf16 storage (exact in
+  // both), and small integers for i8 with an i32 C.
+  std::vector<uint16_t> AH(A.size()), BH(B.size()), CH(C.size());
+  std::vector<uint16_t> AB(A.size()), BB(B.size()), CB(C.size());
+  std::vector<int8_t> AI(A.size()), BI(B.size());
+  std::vector<int32_t> CI(C.size());
+  for (size_t I = 0; I != A.size(); ++I) {
+    AH[I] = f32ToF16(A[I]);
+    AB[I] = f32ToBf16(A[I]);
+    AI[I] = static_cast<int8_t>(I % 13);
+  }
+  for (size_t I = 0; I != B.size(); ++I) {
+    BH[I] = f32ToF16(B[I]);
+    BB[I] = f32ToBf16(B[I]);
+    BI[I] = static_cast<int8_t>(I % 7);
+  }
+  // One hot call per typed door.
+  auto Typed = [&](const Shape &S) -> exo::Error {
+    if (exo::Error Err =
+            E.gemm(DType::F16, Trans::None, Trans::None, S.M, S.N, S.K, 1.0,
+                   AH.data(), S.M, BH.data(), S.K, 0.5, CH.data(), S.M))
+      return Err;
+    if (exo::Error Err =
+            E.gemm(DType::BF16, Trans::None, Trans::None, S.M, S.N, S.K, 1.0,
+                   AB.data(), S.M, BB.data(), S.K, 0.5, CB.data(), S.M))
+      return Err;
+    return E.gemm(DType::I8I32, Trans::None, Trans::None, S.M, S.N, S.K, 2.0,
+                  AI.data(), S.M, BI.data(), S.K, 0.0, CI.data(), S.M);
+  };
 
   // Warm-up: builds every plan, populates the workspace pool, spins up the
   // thread pool, and lets lazy library/runtime init happen outside the
@@ -87,6 +117,11 @@ int run() {
                      Err.message().c_str());
         return 1;
       }
+      if (exo::Error Err = Typed(S)) {
+        std::fprintf(stderr, "engine_alloc_test: typed warm-up failed: %s\n",
+                     Err.message().c_str());
+        return 1;
+      }
     }
 
   EngineStats Warm = E.stats();
@@ -101,6 +136,8 @@ int run() {
         ++Failures;
       if (E.sgemm(Trans::Transpose, Trans::None, S.M, S.N, S.K, 1.0f,
                   A.data(), S.K, B.data(), S.K, 0.5f, C.data(), S.M))
+        ++Failures;
+      if (Typed(S))
         ++Failures;
     }
     // Degenerate quick return: must also be allocation-free.
@@ -135,7 +172,7 @@ int run() {
   }
   std::printf("engine_alloc_test: PASS (0 allocations across %d hot calls, "
               "%llu cached plans)\n",
-              10 * (2 * 3 + 1), static_cast<unsigned long long>(E.planCount()));
+              10 * (5 * 3 + 1), static_cast<unsigned long long>(E.planCount()));
   return 0;
 }
 

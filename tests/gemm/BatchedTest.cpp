@@ -365,7 +365,40 @@ TEST(Batched, RejectsBadArguments) {
   EXPECT_TRUE(E.sgemmStridedBatched(Trans::None, Trans::None, 8, 8, 8, 1.0f,
                                     Buf.data(), 8, 64, Buf.data(), 8, 64,
                                     0.0f, Buf.data(), 8, 32, 2));
+  // A leading dimension below the stored rows (the sgemm / gemm::Client
+  // rule) in a later item fails the batch before the valid first item
+  // writes its C.
+  {
+    std::vector<float> COut(8 * 8, 3.0f);
+    GemmBatchItem Items[2] = {It, It};
+    Items[0].C = COut.data();
+    Items[1].Lda = 7;
+    EXPECT_TRUE(E.sgemmBatched(Items, 2));
+    EXPECT_EQ(COut, std::vector<float>(8 * 8, 3.0f));
+  }
   // Valid single item and the empty batch both succeed.
   EXPECT_FALSE(E.sgemmBatched(&It, 1));
   EXPECT_FALSE(E.sgemmBatched(nullptr, 0));
+}
+
+// A plan error fails the batch before any C is written, degenerate items'
+// beta scaling included: a Custom series without a provider cannot build.
+TEST(Batched, PlanErrorLeavesEveryItemUntouched) {
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Custom;
+  Engine E(Cfg);
+  std::vector<float> AB(8 * 8, 1.0f), C0(8 * 8, 3.0f), C1(8 * 8, 3.0f);
+  GemmBatchItem Items[2];
+  for (GemmBatchItem &It : Items) {
+    It.M = It.N = It.K = 8;
+    It.A = It.B = AB.data();
+    It.Lda = It.Ldb = It.Ldc = 8;
+    It.Beta = 0.0f;
+  }
+  Items[0].Alpha = 0.0f; // degenerate: beta == 0 would zero C0
+  Items[0].C = C0.data();
+  Items[1].C = C1.data();
+  EXPECT_TRUE(E.sgemmBatched(Items, 2));
+  EXPECT_EQ(C0, std::vector<float>(8 * 8, 3.0f));
+  EXPECT_EQ(C1, std::vector<float>(8 * 8, 3.0f));
 }

@@ -8,16 +8,16 @@
 //     may pass null), and beta == 0 *overwrites* — a NaN already in C must
 //     not survive.
 //
-// Every rule is checked across all four transpose combos and through all
-// three entry points (blisGemm, blisGemmT, and Engine::sgemm — whose quick
-// return must additionally fire *before* the plan cache: a degenerate call
-// never plans, never allocates, and only bumps the Degenerate counter).
+// Every rule is checked across all four transpose combos, through an Engine
+// over a caller-supplied provider (EngineSeries::Custom) and a fixed-series
+// Engine — whose quick return must additionally fire *before* the plan
+// cache: a degenerate call never plans, never allocates, and only bumps the
+// Degenerate counter.
 //
 //===----------------------------------------------------------------------===//
 
-#include "gemm/Gemm.h"
-
 #include "gemm/Engine.h"
+
 #include "gemm/Kernels.h"
 
 #include <gtest/gtest.h>
@@ -54,9 +54,15 @@ bool sameBits(const std::vector<float> &A, const std::vector<float> &B) {
          std::memcmp(A.data(), B.data(), A.size() * sizeof(float)) == 0;
 }
 
+EngineConfig customBlis() {
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Custom;
+  Cfg.Provider = std::make_shared<FixedProvider>(blisKernel(), "blis");
+  return Cfg;
+}
+
 struct DegenerateGemm : ::testing::Test {
-  FixedProvider P{blisKernel(), "blis"};
-  GemmPlan Plan = GemmPlan::standard(P);
+  Engine E{customBlis()};
 };
 
 } // namespace
@@ -68,10 +74,9 @@ TEST_F(DegenerateGemm, ZeroMOrNTouchesNothing) {
       std::vector<float> C(static_cast<size_t>(Ldc) * (N ? N : 1), NaN);
       const std::vector<float> Want = C;
       // Per BLAS, C (and A, B) are not referenced at all — beta included.
-      exo::Error E = blisGemmT(Plan, P, TA, TB, M, N, /*K=*/3, 2.0f,
-                               /*A=*/nullptr, 1, /*B=*/nullptr, 1,
-                               /*Beta=*/0.0f, C.data(), Ldc);
-      EXPECT_FALSE(static_cast<bool>(E)) << E.message();
+      exo::Error Err = E.sgemm(TA, TB, M, N, /*K=*/3, 2.0f, /*A=*/nullptr, 1,
+                               /*B=*/nullptr, 1, /*Beta=*/0.0f, C.data(), Ldc);
+      EXPECT_FALSE(static_cast<bool>(Err)) << Err.message();
       EXPECT_TRUE(sameBits(C, Want)) << "M=" << M << " N=" << N;
     }
 }
@@ -87,10 +92,9 @@ TEST_F(DegenerateGemm, ZeroKScalesByBetaWithoutReadingAB) {
           float &W = Want[J * Ldc + I];
           W = Beta == 0.0f ? 0.0f : W * Beta;
         }
-      exo::Error E = blisGemmT(Plan, P, TA, TB, M, N, /*K=*/0, 2.0f,
-                               /*A=*/nullptr, 1, /*B=*/nullptr, 1, Beta,
-                               C.data(), Ldc);
-      EXPECT_FALSE(static_cast<bool>(E)) << E.message();
+      exo::Error Err = E.sgemm(TA, TB, M, N, /*K=*/0, 2.0f, /*A=*/nullptr, 1,
+                               /*B=*/nullptr, 1, Beta, C.data(), Ldc);
+      EXPECT_FALSE(static_cast<bool>(Err)) << Err.message();
       // Slack rows keep their NaNs (sameBits would fail on any change).
       EXPECT_TRUE(sameBits(C, Want)) << "beta=" << Beta;
     }
@@ -107,10 +111,9 @@ TEST_F(DegenerateGemm, ZeroAlphaScalesByBetaWithoutReadingAB) {
           float &W = Want[J * Ldc + I];
           W = Beta == 0.0f ? 0.0f : W * Beta;
         }
-      exo::Error E = blisGemmT(Plan, P, TA, TB, M, N, K, /*Alpha=*/0.0f,
-                               /*A=*/nullptr, 1, /*B=*/nullptr, 1, Beta,
-                               C.data(), Ldc);
-      EXPECT_FALSE(static_cast<bool>(E)) << E.message();
+      exo::Error Err = E.sgemm(TA, TB, M, N, K, /*Alpha=*/0.0f, /*A=*/nullptr,
+                               1, /*B=*/nullptr, 1, Beta, C.data(), Ldc);
+      EXPECT_FALSE(static_cast<bool>(Err)) << Err.message();
       EXPECT_TRUE(sameBits(C, Want)) << "beta=" << Beta;
     }
 }
@@ -121,10 +124,9 @@ TEST_F(DegenerateGemm, BetaZeroOverwritesNaN) {
   const int64_t M = 4, N = 3, Ldc = 4;
   for (int64_t K : {int64_t{0}, int64_t{5}}) {
     std::vector<float> C(static_cast<size_t>(Ldc) * N, NaN);
-    exo::Error E =
-        blisGemm(Plan, P, M, N, K, /*Alpha=*/0.0f, /*A=*/nullptr, 1,
-                 /*B=*/nullptr, 1, /*Beta=*/0.0f, C.data(), Ldc);
-    EXPECT_FALSE(static_cast<bool>(E)) << E.message();
+    exo::Error Err = E.sgemm(M, N, K, /*Alpha=*/0.0f, /*A=*/nullptr, 1,
+                             /*B=*/nullptr, 1, /*Beta=*/0.0f, C.data(), Ldc);
+    EXPECT_FALSE(static_cast<bool>(Err)) << Err.message();
     for (float V : C)
       EXPECT_EQ(V, 0.0f) << "K=" << K;
   }
@@ -135,9 +137,9 @@ TEST_F(DegenerateGemm, NegativeDimensionIsAnError) {
   for (auto [M, N, K] : {std::array<int64_t, 3>{-1, 2, 2},
                          {2, -1, 2},
                          {2, 2, -1}}) {
-    exo::Error E = blisGemm(Plan, P, M, N, K, 1.0f, nullptr, 1, nullptr, 1,
-                            1.0f, C.data(), 2);
-    EXPECT_TRUE(static_cast<bool>(E)) << M << "x" << N << "x" << K;
+    exo::Error Err =
+        E.sgemm(M, N, K, 1.0f, nullptr, 1, nullptr, 1, 1.0f, C.data(), 2);
+    EXPECT_TRUE(static_cast<bool>(Err)) << M << "x" << N << "x" << K;
   }
 }
 

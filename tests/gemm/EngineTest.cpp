@@ -1,13 +1,12 @@
-//===- EngineTest.cpp - Engine front door vs legacy GEMM ------------------===//
+//===- EngineTest.cpp - Engine front door ---------------------------------===//
 //
-// The Engine's core guarantee: Engine::sgemm is a *dispatch* layer, not a
-// different algorithm. For the same (provider, tile, plan) the result must
-// be bitwise identical to the legacy blisGemmT front door — both run the
-// shared detail::executeGemm, and the differential sweep here holds that
-// across a broad shape set (edge-heavy shapes included), all four
-// transpose combos, and team sizes 1 and 4. Also covers the plan cache's
-// observable behavior (counters, cap eviction, cache-off mode) and the
-// planner's measured-prior path.
+// The Engine's core guarantee: Engine::sgemm is a *dispatch* layer over one
+// executor. The differential sweep holds every result to refSgemm across a
+// broad shape set (edge-heavy shapes included) and all four transpose
+// combos, and holds team sizes 1 and 4 to bitwise identity. Also covers
+// argument validation (the gemm::Client leading-dimension rule), the plan
+// cache's observable behavior (counters, cap eviction, cache-off mode) and
+// the planner's measured-prior path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +16,7 @@
 #include "exo/jit/Jit.h"
 #include "gemm/ExoProvider.h"
 #include "gemm/Kernels.h"
+#include "gemm/RefGemm.h"
 
 #include <gtest/gtest.h>
 
@@ -60,10 +60,10 @@ bool sameBits(const std::vector<float> &X, const std::vector<float> &Y) {
          std::memcmp(X.data(), Y.data(), X.size() * sizeof(float)) == 0;
 }
 
-/// Runs the legacy and Engine front doors on identical inputs and expects
-/// bitwise-identical C.
-void expectBitwiseEqual(Engine &E, const GemmPlan &Plan, KernelProvider &P,
-                       Trans TA, Trans TB, int64_t M, int64_t N, int64_t K) {
+/// Runs \p E1 and \p E2 on identical inputs: both must match refSgemm
+/// (within f32 accumulation tolerance) and each other bitwise.
+void expectAgree(Engine &E1, Engine &E2, Trans TA, Trans TB, int64_t M,
+                 int64_t N, int64_t K) {
   int64_t ARows, ACols, BRows, BCols;
   operandExtents(TA, M, K, ARows, ACols);
   operandExtents(TB, K, N, BRows, BCols);
@@ -74,60 +74,110 @@ void expectBitwiseEqual(Engine &E, const GemmPlan &Plan, KernelProvider &P,
   benchutil::fillRandom(B.data(), B.size(), 11 * N + K);
   benchutil::fillRandom(C.data(), C.size(), 13 * K + M);
 
-  std::vector<float> CLegacy = C, CEngine = C;
-  exo::Error ELeg =
-      blisGemmT(Plan, P, TA, TB, M, N, K, 1.25f, A.data(), Lda, B.data(),
-                Ldb, 0.5f, CLegacy.data(), Ldc);
-  exo::Error EEng = E.sgemm(TA, TB, M, N, K, 1.25f, A.data(), Lda, B.data(),
-                            Ldb, 0.5f, CEngine.data(), Ldc);
-  ASSERT_FALSE(static_cast<bool>(ELeg)) << ELeg.message();
-  ASSERT_FALSE(static_cast<bool>(EEng)) << EEng.message();
-  EXPECT_TRUE(sameBits(CLegacy, CEngine))
-      << M << "x" << N << "x" << K << " TA=" << (TA == Trans::Transpose)
-      << " TB=" << (TB == Trans::Transpose);
+  // refSgemm takes plain operands: materialize op(A) and op(B).
+  std::vector<float> AEff(M * K), BEff(K * N), Want = C;
+  for (int64_t P = 0; P < K; ++P)
+    for (int64_t I = 0; I < M; ++I)
+      AEff[I + P * M] =
+          TA == Trans::None ? A[I + P * Lda] : A[P + I * Lda];
+  for (int64_t J = 0; J < N; ++J)
+    for (int64_t P = 0; P < K; ++P)
+      BEff[P + J * K] =
+          TB == Trans::None ? B[P + J * Ldb] : B[J + P * Ldb];
+  refSgemm(M, N, K, 1.25f, AEff.data(), M, BEff.data(), K, 0.5f, Want.data(),
+           Ldc);
+
+  std::vector<float> C1 = C, C2 = C;
+  exo::Error Err1 = E1.sgemm(TA, TB, M, N, K, 1.25f, A.data(), Lda, B.data(),
+                             Ldb, 0.5f, C1.data(), Ldc);
+  exo::Error Err2 = E2.sgemm(TA, TB, M, N, K, 1.25f, A.data(), Lda, B.data(),
+                             Ldb, 0.5f, C2.data(), Ldc);
+  ASSERT_FALSE(static_cast<bool>(Err1)) << Err1.message();
+  ASSERT_FALSE(static_cast<bool>(Err2)) << Err2.message();
+  const std::string What = std::to_string(M) + "x" + std::to_string(N) +
+                           "x" + std::to_string(K) +
+                           " TA=" + std::to_string(TA == Trans::Transpose) +
+                           " TB=" + std::to_string(TB == Trans::Transpose);
+  EXPECT_TRUE(sameBits(C1, C2)) << What;
+  EXPECT_LT(benchutil::maxAbsDiff(C1.data(), Want.data(), C1.size()),
+            1e-4f * static_cast<float>(K + 1))
+      << What;
+}
+
+EngineConfig widthConfig(EngineSeries Series, int64_t Threads) {
+  EngineConfig Cfg;
+  Cfg.Series = Series;
+  Cfg.Threads = Threads;
+  Cfg.Governor = 0; // the widths under test, not a grant
+  return Cfg;
 }
 
 } // namespace
 
-TEST(EngineDifferential, BitwiseMatchesLegacyBlisSweep) {
+TEST(EngineDifferential, BlisSweepMatchesReferenceAcrossWidths) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
-  for (int64_t Threads : {int64_t{1}, int64_t{4}}) {
-    EngineConfig Cfg;
-    Cfg.Series = EngineSeries::Blis;
-    Cfg.Threads = Threads;
-    Engine E(Cfg);
-    FixedProvider P(blisKernel(), "blis");
-    GemmPlan Plan = GemmPlan::standard(P);
-    Plan.Threads = Threads;
-    for (const auto &S : Shapes)
-      for (auto [TA, TB] : Combos)
-        expectBitwiseEqual(E, Plan, P, TA, TB, S[0], S[1], S[2]);
-  }
+  Engine E1(widthConfig(EngineSeries::Blis, 1));
+  Engine E4(widthConfig(EngineSeries::Blis, 4));
+  for (const auto &S : Shapes)
+    for (auto [TA, TB] : Combos)
+      expectAgree(E1, E4, TA, TB, S[0], S[1], S[2]);
 }
 
-TEST(EngineDifferential, BitwiseMatchesLegacyExoEdgeShapes) {
+TEST(EngineDifferential, ExoEdgeShapesMatchReferenceAcrossWidths) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
   if (!exo::jitAvailable())
     GTEST_SKIP() << "no working C compiler";
-  // Generated kernels with specialized edges: the pinned 8x12 tile keeps
-  // the Engine's provider memo and the legacy ExoProvider on the same
-  // kernel family.
-  EngineConfig Cfg;
-  Cfg.Series = EngineSeries::Exo;
+  // Generated kernels with specialized edges, pinned to the 8x12 tile so
+  // the shapes below exercise the Tight-mode edge-kernel paths.
+  EngineConfig Cfg = widthConfig(EngineSeries::Exo, 1);
   Cfg.Isa = &exo::avx2Isa();
   Cfg.ForceMR = 8;
   Cfg.ForceNR = 12;
-  Engine E(Cfg);
-  ExoProvider P(8, 12, &exo::avx2Isa());
-  GemmPlan Plan = GemmPlan::standard(P);
+  Engine E1(Cfg);
+  Cfg.Threads = 4;
+  Engine E4(Cfg);
   for (const auto &S : {std::array<int64_t, 3>{49, 50, 51},
                         {100, 62, 64},
                         {17, 23, 31},
                         {8, 12, 16}})
     for (auto [TA, TB] : Combos)
-      expectBitwiseEqual(E, Plan, P, TA, TB, S[0], S[1], S[2]);
+      expectAgree(E1, E4, TA, TB, S[0], S[1], S[2]);
+}
+
+// The gemm::Client rule, now enforced by the Engine itself: past the quick
+// return, a leading dimension smaller than its operand's stored rows is an
+// error — for every dtype and transpose combo — and C is never touched.
+TEST(EngineConfigTest, LeadingDimensionBelowRowsIsRejected) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Blis;
+  Engine E(Cfg);
+  const int64_t M = 9, N = 7, K = 5;
+  for (DType Ty : {DType::F32, DType::F16, DType::BF16, DType::I8I32})
+    for (auto [TA, TB] : Combos) {
+      const int64_t ARows = TA == Trans::None ? M : K;
+      const int64_t BRows = TB == Trans::None ? K : N;
+      // Operands sized generously, so only the ld rule can fail the call.
+      std::vector<unsigned char> A(64 * 64 * 4, 1), B(64 * 64 * 4, 1);
+      std::vector<unsigned char> C0(64 * 64 * 4);
+      for (size_t I = 0; I != C0.size(); ++I)
+        C0[I] = static_cast<unsigned char>(I % 61);
+      for (int Bad = 0; Bad != 3; ++Bad) {
+        const int64_t Lda = ARows - (Bad == 0), Ldb = BRows - (Bad == 1),
+                      Ldc = M - (Bad == 2);
+        std::vector<unsigned char> C = C0;
+        exo::Error Err = E.gemm(Ty, TA, TB, M, N, K, 1.0, A.data(), Lda,
+                                B.data(), Ldb, 0.0, C.data(), Ldc);
+        EXPECT_TRUE(static_cast<bool>(Err))
+            << dtypeName(Ty) << " TA=" << (TA == Trans::Transpose)
+            << " TB=" << (TB == Trans::Transpose) << " bad ld #" << Bad;
+        EXPECT_EQ(C, C0) << dtypeName(Ty) << " bad ld #" << Bad;
+      }
+    }
+  EXPECT_EQ(E.planCount(), 0u); // rejected before planning
 }
 
 TEST(EnginePlanCache, CountsHitsMissesAndBuilds) {
@@ -327,8 +377,9 @@ TEST(EngineConfigTest, CustomProviderServes) {
   Cfg.Provider =
       std::make_shared<FixedProvider>(blisKernelPrefetch(), "custom-pf");
   Engine E(Cfg);
-  FixedProvider P(blisKernelPrefetch(), "custom-pf");
-  GemmPlan Plan = GemmPlan::standard(P);
+  // A custom provider over the prefetching kernel is the BlisPrefetch
+  // series by another name: same kernel, same plans, same bits.
+  Engine Series(widthConfig(EngineSeries::BlisPrefetch, 0));
   for (auto [TA, TB] : Combos)
-    expectBitwiseEqual(E, Plan, P, TA, TB, 33, 29, 31);
+    expectAgree(E, Series, TA, TB, 33, 29, 31);
 }

@@ -1,6 +1,13 @@
 //===- GemmTest.cpp - Full macro-kernel GEMM vs reference -----------------===//
+//
+// The five-loop executor per provider, driven through Engines over exactly
+// that provider (EngineSeries::Custom), against refSgemm; plus the
+// executor's contracts: beta == 0 overwrites, partial edge families
+// degrade, and every dtype is bitwise invariant under the team width.
+//
+//===----------------------------------------------------------------------===//
 
-#include "gemm/Gemm.h"
+#include "gemm/Engine.h"
 
 #include "benchutil/Bench.h"
 #include "exo/support/Str.h"
@@ -14,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -42,18 +50,29 @@ std::string caseName(const testing::TestParamInfo<Case> &Info) {
   return exo::replaceAll(std::move(Name), "-", "m");
 }
 
-std::unique_ptr<KernelProvider> makeProvider(ProviderKind Kind) {
+std::shared_ptr<KernelProvider> makeProvider(ProviderKind Kind) {
   switch (Kind) {
   case ProviderKind::Hand:
-    return std::make_unique<FixedProvider>(handVectorKernel(), "hand");
+    return std::make_shared<FixedProvider>(handVectorKernel(), "hand");
   case ProviderKind::Blis:
-    return std::make_unique<FixedProvider>(blisKernel(), "blis");
+    return std::make_shared<FixedProvider>(blisKernel(), "blis");
   case ProviderKind::BlisPrefetch:
-    return std::make_unique<FixedProvider>(blisKernelPrefetch(), "blispf");
+    return std::make_shared<FixedProvider>(blisKernelPrefetch(), "blispf");
   case ProviderKind::Exo:
-    return std::make_unique<ExoProvider>(8, 12, &exo::avx2Isa());
+    return std::make_shared<ExoProvider>(8, 12, &exo::avx2Isa());
   }
   return nullptr;
+}
+
+/// An Engine that runs exactly \p P's kernels at a fixed team width
+/// (0: EXO_GEMM_THREADS), ungoverned so the width is the one under test.
+Engine providerEngine(std::shared_ptr<KernelProvider> P, int64_t Threads = 0) {
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Custom;
+  Cfg.Provider = std::move(P);
+  Cfg.Threads = Threads;
+  Cfg.Governor = 0;
+  return Engine(Cfg);
 }
 
 class GemmProviderTest : public testing::TestWithParam<Case> {};
@@ -64,7 +83,7 @@ TEST_P(GemmProviderTest, MatchesReference) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
   const Case &TC = GetParam();
-  auto Provider = makeProvider(TC.Kind);
+  Engine E = providerEngine(makeProvider(TC.Kind));
 
   // Leading dimensions slightly larger than the extents to catch stride
   // bugs.
@@ -77,10 +96,8 @@ TEST_P(GemmProviderTest, MatchesReference) {
   refSgemm(TC.M, TC.N, TC.K, TC.Alpha, A.data(), Lda, B.data(), Ldb, TC.Beta,
            Want.data(), Ldc);
 
-  GemmPlan Plan = GemmPlan::standard(*Provider);
-  exo::Error Err =
-      blisGemm(Plan, *Provider, TC.M, TC.N, TC.K, TC.Alpha, A.data(), Lda,
-               B.data(), Ldb, TC.Beta, C.data(), Ldc);
+  exo::Error Err = E.sgemm(TC.M, TC.N, TC.K, TC.Alpha, A.data(), Lda,
+                           B.data(), Ldb, TC.Beta, C.data(), Ldc);
   ASSERT_FALSE(Err) << Err.message();
 
   float Tol = 1e-5f * static_cast<float>(TC.K + 1);
@@ -163,10 +180,9 @@ TEST(GemmDriverTest, BetaZeroOverwritesNaN) {
       refSgemm(M, N, K, 1.25f, AEff.data(), M, BEff.data(), K, 0.0f,
                Want.data(), M);
 
-      ExoProvider P(8, 12, &exo::avx2Isa());
-      GemmPlan Plan = GemmPlan::standard(P);
-      exo::Error Err = blisGemmT(Plan, P, TA, TB, M, N, K, 1.25f, A.data(),
-                                 ARows, B.data(), BRows, 0.0f, C.data(), M);
+      Engine E = providerEngine(makeProvider(ProviderKind::Exo));
+      exo::Error Err = E.sgemm(TA, TB, M, N, K, 1.25f, A.data(), ARows,
+                               B.data(), BRows, 0.0f, C.data(), M);
       ASSERT_FALSE(Err) << Err.message();
       for (int64_t I = 0; I < M * N; ++I) {
         ASSERT_TRUE(std::isfinite(C[I]))
@@ -183,16 +199,15 @@ TEST(GemmDriverTest, BetaZeroOverwritesNaNMonolithic) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
   const int64_t M = 123, N = 77, K = 55;
-  FixedProvider P(blisKernel(), "blis");
+  Engine E = providerEngine(makeProvider(ProviderKind::Blis));
   std::vector<float> A(M * K), B(K * N), C(M * N);
   benchutil::fillRandom(A.data(), A.size(), 9);
   benchutil::fillRandom(B.data(), B.size(), 10);
   fillGarbage(C);
   std::vector<float> Want = C;
   refSgemm(M, N, K, -0.5f, A.data(), M, B.data(), K, 0.0f, Want.data(), M);
-  GemmPlan Plan = GemmPlan::standard(P);
-  exo::Error Err = blisGemm(Plan, P, M, N, K, -0.5f, A.data(), M, B.data(),
-                            K, 0.0f, C.data(), M);
+  exo::Error Err = E.sgemm(M, N, K, -0.5f, A.data(), M, B.data(), K, 0.0f,
+                           C.data(), M);
   ASSERT_FALSE(Err) << Err.message();
   for (int64_t I = 0; I < M * N; ++I) {
     ASSERT_TRUE(std::isfinite(C[I])) << "NaN/Inf leaked at " << I;
@@ -204,12 +219,11 @@ TEST(GemmDriverTest, BetaZeroOverwritesNaNMonolithic) {
 TEST(GemmDriverTest, KZeroBetaZeroOverwritesNaN) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
-  FixedProvider P(blisKernel(), "blis");
+  Engine E = providerEngine(makeProvider(ProviderKind::Blis));
   std::vector<float> C(6 * 5);
   fillGarbage(C);
-  GemmPlan Plan = GemmPlan::standard(P);
-  exo::Error Err = blisGemm(Plan, P, 6, 5, 0, 1.0f, nullptr, 6, nullptr, 1,
-                            0.0f, C.data(), 6);
+  exo::Error Err =
+      E.sgemm(6, 5, 0, 1.0f, nullptr, 6, nullptr, 1, 0.0f, C.data(), 6);
   ASSERT_FALSE(Err) << Err.message();
   for (float V : C)
     EXPECT_EQ(V, 0.0f);
@@ -218,11 +232,10 @@ TEST(GemmDriverTest, KZeroBetaZeroOverwritesNaN) {
 TEST(GemmDriverTest, KZeroScalesByBeta) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
-  FixedProvider P(blisKernel(), "blis");
+  Engine E = providerEngine(makeProvider(ProviderKind::Blis));
   std::vector<float> C(6 * 5, 2.0f);
-  GemmPlan Plan = GemmPlan::standard(P);
-  exo::Error Err = blisGemm(Plan, P, 6, 5, 0, 1.0f, nullptr, 6, nullptr, 1,
-                            0.5f, C.data(), 6);
+  exo::Error Err =
+      E.sgemm(6, 5, 0, 1.0f, nullptr, 6, nullptr, 1, 0.5f, C.data(), 6);
   ASSERT_FALSE(Err) << Err.message();
   for (float V : C)
     EXPECT_EQ(V, 1.0f);
@@ -231,14 +244,13 @@ TEST(GemmDriverTest, KZeroScalesByBeta) {
 TEST(GemmDriverTest, EmptyProblemsAreNoOps) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
-  FixedProvider P(blisKernel(), "blis");
-  GemmPlan Plan = GemmPlan::standard(P);
-  EXPECT_FALSE(blisGemm(Plan, P, 0, 5, 3, 1.0f, nullptr, 1, nullptr, 3, 1.0f,
-                        nullptr, 1));
-  EXPECT_FALSE(blisGemm(Plan, P, 5, 0, 3, 1.0f, nullptr, 5, nullptr, 3, 1.0f,
-                        nullptr, 5));
-  EXPECT_TRUE(blisGemm(Plan, P, -1, 5, 3, 1.0f, nullptr, 1, nullptr, 3, 1.0f,
-                       nullptr, 1));
+  Engine E = providerEngine(makeProvider(ProviderKind::Blis));
+  EXPECT_FALSE(
+      E.sgemm(0, 5, 3, 1.0f, nullptr, 1, nullptr, 3, 1.0f, nullptr, 1));
+  EXPECT_FALSE(
+      E.sgemm(5, 0, 3, 1.0f, nullptr, 5, nullptr, 3, 1.0f, nullptr, 5));
+  EXPECT_TRUE(
+      E.sgemm(-1, 5, 3, 1.0f, nullptr, 1, nullptr, 3, 1.0f, nullptr, 1));
 }
 
 TEST(GemmDriverTest, StandardPlanMatchesProviderEdgeSupport) {
@@ -280,9 +292,10 @@ TEST(GemmDriverTest, PartialEdgeFamilyDegradesGracefully) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
   ExoProvider Exo(8, 12, &exo::avx2Isa());
-  PartialEdgeProvider P(Exo, /*DenyNr=*/3);
-  GemmPlan Plan = GemmPlan::standard(P);
-  ASSERT_EQ(Plan.PackMode, EdgePack::Tight); // nr=1 probe still succeeds
+  auto P = std::make_shared<PartialEdgeProvider>(Exo, /*DenyNr=*/3);
+  ASSERT_EQ(GemmPlan::standard(*P).PackMode,
+            EdgePack::Tight); // nr=1 probe still succeeds
+  Engine E = providerEngine(P);
 
   const int64_t M = 20, N = 27, K = 33; // N % 12 == 3: the denied width
   std::vector<float> A(M * K), B(K * N), C(M * N, 0.5f);
@@ -290,17 +303,43 @@ TEST(GemmDriverTest, PartialEdgeFamilyDegradesGracefully) {
   benchutil::fillRandom(B.data(), B.size(), 22);
   std::vector<float> Want = C;
   refSgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f, Want.data(), M);
-  exo::Error Err = blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(),
-                            K, 1.0f, C.data(), M);
+  exo::Error Err =
+      E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f, C.data(), M);
   ASSERT_FALSE(Err) << Err.message();
   float D = benchutil::maxAbsDiff(C.data(), Want.data(), C.size());
   EXPECT_LT(D, 1e-3f);
 }
 
+namespace {
+
+/// Fills \p Elems elements of \p Ty input storage with values in the
+/// dtype's comfortable range.
+std::vector<unsigned char> typedOperand(DType Ty, int64_t Elems,
+                                        unsigned Seed) {
+  std::vector<unsigned char> V(Elems * dtypeInBytes(Ty));
+  std::mt19937 Rng(Seed);
+  std::uniform_real_distribution<float> D(-1.0f, 1.0f);
+  for (int64_t I = 0; I < Elems; ++I) {
+    const float X = D(Rng);
+    if (Ty == DType::F32) {
+      std::memcpy(&V[I * 4], &X, 4);
+    } else if (Ty == DType::I8I32) {
+      V[I] = static_cast<unsigned char>(static_cast<int8_t>(X * 127.0f));
+    } else {
+      const uint16_t H = Ty == DType::F16 ? f32ToF16(X) : f32ToBf16(X);
+      std::memcpy(&V[I * 2], &H, 2);
+    }
+  }
+  return V;
+}
+
+} // namespace
+
 // The parallel macro-kernel partitions work but never reorders or splits
-// any per-element accumulation chain, so every thread count must produce
-// bitwise-identical output. Sweep shapes that exercise all five loops,
-// edge tiles, and more threads than ic blocks (forcing jr-level teams).
+// any per-element accumulation chain, so every team width must produce
+// bitwise-identical output — for every dtype, since all of them run the one
+// five-loop nest. Sweep shapes that exercise all five loops, edge tiles,
+// and more threads than ic blocks (forcing jr-level teams).
 TEST(GemmDriverTest, ThreadedMatchesSingleThreadBitwise) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
@@ -310,31 +349,45 @@ TEST(GemmDriverTest, ThreadedMatchesSingleThreadBitwise) {
   const Shape Shapes[] = {
       {64, 48, 32}, {123, 77, 55}, {49, 50, 47}, {300, 530, 600}, {8, 12, 1},
   };
-  for (ProviderKind Kind : {ProviderKind::Exo, ProviderKind::Blis}) {
-    auto Provider = makeProvider(Kind);
-    GemmPlan Plan = GemmPlan::standard(*Provider);
+  struct Arm {
+    DType Ty;
+    ProviderKind Kind;
+  };
+  const Arm Arms[] = {{DType::F32, ProviderKind::Exo},
+                      {DType::F32, ProviderKind::Blis},
+                      {DType::F16, ProviderKind::Blis},
+                      {DType::BF16, ProviderKind::Blis},
+                      {DType::I8I32, ProviderKind::Blis}};
+  for (const Arm &Ar : Arms) {
+    auto Provider = makeProvider(Ar.Kind);
+    // Integer scales keep one (alpha, beta) legal for every dtype.
+    const double Alpha = Ar.Ty == DType::I8I32 ? 3.0 : 1.5;
+    const double Beta = Ar.Ty == DType::I8I32 ? -1.0 : 0.5;
     for (const Shape &S : Shapes) {
-      std::vector<float> A(S.M * S.K), B(S.K * S.N), CBase(S.M * S.N);
-      benchutil::fillRandom(A.data(), A.size(), 31);
-      benchutil::fillRandom(B.data(), B.size(), 32);
-      benchutil::fillRandom(CBase.data(), CBase.size(), 33);
+      const std::vector<unsigned char> A =
+          typedOperand(Ar.Ty, S.M * S.K, 31);
+      const std::vector<unsigned char> B =
+          typedOperand(Ar.Ty, S.K * S.N, 32);
+      std::vector<unsigned char> CBase(S.M * S.N * dtypeOutBytes(Ar.Ty));
+      std::mt19937 Rng(33);
+      for (unsigned char &X : CBase)
+        X = static_cast<unsigned char>(Rng() % 64); // finite in every dtype
 
-      std::vector<float> C1 = CBase;
-      Plan.Threads = 1;
-      ASSERT_FALSE(blisGemm(Plan, *Provider, S.M, S.N, S.K, 1.5f, A.data(),
-                            S.M, B.data(), S.K, 0.5f, C1.data(), S.M));
-      for (int64_t T : {2, 3, 8}) {
-        std::vector<float> CT = CBase;
-        Plan.Threads = T;
-        ASSERT_FALSE(blisGemm(Plan, *Provider, S.M, S.N, S.K, 1.5f,
-                              A.data(), S.M, B.data(), S.K, 0.5f, CT.data(),
-                              S.M));
-        EXPECT_EQ(0, std::memcmp(C1.data(), CT.data(),
-                                 C1.size() * sizeof(float)))
-            << "threads=" << T << " shape " << S.M << "x" << S.N << "x"
-            << S.K << " provider " << Provider->name();
+      std::vector<unsigned char> C1;
+      for (int64_t T : {1, 2, 3, 8}) {
+        Engine E = providerEngine(Provider, T);
+        std::vector<unsigned char> CT = CBase;
+        ASSERT_FALSE(E.gemm(Ar.Ty, Trans::None, Trans::None, S.M, S.N, S.K,
+                            Alpha, A.data(), S.M, B.data(), S.K, Beta,
+                            CT.data(), S.M));
+        if (T == 1) {
+          C1 = CT;
+          continue;
+        }
+        EXPECT_EQ(0, std::memcmp(C1.data(), CT.data(), C1.size()))
+            << dtypeName(Ar.Ty) << " threads=" << T << " shape " << S.M
+            << "x" << S.N << "x" << S.K << " provider " << Provider->name();
       }
-      Plan.Threads = 0;
     }
   }
 }
@@ -345,17 +398,15 @@ TEST(GemmDriverTest, ThreadedBetaZeroOverwritesNaN) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
   const int64_t M = 123, N = 77, K = 55;
-  ExoProvider P(8, 12, &exo::avx2Isa());
-  GemmPlan Plan = GemmPlan::standard(P);
-  Plan.Threads = 4;
+  Engine E = providerEngine(makeProvider(ProviderKind::Exo), /*Threads=*/4);
   std::vector<float> A(M * K), B(K * N), C(M * N);
   benchutil::fillRandom(A.data(), A.size(), 41);
   benchutil::fillRandom(B.data(), B.size(), 42);
   fillGarbage(C);
   std::vector<float> Want = C;
   refSgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 0.0f, Want.data(), M);
-  ASSERT_FALSE(blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(), K,
-                        0.0f, C.data(), M));
+  ASSERT_FALSE(
+      E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 0.0f, C.data(), M));
   for (int64_t I = 0; I < M * N; ++I) {
     ASSERT_TRUE(std::isfinite(C[I])) << "NaN/Inf leaked at " << I;
     ASSERT_NEAR(C[I], Want[I], 1e-4f * static_cast<float>(K));
@@ -363,14 +414,15 @@ TEST(GemmDriverTest, ThreadedBetaZeroOverwritesNaN) {
 }
 
 // One provider instance serving concurrent GEMM calls from independent
-// caller threads: the provider's shape memo is locked, the kernel service
-// is internally synchronized — no torn kernels, correct results.
+// caller threads, each through its own Engine — so every caller builds its
+// own plan and P's main()/edge() run on all of them at once: the provider's
+// shape memo is locked, the kernel service is internally synchronized — no
+// torn kernels, correct results.
 TEST(GemmDriverTest, ProviderSharedAcrossCallerThreads) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
   const int64_t M = 49, N = 50, K = 47;
-  ExoProvider P(8, 12, &exo::avx2Isa());
-  GemmPlan Plan = GemmPlan::standard(P);
+  std::shared_ptr<KernelProvider> P = makeProvider(ProviderKind::Exo);
   std::vector<float> A(M * K), B(K * N), Want(M * N, 1.0f);
   benchutil::fillRandom(A.data(), A.size(), 51);
   benchutil::fillRandom(B.data(), B.size(), 52);
@@ -384,8 +436,9 @@ TEST(GemmDriverTest, ProviderSharedAcrossCallerThreads) {
     for (int I = 0; I < NCallers; ++I)
       Callers.emplace_back([&, I] {
         Cs[I].assign(M * N, 1.0f);
-        Errs[I] = blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(), K,
-                           1.0f, Cs[I].data(), M);
+        Engine E = providerEngine(P);
+        Errs[I] = E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f,
+                          Cs[I].data(), M);
       });
     for (std::thread &Th : Callers)
       Th.join();

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -127,72 +128,102 @@ namespace {
 
 struct RacingCallerCtx {
   Engine *E;
-  const float *A, *B;
+  DType Ty;
+  const void *A, *B;
   int64_t M, N, K;
-  std::vector<float> *Cs;
+  std::vector<unsigned char> *Cs;
   std::atomic<int> Failures{0};
 };
 
+/// \p Elems elements of \p Ty input storage: small integers for i8,
+/// inexact fractions (so any reordered sum would show) for the floats.
+std::vector<unsigned char> operand(DType Ty, int64_t Elems, unsigned Seed) {
+  std::vector<unsigned char> V(Elems * dtypeInBytes(Ty));
+  std::mt19937 Rng(Seed);
+  for (int64_t I = 0; I < Elems; ++I) {
+    const int Q = static_cast<int>(Rng() % 17) - 8;
+    const float X = static_cast<float>(Q) / 7.0f;
+    if (Ty == DType::I8I32) {
+      V[I] = static_cast<unsigned char>(static_cast<int8_t>(Q));
+    } else if (Ty == DType::F32) {
+      std::memcpy(&V[I * 4], &X, 4);
+    } else {
+      const uint16_t H = Ty == DType::F16 ? f32ToF16(X) : f32ToBf16(X);
+      std::memcpy(&V[I * 2], &H, 2);
+    }
+  }
+  return V;
+}
+
 } // namespace
 
+// Racing governed callers in f32 and — now that every dtype runs the one
+// governed executor — bf16 and i8 -> i32: whatever width each call is
+// granted, the result equals the fixed 1-thread plan bitwise, and every
+// typed call is counted as a grant.
 TEST(Governor, RacingGovernedCallersMatchFixedPlanBitwise) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
 
   const int64_t M = 96, N = 80, K = 112;
-  std::vector<float> A(M * K), B(K * N);
-  benchutil::fillRandom(A.data(), A.size(), 41);
-  benchutil::fillRandom(B.data(), B.size(), 42);
+  for (DType Ty : {DType::F32, DType::BF16, DType::I8I32}) {
+    const std::vector<unsigned char> A = operand(Ty, M * K, 41);
+    const std::vector<unsigned char> B = operand(Ty, K * N, 42);
+    const size_t CBytes = M * N * dtypeOutBytes(Ty);
 
-  EngineConfig Fixed;
-  Fixed.Series = EngineSeries::Blis;
-  Fixed.Threads = 1;
-  Fixed.Governor = 0;
-  Engine ERef(Fixed);
-  std::vector<float> CRef(M * N, 0.0f);
-  ASSERT_FALSE(ERef.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 0.0f,
-                          CRef.data(), M));
+    EngineConfig Fixed;
+    Fixed.Series = EngineSeries::Blis;
+    Fixed.Threads = 1;
+    Fixed.Governor = 0;
+    Engine ERef(Fixed);
+    std::vector<unsigned char> CRef(CBytes, 0);
+    ASSERT_FALSE(ERef.gemm(Ty, Trans::None, Trans::None, M, N, K, 1.0,
+                           A.data(), M, B.data(), K, 0.0, CRef.data(), M));
 
-  // Governed engine planning at a 4-wide team: every racing caller gets
-  // whatever width the governor grants at that instant (1..4 depending on
-  // the interleaving) and all must match the sequential result bitwise.
-  EngineConfig Gov;
-  Gov.Series = EngineSeries::Blis;
-  Gov.Threads = 4;
-  Gov.Governor = 1;
-  Engine EGov(Gov);
+    // Governed engine planning at a 4-wide team: every racing caller gets
+    // whatever width the governor grants at that instant (1..4 depending
+    // on the interleaving) and all must match the sequential result
+    // bitwise.
+    EngineConfig Gov;
+    Gov.Series = EngineSeries::Blis;
+    Gov.Threads = 4;
+    Gov.Governor = 1;
+    Engine EGov(Gov);
 
-  const int Callers = 8, Rounds = 16;
-  std::vector<std::vector<float>> Cs(Callers,
-                                     std::vector<float>(M * N, 0.0f));
-  RacingCallerCtx Ctx;
-  Ctx.E = &EGov;
-  Ctx.A = A.data();
-  Ctx.B = B.data();
-  Ctx.M = M;
-  Ctx.N = N;
-  Ctx.K = K;
-  Ctx.Cs = Cs.data();
+    const int Callers = 8, Rounds = 16;
+    std::vector<std::vector<unsigned char>> Cs(
+        Callers, std::vector<unsigned char>(CBytes, 0));
+    RacingCallerCtx Ctx;
+    Ctx.E = &EGov;
+    Ctx.Ty = Ty;
+    Ctx.A = A.data();
+    Ctx.B = B.data();
+    Ctx.M = M;
+    Ctx.N = N;
+    Ctx.K = K;
+    Ctx.Cs = Cs.data();
 
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != Callers; ++T)
-    Threads.emplace_back([&Ctx, T] {
-      float *C = (Ctx.Cs + T)->data();
-      for (int R = 0; R != Rounds; ++R)
-        if (Ctx.E->sgemm(Ctx.M, Ctx.N, Ctx.K, 1.0f, Ctx.A, Ctx.M, Ctx.B,
-                         Ctx.K, 0.0f, C, Ctx.M))
-          Ctx.Failures.fetch_add(1, std::memory_order_relaxed);
-    });
-  for (std::thread &Th : Threads)
-    Th.join();
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != Callers; ++T)
+      Threads.emplace_back([&Ctx, T] {
+        void *C = (Ctx.Cs + T)->data();
+        for (int R = 0; R != Rounds; ++R)
+          if (Ctx.E->gemm(Ctx.Ty, Trans::None, Trans::None, Ctx.M, Ctx.N,
+                          Ctx.K, 1.0, Ctx.A, Ctx.M, Ctx.B, Ctx.K, 0.0, C,
+                          Ctx.M))
+            Ctx.Failures.fetch_add(1, std::memory_order_relaxed);
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
 
-  EXPECT_EQ(Ctx.Failures.load(), 0);
-  for (int T = 0; T != Callers; ++T)
-    EXPECT_EQ(0, std::memcmp(Cs[T].data(), CRef.data(),
-                             CRef.size() * sizeof(float)))
-        << "governed caller " << T << " differs from the 1-thread result";
+    EXPECT_EQ(Ctx.Failures.load(), 0) << dtypeName(Ty);
+    for (int T = 0; T != Callers; ++T)
+      EXPECT_EQ(Cs[T], CRef) << dtypeName(Ty) << ": governed caller " << T
+                             << " differs from the 1-thread result";
 
-  EngineStats S = EGov.stats();
-  EXPECT_GE(S.GovGrants, static_cast<uint64_t>(Callers) * Rounds);
-  EXPECT_GE(S.GovWidthSum, S.GovGrants);
+    EngineStats S = EGov.stats();
+    EXPECT_GE(S.GovGrants, static_cast<uint64_t>(Callers) * Rounds)
+        << dtypeName(Ty);
+    EXPECT_GE(S.GovWidthSum, S.GovGrants) << dtypeName(Ty);
+  }
 }

@@ -1,6 +1,6 @@
 //===- TransposeTest.cpp - op(A) * op(B) handling --------------------------===//
 
-#include "gemm/Gemm.h"
+#include "gemm/Engine.h"
 
 #include "benchutil/Bench.h"
 #include "gemm/ExoProvider.h"
@@ -48,11 +48,12 @@ void runCase(Trans TA, Trans TB) {
   refSgemm(M, N, K, 1.25f, AEff.data(), M, BEff.data(), K, 0.75f,
            Want.data(), M);
 
-  ExoProvider P(8, 12);
-  GemmPlan Plan = GemmPlan::standard(P);
-  exo::Error Err =
-      blisGemmT(Plan, P, TA, TB, M, N, K, 1.25f, A.data(), ARows, B.data(),
-                BRows, 0.75f, C.data(), M);
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Custom;
+  Cfg.Provider = std::make_shared<ExoProvider>(8, 12);
+  Engine E(Cfg);
+  exo::Error Err = E.sgemm(TA, TB, M, N, K, 1.25f, A.data(), ARows, B.data(),
+                           BRows, 0.75f, C.data(), M);
   ASSERT_FALSE(Err) << Err.message();
   float D = benchutil::maxAbsDiff(C.data(), Want.data(), C.size());
   EXPECT_LT(D, 1e-3f) << "TA=" << static_cast<int>(TA)

@@ -1,8 +1,8 @@
 //===- ObsGemmTest.cpp - Observability of the GEMM hot path ---------------===//
 //
-// Stage attribution of blisGemm (packA / packB / micro-kernel / barrier),
-// bitwise identity of results with tracing on vs off, and one trace lane
-// per worker on the threaded path.
+// Stage attribution of the GEMM executor behind Engine::sgemm (packA /
+// packB / micro-kernel / barrier), bitwise identity of results with tracing
+// on vs off, and one trace lane per worker on the threaded path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,7 +10,7 @@
 
 #include "benchutil/Bench.h"
 #include "benchutil/Json.h"
-#include "gemm/Gemm.h"
+#include "gemm/Engine.h"
 #include "gemm/Kernels.h"
 #include "gemm/MicroKernel.h"
 
@@ -40,17 +40,25 @@ protected:
     obs::clear();
   }
 
+  /// An Engine over the BLIS-style baseline kernel at a fixed team width.
+  static EngineConfig blisConfig(int Threads) {
+    EngineConfig Cfg;
+    Cfg.Series = EngineSeries::Custom;
+    Cfg.Provider = std::make_shared<FixedProvider>(blisKernel(), "BLIS");
+    Cfg.Threads = Threads;
+    Cfg.Governor = 0;
+    return Cfg;
+  }
+
   /// Runs one M x N x K SGEMM with the BLIS-style baseline kernel.
   void runGemm(int64_t M, int64_t N, int64_t K, float *C, int Threads = 1) {
     std::vector<float> A(M * K), B(K * N);
     benchutil::fillRandom(A.data(), A.size(), 5);
     benchutil::fillRandom(B.data(), B.size(), 6);
-    FixedProvider P(blisKernel(), "BLIS");
-    GemmPlan Plan = GemmPlan::standard(P);
-    Plan.Threads = Threads;
-    exo::Error E = blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(), K,
-                            1.0f, C, M);
-    ASSERT_FALSE(bool(E)) << E.message();
+    Engine E(blisConfig(Threads));
+    exo::Error Err =
+        E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f, C, M);
+    ASSERT_FALSE(bool(Err)) << Err.message();
   }
 };
 
@@ -122,13 +130,11 @@ TEST_F(ObsGemmTest, MeasureAttributesStagesPerCall) {
   std::vector<float> A(M * K), B(K * N), C(M * N, 0.f);
   benchutil::fillRandom(A.data(), A.size(), 5);
   benchutil::fillRandom(B.data(), B.size(), 6);
-  FixedProvider P(blisKernel(), "BLIS");
-  GemmPlan Plan = GemmPlan::standard(P);
+  Engine E(blisConfig(1));
 
   benchutil::Measurement Meas = benchutil::measure(
       [&] {
-        blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f,
-                 C.data(), M);
+        E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 1.0f, C.data(), M);
       },
       0.01);
   ASSERT_GT(Meas.Reps, 0);
