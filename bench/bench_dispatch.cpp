@@ -13,9 +13,8 @@
 //                   cost, not JIT compilation.
 //
 // Both run the identical fixed BLIS-style 8x12 kernel, so the spread is
-// pure planning cost. Rows report seconds per call (better = lower);
-// hot_plan additionally emits a GFLOPS row carrying mr/nr counters — the
-// emission EXO_GEMM_PLAN_PRIOR consumes (see Planner.h).
+// pure planning cost. Rows report seconds per call (better = lower) and
+// carry the plan's tile as mr/nr counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,23 +124,6 @@ int main(int Argc, char **Argv) {
     addDispatchRow(Ctx, Label, "hot_plan", S, MHot, Choice->MR, Choice->NR);
     addDispatchRow(Ctx, Label, "cold_plan", S, MCold, Choice->MR,
                    Choice->NR);
-
-    // Planner-prior emission: a higher-is-better row with mr/nr counters
-    // for this exact (m, n, k) — what lookupPlanPrior scans for.
-    benchutil::ReportRow Prior;
-    Prior.Label = Label;
-    Prior.Series = "hot_plan";
-    Prior.Metric = "gflops";
-    Prior.Better = "higher";
-    Prior.Value = benchutil::gflops(2.0 * S * S * S, MHot.SecondsPerCall);
-    Prior.SecondsPerCall = MHot.SecondsPerCall;
-    Prior.Reps = MHot.Reps;
-    Prior.M = S;
-    Prior.N = S;
-    Prior.K = S;
-    Prior.Extra["mr"] = static_cast<double>(Choice->MR);
-    Prior.Extra["nr"] = static_cast<double>(Choice->NR);
-    Ctx.Rep.addRow(std::move(Prior));
   }
   T.print();
 

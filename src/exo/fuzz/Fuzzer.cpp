@@ -170,7 +170,7 @@ struct ScheduleFuzzer::Impl {
   /// A recipe sample whose tile comes out of a synthetic tuned-prior
   /// record: the record is serialized and re-parsed through the PriorDb
   /// on-disk format, then materialized with priorRecordConfig — the exact
-  /// mapping Planner::choosePlanWithDb uses — so every Nth campaign sample
+  /// mapping Planner::choosePlan uses — so every Nth campaign sample
   /// checks that a prior-shaped schedule is semantics-preserving. Tiles are
   /// restricted to the portable-admissible set so the sample is legal on
   /// any host.

@@ -103,11 +103,6 @@ int64_t envPlanCacheCap() {
                      /*Default=*/256, /*Min=*/1, /*Max=*/1 << 30);
 }
 
-bool envPlanCacheOn() {
-  return exo::envBool("EXO_GEMM_PLAN_CACHE",
-                      std::getenv("EXO_GEMM_PLAN_CACHE"), true);
-}
-
 /// Answered by the quick return: nothing to multiply, so the call never
 /// plans, allocates, or reads A/B (BLAS semantics).
 bool isDegenerate(int64_t M, int64_t N, int64_t K, double Alpha) {
@@ -172,7 +167,6 @@ detail::GemmCall itemCall(const GemmBatchItem &It) {
 
 struct Engine::Impl {
   EngineConfig Cfg;
-  bool CacheOn = true;
   int64_t Cap = 256;
   /// Resolved fixed-series / custom provider (null for Exo; Auto keeps it
   /// around as the degradation target).
@@ -192,8 +186,8 @@ struct Engine::Impl {
       Evictions{0}, Degenerate{0}, StickyErrors{0};
   std::atomic<uint64_t> BatchedItems{0}, BatchedGroups{0},
       BatchedCrossItem{0};
-  std::atomic<uint64_t> PlansFromModel{0}, PlansFromPrior{0},
-      PlansFromTuned{0}, PriorRejected{0};
+  std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
+      PriorRejected{0};
   std::atomic<uint64_t> GovGrants{0}, GovShapeClamped{0}, GovOccClamped{0},
       GovWidthSum{0};
 
@@ -280,8 +274,7 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   if (Ty == DType::I8I32) {
     // The i8 policy's built-in K-grouped dot: no provider, no JIT — the
     // planner answers with the dot's fixed tile (Planner.h).
-    Choice = choosePlanWithDb(Key.M, Key.N, Key.K, nullptr, "", nullptr,
-                              nullptr, Ty);
+    Choice = choosePlan(Key.M, Key.N, Key.K, nullptr, nullptr, Ty, nullptr);
     Main.MR = Choice.MR;
     Main.NR = Choice.NR;
   } else {
@@ -293,11 +286,9 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
             PlanChoice::make(Cfg.ForceMR, Cfg.ForceNR, PlanSource::Forced);
       } else {
         PlanOutcome Out;
-        Choice = choosePlanWithDb(
-            Key.M, Key.N, Key.K, Cfg.Isa, Cfg.PriorPath,
-            Cfg.TunedPriors ? &PriorDb::global() : nullptr, &Out, Ty);
-        PriorRejected.fetch_add(Out.PriorRejected + Out.TunedRejected,
-                                std::memory_order_relaxed);
+        Choice = choosePlan(Key.M, Key.N, Key.K, Cfg.Isa, &Out, Ty,
+                            Cfg.TunedPriors ? &PriorDb::global() : nullptr);
+        PriorRejected.fetch_add(Out.TunedRejected, std::memory_order_relaxed);
       }
       Provider = exoProviderFor(Choice.MR, Choice.NR,
                                 Cfg.UnrollCompute || Choice.UnrollCompute);
@@ -323,35 +314,25 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
                     static_cast<long long>(Key.K));
   }
 
-  GemmPlan Plan;
-  if (Provider)
-    Plan = GemmPlan::standard(*Provider);
-  else
-    Plan.Blocks = analyticalBlockSizes(CacheConfig::host(), Main.MR, Main.NR,
-                                       dtypePackBytes(Ty));
-  if (Cfg.Blocks)
-    Plan.Blocks = *Cfg.Blocks;
-  else if (Choice.Blocks)
-    Plan.Blocks = *Choice.Blocks;
-  if (Cfg.PackMode)
-    Plan.PackMode = *Cfg.PackMode;
+  const BlockSizes Blocks =
+      Cfg.Blocks      ? *Cfg.Blocks
+      : Choice.Blocks ? *Choice.Blocks
+                      : analyticalBlockSizes(CacheConfig::host(), Main.MR,
+                                             Main.NR, dtypePackBytes(Ty));
   // Only the f32 policy dispatches specialized edge kernels; the others
   // run the main kernel (or the i8 dot) over zero-padded panels, so no
-  // edge kernel is resolved or JIT'd for them.
-  if (Ty != DType::F32)
-    Plan.PackMode = EdgePack::ZeroPad;
-  Plan.Threads = Key.T;
+  // edge kernel is probed, resolved or JIT'd for them.
+  const EdgePack PackMode = Ty != DType::F32 ? EdgePack::ZeroPad
+                            : Cfg.PackMode   ? *Cfg.PackMode
+                                             : preferredEdgePack(*Provider);
 
   // Per-plan provenance: one count and one obs mark per plan built. Forced,
-  // fixed-series, and fallback plans mark but do not count — the three
+  // fixed-series, and fallback plans mark but do not count — the two
   // counters answer "which selection stage chose the tile", and those plans
   // never ran selection.
   switch (Choice.Src) {
   case PlanSource::Model:
     PlansFromModel.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case PlanSource::Prior:
-    PlansFromPrior.fetch_add(1, std::memory_order_relaxed);
     break;
   case PlanSource::Tuned:
     PlansFromTuned.fetch_add(1, std::memory_order_relaxed);
@@ -360,14 +341,14 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
     break;
   }
   obs::mark(Choice.Src == PlanSource::Model   ? "plan.source.model"
-            : Choice.Src == PlanSource::Prior ? "plan.source.prior"
             : Choice.Src == PlanSource::Tuned ? "plan.source.tuned"
                                               : "plan.source.other");
 
   auto P = std::make_shared<ExecPlan>();
   P->Provider = Provider;
   P->Choice = Choice;
-  P->G = detail::deriveGeometry(Plan, Main, Key.M, Key.N, Key.K);
+  P->G = detail::deriveGeometry(Main, PackMode, Blocks, Key.T, Key.M, Key.N,
+                                Key.K);
   P->G.Ty = Ty;
   bool EdgeFallback = false;
   if (P->G.PackMode == EdgePack::Tight) {
@@ -504,7 +485,6 @@ Engine::Engine() : Engine(EngineConfig{}) {}
 
 Engine::Engine(const EngineConfig &Cfg) : I(new Impl) {
   I->Cfg = Cfg;
-  I->CacheOn = Cfg.PlanCache >= 0 ? Cfg.PlanCache != 0 : envPlanCacheOn();
   I->Cap = Cfg.PlanCacheCap >= 0 ? std::max<int64_t>(Cfg.PlanCacheCap, 1)
                                  : envPlanCacheCap();
   switch (Cfg.Series) {
@@ -545,21 +525,9 @@ Engine &Engine::global() {
 
 std::shared_ptr<ExecPlan> Engine::Impl::plan(const PlanKey &Key,
                                              uint64_t Calls, Error &Err) {
-  std::shared_ptr<ExecPlan> Plan;
-  if (CacheOn) {
-    Plan = lookupOrBuild(Key, Err);
-    if (!Plan)
-      return nullptr;
-  } else {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    Expected<std::shared_ptr<ExecPlan>> Built = build(Key);
-    if (!Built) {
-      Err = Built.takeError();
-      return nullptr;
-    }
-    Builds.fetch_add(1, std::memory_order_relaxed);
-    Plan = Built.take();
-  }
+  std::shared_ptr<ExecPlan> Plan = lookupOrBuild(Key, Err);
+  if (!Plan)
+    return nullptr;
   // Credit the executions this lookup serves; a provisional plan rebuilds
   // when the count crosses a period boundary.
   if (Plan->Provisional && Calls > 0) {
@@ -922,7 +890,6 @@ EngineStats Engine::stats() const {
   S.BatchedGroups = I->BatchedGroups.load(std::memory_order_relaxed);
   S.BatchedCrossItem = I->BatchedCrossItem.load(std::memory_order_relaxed);
   S.PlansFromModel = I->PlansFromModel.load(std::memory_order_relaxed);
-  S.PlansFromPrior = I->PlansFromPrior.load(std::memory_order_relaxed);
   S.PlansFromTuned = I->PlansFromTuned.load(std::memory_order_relaxed);
   S.PriorRejected = I->PriorRejected.load(std::memory_order_relaxed);
   S.GovGrants = I->GovGrants.load(std::memory_order_relaxed);
@@ -952,7 +919,6 @@ void Engine::resetStats() {
   I->BatchedGroups.store(0);
   I->BatchedCrossItem.store(0);
   I->PlansFromModel.store(0);
-  I->PlansFromPrior.store(0);
   I->PlansFromTuned.store(0);
   I->PriorRejected.store(0);
   I->GovGrants.store(0);

@@ -29,10 +29,12 @@
 /// a shared lock; a miss builds the plan exactly once per key (concurrent
 /// requesters for the same shape wait rather than duplicate the JIT work).
 ///
-/// Knobs: EXO_GEMM_PLAN_CACHE (0 disables caching — plan per call),
-/// EXO_GEMM_PLAN_CACHE_CAP (entry cap, approximate-LRU eviction past it),
-/// EXO_GEMM_PLAN_PRIOR (baseline JSON consulted by the planner); see
-/// docs/KNOBS.md.
+/// Planning: the planner picks the tile in two stages — the tuned prior
+/// database (PriorDb.h, behind the never-lose gate), then the analytical
+/// model (Planner.h).
+///
+/// Knobs: EXO_GEMM_PLAN_CACHE_CAP (entry cap, approximate-LRU eviction past
+/// it); see docs/KNOBS.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +71,8 @@ struct EngineConfig {
   const exo::IsaLib *Isa = nullptr;
   /// Pin the full tile instead of consulting the planner (> 0 both).
   int64_t ForceMR = 0, ForceNR = 0;
-  /// GemmPlan::Threads semantics: 0 resolves EXO_GEMM_THREADS per call.
+  /// Macro-kernel team size; 0 resolves EXO_GEMM_THREADS per call
+  /// (resolveGemmThreads, ThreadPool.h).
   int64_t Threads = 0;
   /// Request kernels through KernelService's non-blocking path: cold
   /// shapes run the portable fallback while the specialized kernel
@@ -78,18 +81,14 @@ struct EngineConfig {
   bool SpecializeEdges = true;
   bool UnrollCompute = false;
   /// Ablation overrides; unset uses the analytical model / edge probe
-  /// (GemmPlan::standard).
+  /// (preferredEdgePack; f32 plans only).
   std::optional<BlockSizes> Blocks;
   std::optional<EdgePack> PackMode;
-  /// Plan-cache controls; -1 defers to EXO_GEMM_PLAN_CACHE /
-  /// EXO_GEMM_PLAN_CACHE_CAP (default: on, 256 entries).
-  int PlanCache = -1;
+  /// Plan-cache entry cap; -1 defers to EXO_GEMM_PLAN_CACHE_CAP (default
+  /// 256 entries).
   int64_t PlanCacheCap = -1;
-  /// Measured-prior baseline for the planner; "" defers to
-  /// EXO_GEMM_PLAN_PRIOR (unset: analytical model only).
-  std::string PriorPath;
   /// Consult the autotuner's persistent prior database (PriorDb::global(),
-  /// rooted at EXO_GEMM_PRIOR_DB) before the BENCH prior and the model.
+  /// rooted at EXO_GEMM_PRIOR_DB) before the model.
   /// false is the ablation arm benches use to measure the model alone.
   bool TunedPriors = true;
   /// Governed dispatch (Governor.h, docs/CONCURRENCY.md): the per-call
@@ -116,10 +115,9 @@ struct EngineStats {
   uint64_t BatchedCrossItem = 0; ///< items run whole-item across the pool
   // Per-plan provenance (PlanSource), counted at build time.
   uint64_t PlansFromModel = 0; ///< analytical-model tiles
-  uint64_t PlansFromPrior = 0; ///< BENCH-baseline prior tiles
   uint64_t PlansFromTuned = 0; ///< autotuner prior-database tiles
-  /// Prior rows/records rejected during selection: BENCH rows inadmissible
-  /// under the chosen ISA plus tuned records failing the never-lose gate.
+  /// Tuned records rejected during selection: inadmissible tile or a
+  /// non-positive margin (the never-lose gate).
   uint64_t PriorRejected = 0;
   // Governed dispatch (EngineConfig::Governor; zeros when off).
   uint64_t GovGrants = 0;       ///< calls that went through the governor

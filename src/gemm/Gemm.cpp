@@ -12,33 +12,29 @@
 using namespace exo;
 using namespace gemm;
 
-GemmPlan GemmPlan::standard(KernelProvider &P) {
-  MicroKernel K = P.main();
-  GemmPlan Plan;
-  Plan.Blocks =
-      analyticalBlockSizes(CacheConfig::host(), K.MR, K.NR, sizeof(float));
+EdgePack gemm::preferredEdgePack(KernelProvider &P) {
   // The probe only picks the *preferred* mode; a provider whose edge family
   // turns out to be partial at run time degrades per strip to a zero-padded
   // panel and the scratch tile instead of failing (see F32Panels).
-  Plan.PackMode = P.edge(K.MR, 1).has_value() ? EdgePack::Tight
-                                              : EdgePack::ZeroPad;
-  return Plan;
+  return P.edge(P.main().MR, 1).has_value() ? EdgePack::Tight
+                                            : EdgePack::ZeroPad;
 }
 
-detail::GemmGeometry detail::deriveGeometry(const GemmPlan &Plan,
-                                            const MicroKernel &Main,
-                                            int64_t M, int64_t N, int64_t K) {
+detail::GemmGeometry detail::deriveGeometry(const MicroKernel &Main,
+                                            EdgePack PackMode,
+                                            const BlockSizes &Blocks,
+                                            int64_t Threads, int64_t M,
+                                            int64_t N, int64_t K) {
   GemmGeometry G;
   G.Main = Main;
-  G.PackMode = Plan.PackMode;
+  G.PackMode = PackMode;
   G.Mr = Main.MR;
   G.Nr = Main.NR;
   // Clamp blocks to the problem so pack buffers stay proportionate.
   auto RoundUp = [](int64_t V, int64_t Q) { return ((V + Q - 1) / Q) * Q; };
-  G.Mc = std::min(std::max<int64_t>(Plan.Blocks.MC, G.Mr), RoundUp(M, G.Mr));
-  G.Kc =
-      std::min(std::max<int64_t>(Plan.Blocks.KC, 1), std::max<int64_t>(K, 1));
-  G.Nc = std::min(std::max<int64_t>(Plan.Blocks.NC, G.Nr), RoundUp(N, G.Nr));
+  G.Mc = std::min(std::max<int64_t>(Blocks.MC, G.Mr), RoundUp(M, G.Mr));
+  G.Kc = std::min(std::max<int64_t>(Blocks.KC, 1), std::max<int64_t>(K, 1));
+  G.Nc = std::min(std::max<int64_t>(Blocks.NC, G.Nr), RoundUp(N, G.Nr));
 
   // Team size and its BLIS-style 2D factorization: loop 3 (ic blocks) is
   // the primary axis; when there are fewer ic blocks than threads, the
@@ -48,7 +44,7 @@ detail::GemmGeometry detail::deriveGeometry(const GemmPlan &Plan,
   G.NIc = (M + G.Mc - 1) / G.Mc;
   const int64_t NPanMax = (std::min(G.Nc, N) + G.Nr - 1) / G.Nr;
   G.T = std::max<int64_t>(
-      1, std::min(resolveGemmThreads(Plan.Threads), G.NIc * NPanMax));
+      1, std::min(resolveGemmThreads(Threads), G.NIc * NPanMax));
   factorizeTeam(G);
   return G;
 }

@@ -31,24 +31,12 @@
 
 namespace gemm {
 
-struct GemmPlan {
-  BlockSizes Blocks;
-  /// Tight for providers with per-edge kernels; ZeroPad for monolithic
-  /// kernels routed through the scratch tile. Tight mode tolerates a
-  /// *partial* edge family: a strip width without a specialized kernel
-  /// degrades to the monolithic kernel over a zero-padded panel.
-  EdgePack PackMode = EdgePack::ZeroPad;
-  /// Macro-kernel team size. 0 (the default) resolves through
-  /// EXO_GEMM_THREADS — unset means 1, preserving the paper's single-core
-  /// methodology; see resolveGemmThreads() in ThreadPool.h. Loop 3 (ic
-  /// blocks) is parallelized first, loop 4 (jr strips) absorbs the
-  /// remainder; results are bitwise identical for every thread count.
-  int64_t Threads = 0;
-
-  /// Standard plan for \p P: analytical blocking for the host caches and
-  /// the packing mode implied by the provider's edge support.
-  static GemmPlan standard(KernelProvider &P);
-};
+/// The f32 packing mode implied by \p P's edge support: Tight when it
+/// serves an mr x 1 edge kernel, ZeroPad (monolithic kernel through the
+/// scratch tile) otherwise. Tight mode tolerates a *partial* edge family:
+/// a strip width without a specialized kernel degrades to the monolithic
+/// kernel over a zero-padded panel.
+EdgePack preferredEdgePack(KernelProvider &P);
 
 /// BLAS-style operand transposition. Packing absorbs the transpose (the
 /// packed panels are identical either way), so transposed GEMM costs the
@@ -115,10 +103,14 @@ struct GemmWorkspace {
   void ensure(const GemmGeometry &G);
 };
 
-/// Clamps the plan's blocking to the problem and factorizes the team —
+/// Clamps \p Blocks to the problem and factorizes a team of \p Threads —
 /// everything in GemmGeometry except edge-kernel resolution (which needs
-/// the provider; see resolveEdgeKernels).
-GemmGeometry deriveGeometry(const GemmPlan &Plan, const MicroKernel &Main,
+/// the provider; see resolveEdgeKernels). \p Threads follows
+/// resolveGemmThreads (ThreadPool.h): 0 resolves EXO_GEMM_THREADS. Loop 3
+/// (ic blocks) is parallelized first, loop 4 (jr strips) absorbs the
+/// remainder; results are bitwise identical for every thread count.
+GemmGeometry deriveGeometry(const MicroKernel &Main, EdgePack PackMode,
+                            const BlockSizes &Blocks, int64_t Threads,
                             int64_t M, int64_t N, int64_t K);
 
 /// Recomputes Tic / Tjr from G.T and G.NIc (the divisor rule: Tic is the

@@ -7,10 +7,7 @@
 #include "gemm/PriorDb.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 
 using namespace gemm;
@@ -19,8 +16,6 @@ const char *gemm::planSourceName(PlanSource S) {
   switch (S) {
   case PlanSource::Model:
     return "model";
-  case PlanSource::Prior:
-    return "prior";
   case PlanSource::Tuned:
     return "tuned";
   case PlanSource::Forced:
@@ -116,148 +111,12 @@ gemm::pickTileForProblem(int64_t M, int64_t N, int64_t K,
   return Best;
 }
 
-namespace {
-
-/// One parsed row of a baseline report, as far as the prior cares.
-struct PriorRow {
-  int64_t M = 0, N = 0, K = 0;
-  int64_t Mr = 0, Nr = 0;
-  double Value = 0;
-  bool Higher = true;
-};
-
-/// Tolerant linear scan of a BENCH_*.json report. The schema is flat
-/// enough that tracking a handful of exact key names suffices; rows start
-/// at every "label" key (see benchutil::Reporter's emission). Anything
-/// unparsable simply yields no rows — the prior is best-effort by design
-/// (benchutil is a higher layer, so the planner cannot use its parser).
-std::vector<PriorRow> scanPriorRows(const std::string &Text) {
-  std::vector<PriorRow> Rows;
-  PriorRow Cur;
-  bool InRow = false;
-  auto Flush = [&] {
-    if (InRow && Cur.Mr > 0 && Cur.Nr > 0)
-      Rows.push_back(Cur);
-  };
-  size_t Pos = 0;
-  const size_t Len = Text.size();
-  while (Pos < Len) {
-    if (Text[Pos] != '"') {
-      ++Pos;
-      continue;
-    }
-    size_t End = Text.find('"', Pos + 1);
-    if (End == std::string::npos)
-      break;
-    std::string Key = Text.substr(Pos + 1, End - Pos - 1);
-    Pos = End + 1;
-    while (Pos < Len && std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-    if (Pos >= Len || Text[Pos] != ':')
-      continue; // a string value, not a key
-    ++Pos;
-    while (Pos < Len && std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-    if (Key == "label") {
-      Flush();
-      Cur = PriorRow();
-      InRow = true;
-      continue;
-    }
-    if (Pos < Len && Text[Pos] == '"') {
-      size_t VEnd = Text.find('"', Pos + 1);
-      if (VEnd == std::string::npos)
-        break;
-      if (Key == "better")
-        Cur.Higher = Text.compare(Pos + 1, VEnd - Pos - 1, "higher") == 0;
-      Pos = VEnd + 1;
-      continue;
-    }
-    char *NumEnd = nullptr;
-    double V = std::strtod(Text.c_str() + Pos, &NumEnd);
-    if (NumEnd == Text.c_str() + Pos)
-      continue; // object/array value; keep scanning inside it
-    Pos = static_cast<size_t>(NumEnd - Text.c_str());
-    if (Key == "m")
-      Cur.M = static_cast<int64_t>(V);
-    else if (Key == "n")
-      Cur.N = static_cast<int64_t>(V);
-    else if (Key == "k")
-      Cur.K = static_cast<int64_t>(V);
-    else if (Key == "mr")
-      Cur.Mr = static_cast<int64_t>(V);
-    else if (Key == "nr")
-      Cur.Nr = static_cast<int64_t>(V);
-    else if (Key == "value")
-      Cur.Value = V;
-  }
-  Flush();
-  return Rows;
-}
-
-std::string readWholeFile(const std::string &Path, bool &Ok) {
-  Ok = false;
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return {};
-  Ok = true;
-  std::string Text;
-  char Buf[4096];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Text.append(Buf, Got);
-  std::fclose(F);
-  return Text;
-}
-
-} // namespace
-
-bool gemm::lookupPlanPrior(const std::string &Path, int64_t M, int64_t N,
-                           int64_t K, int64_t &MrOut, int64_t &NrOut,
-                           const exo::IsaLib *ForceIsa,
-                           uint64_t *RejectedOut) {
-  bool Readable = false;
-  std::string Text = readWholeFile(Path, Readable);
-  if (!Readable)
-    return false;
-
-  bool Found = false;
-  double BestValue = 0;
-  for (const PriorRow &R : scanPriorRows(Text)) {
-    if (!R.Higher || R.M != M || R.N != N || R.K != K)
-      continue;
-    // A measured row only wins when its tile is still admissible under the
-    // chosen ISA (the baseline may come from another machine or another
-    // kernel series). A shape-matching but inadmissible row used to be
-    // skipped silently; it is now an accounted rejection.
-    if (!tileAdmissible(R.Mr, R.Nr, ForceIsa)) {
-      if (RejectedOut)
-        ++*RejectedOut;
-      continue;
-    }
-    if (!Found || R.Value > BestValue) {
-      Found = true;
-      BestValue = R.Value;
-      MrOut = R.Mr;
-      NrOut = R.Nr;
-    }
-  }
-  return Found;
-}
-
-bool gemm::lookupPlanPrior(const std::string &Path, int64_t M, int64_t N,
-                           int64_t K, int64_t &MrOut, int64_t &NrOut) {
-  return lookupPlanPrior(Path, M, N, K, MrOut, NrOut, /*ForceIsa=*/nullptr,
-                         /*RejectedOut=*/nullptr);
-}
-
-PlanChoice gemm::choosePlanWithDb(int64_t M, int64_t N, int64_t K,
-                                  const exo::IsaLib *ForceIsa,
-                                  const std::string &PriorPath, PriorDb *Db,
-                                  PlanOutcome *Outcome, DType Ty) {
+PlanChoice gemm::choosePlan(int64_t M, int64_t N, int64_t K,
+                            const exo::IsaLib *ForceIsa, PlanOutcome *Outcome,
+                            DType Ty, PriorDb *Db) {
   // I8I32 never runs selection: the scalar dot has no vector width for the
-  // screen or the model to reason about, and neither prior stage measures
-  // integer kernels (see Planner.h).
+  // screen or the model to reason about, and the tuned stage never
+  // measures integer kernels (see Planner.h).
   if (Ty == DType::I8I32)
     return PlanChoice::make(I8TileMR, I8TileNR, PlanSource::Model);
 
@@ -266,8 +125,8 @@ PlanChoice gemm::choosePlanWithDb(int64_t M, int64_t N, int64_t K,
   if (Db && Db->enabled()) {
     if (std::optional<PriorRecord> R = Db->lookup(M, N, K, Ty)) {
       // The never-lose gate: the record must beat its own measured model
-      // baseline, and its tile must pass the same screen as every other
-      // stage. Anything else falls through to the model.
+      // baseline, and its tile must pass the same screen as the model's
+      // candidates. Anything else falls through to the model.
       if (R->margin() > 0 && tileAdmissible(R->MR, R->NR, ForceIsa)) {
         PlanChoice C = PlanChoice::make(R->MR, R->NR, PlanSource::Tuned);
         if (R->MC > 0 && R->KC > 0 && R->NC > 0)
@@ -280,48 +139,9 @@ PlanChoice gemm::choosePlanWithDb(int64_t M, int64_t N, int64_t K,
     }
   }
 
-  // Stage 2: the exact-shape BENCH baseline prior. BENCH rows are f32
-  // measurements; half-precision shapes skip straight to the model.
-  std::string Path = Ty == DType::F32 ? PriorPath : std::string();
-  if (Path.empty() && Ty == DType::F32) {
-    const char *Env = std::getenv("EXO_GEMM_PLAN_PRIOR");
-    if (Env && *Env)
-      Path = Env;
-  }
-  if (!Path.empty()) {
-    int64_t Mr = 0, Nr = 0;
-    uint64_t Rejected = 0;
-    bool Found = lookupPlanPrior(Path, M, N, K, Mr, Nr, ForceIsa, &Rejected);
-    if (Rejected) {
-      if (Outcome)
-        Outcome->PriorRejected += Rejected;
-      std::string WarnKey = "EXO_GEMM_PLAN_PRIOR@" + Path;
-      if (!exo::env_impl::envAlreadyWarned(WarnKey.c_str()))
-        std::fprintf(stderr,
-                     "exo: plan prior %s: ignoring row(s) whose mr/nr is "
-                     "not admissible under ISA '%s' (first at "
-                     "%lldx%lldx%lld); falling back to %s\n",
-                     Path.c_str(),
-                     ForceIsa ? ForceIsa->name().c_str() : "host",
-                     static_cast<long long>(M), static_cast<long long>(N),
-                     static_cast<long long>(K),
-                     Found ? "the best admissible row" : "the model");
-    }
-    if (Found)
-      return PlanChoice::make(Mr, Nr, PlanSource::Prior);
-  }
-
-  // Stage 3: the analytical model.
+  // Stage 2: the analytical model.
   auto [Mr, Nr] = pickTileForProblem(M, N, K, ForceIsa);
   return PlanChoice::make(Mr, Nr, PlanSource::Model);
-}
-
-PlanChoice gemm::choosePlan(int64_t M, int64_t N, int64_t K,
-                            const exo::IsaLib *ForceIsa,
-                            const std::string &PriorPath,
-                            PlanOutcome *Outcome, DType Ty) {
-  return choosePlanWithDb(M, N, K, ForceIsa, PriorPath, &PriorDb::global(),
-                          Outcome, Ty);
 }
 
 int64_t gemm::batchCrossoverBytes() {
@@ -354,8 +174,7 @@ bool gemm::batchPrefersCrossItem(int64_t M, int64_t N, int64_t K,
 
 std::vector<ukr::UkrConfig> gemm::planKernelFamily(int64_t M, int64_t N,
                                                    int64_t K, DType Ty) {
-  PlanChoice C =
-      choosePlan(M, N, K, nullptr, "", nullptr, Ty);
+  PlanChoice C = choosePlan(M, N, K, nullptr, nullptr, Ty);
   std::vector<ukr::UkrConfig> Out;
   if (Ty == DType::I8I32) {
     // The typed widening-accumulator kernel for the fixed i8 tile; no edge

@@ -8,22 +8,16 @@
 /// The planning half of the Engine's plan-once/execute-many split: given an
 /// (m, n, k) problem, choose the micro-kernel tile the paper's §IV-B
 /// "matching the size of the micro-kernel to the problem" result calls for.
-/// Selection runs in three stages:
+/// Selection runs in two stages:
 ///
 ///   1. Tuned prior (optional): the persistent autotuner database
 ///      (PriorDb.h) is consulted for a machine-matching record of this
 ///      shape (exact, else shape class). A record wins only when its tile
-///      passes the same ISA/register screen as every other stage AND its
-///      stored margin over the measured model baseline is positive — the
-///      never-lose gate: a tuned prior can never beat the analytical
+///      passes the same ISA/register screen as the model's candidates AND
+///      its stored margin over the measured model baseline is positive —
+///      the never-lose gate: a tuned prior can never beat the analytical
 ///      choice on paper but lose on its own shape.
-///   2. Measured BENCH prior (optional): a committed BENCH_*.json baseline
-///      whose rows carry `mr`/`nr` counters is consulted for an exact
-///      (m, n, k) match; the best-measured admissible tile wins. Pointed
-///      at by EngineConfig::PriorPath or the EXO_GEMM_PLAN_PRIOR knob.
-///      Rows whose tile is not admissible under the chosen ISA are
-///      rejected (warned once, counted in PlanOutcome::PriorRejected).
-///   3. Analytical score: every candidate tile the host can vectorize is
+///   2. Analytical score: every candidate tile the host can vectorize is
 ///      scored by estimated FMA throughput (flops per packed-panel load)
 ///      weighted by full-tile area coverage, with edge regions discounted,
 ///      register pressure enforced, and — when k is known — a small
@@ -46,26 +40,22 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
 namespace gemm {
 
-class PriorDb;
-
 /// Where a plan's tile came from. Recorded per plan in EngineStats and as
 /// an obs mark ("plan.source.<name>").
 enum class PlanSource : uint8_t {
   Model,    ///< analytical cache-model score
-  Prior,    ///< measured BENCH_*.json baseline row
   Tuned,    ///< autotuner record from the prior database
   Forced,   ///< caller pinned the tile (EngineConfig::ForceMR/NR)
   Fixed,    ///< fixed-series provider's native tile
   Fallback, ///< Auto series degraded to the portable kernel
 };
 
-/// Display name ("model", "prior", "tuned", ...).
+/// Display name ("model", "tuned", ...).
 const char *planSourceName(PlanSource S);
 
 /// A planner decision: the full-tile shape plus where it came from, plus
@@ -93,10 +83,6 @@ struct PlanChoice {
 
 /// Selection accounting the Engine folds into EngineStats.
 struct PlanOutcome {
-  /// BENCH-prior rows that matched the shape but were rejected because
-  /// their tile is not admissible under the chosen ISA (satellite of the
-  /// silent-skip bug: rejected rows now warn once and count here).
-  uint64_t PriorRejected = 0;
   /// A tuned-database record existed for the shape but was rejected (tile
   /// inadmissible, or stored margin non-positive — the never-lose gate).
   uint64_t TunedRejected = 0;
@@ -113,7 +99,7 @@ bool tileAdmissible(int64_t Mr, int64_t Nr,
 std::vector<std::pair<int64_t, int64_t>>
 plannerTileCandidates(const exo::IsaLib *ForceIsa = nullptr);
 
-/// Stage-3 selection only: the analytical tile score over the candidate
+/// Stage-2 selection only: the analytical tile score over the candidate
 /// list. \p K == 0 skips the depth-pass penalty (the historical
 /// ExoProvider::pickShape behavior, which delegates here); \p ForceIsa
 /// restricts candidates to that library's vector width.
@@ -121,30 +107,19 @@ std::pair<int64_t, int64_t>
 pickTileForProblem(int64_t M, int64_t N, int64_t K = 0,
                    const exo::IsaLib *ForceIsa = nullptr);
 
-/// Full selection against the process-global prior database: tuned prior,
-/// then BENCH prior (when \p PriorPath or EXO_GEMM_PLAN_PRIOR names a
-/// readable baseline), then the analytical score.
+/// Full selection: the tuned prior from \p Db, then the analytical score.
+/// \p Db == nullptr skips the tuned stage entirely
+/// (EngineConfig::TunedPriors == false, the bench_tune "model" arm).
 ///
 /// \p Ty threads the precision dimension through selection: f16/bf16 plans
 /// run the same f32 kernels over convert-packed panels, so they share the
 /// f32 analytical model, but their tuned priors are dtype-keyed (a winner
-/// measured under one dtype never crosses over) and the BENCH prior stage
-/// — f32 measurements — is skipped. I8I32 plans use the fixed scalar-dot
-/// tile and never consult priors.
+/// measured under one dtype never crosses over). I8I32 plans use the fixed
+/// scalar-dot tile and never consult priors.
 PlanChoice choosePlan(int64_t M, int64_t N, int64_t K,
                       const exo::IsaLib *ForceIsa = nullptr,
-                      const std::string &PriorPath = "",
-                      PlanOutcome *Outcome = nullptr,
-                      DType Ty = DType::F32);
-
-/// As choosePlan, but against an explicit database handle; \p Db == nullptr
-/// skips the tuned stage entirely (EngineConfig::TunedPriors == false, the
-/// bench_tune "model" arm).
-PlanChoice choosePlanWithDb(int64_t M, int64_t N, int64_t K,
-                            const exo::IsaLib *ForceIsa, //
-                            const std::string &PriorPath, PriorDb *Db,
-                            PlanOutcome *Outcome = nullptr,
-                            DType Ty = DType::F32);
+                      PlanOutcome *Outcome = nullptr, DType Ty = DType::F32,
+                      PriorDb *Db = &PriorDb::global());
 
 /// The I8I32 full tile: the engine's K-grouped scalar dot has no vector
 /// width to match, so every i8 plan uses this fixed shape (scratch tile
@@ -162,21 +137,6 @@ inline constexpr int64_t I8TileMR = 8, I8TileNR = 8;
 /// (the ukr-layer artifact for the engine's scalar-dot tile).
 std::vector<ukr::UkrConfig> planKernelFamily(int64_t M, int64_t N, int64_t K,
                                              DType Ty = DType::F32);
-
-/// Best-measured tile for an exact (m, n, k) row of the baseline at
-/// \p Path: rows must carry `mr`/`nr` counters and a "higher"-is-better
-/// metric (the bench_dispatch emission). Returns false when the file is
-/// unreadable or holds no matching row. Exposed for tests.
-bool lookupPlanPrior(const std::string &Path, int64_t M, int64_t N,
-                     int64_t K, int64_t &MrOut, int64_t &NrOut);
-
-/// As above, but screens every matching row for admissibility under
-/// \p ForceIsa (or the host screen): inadmissible rows are counted in
-/// \p RejectedOut instead of silently skipped, and the best *admissible*
-/// row wins. Returns false when no admissible row matched.
-bool lookupPlanPrior(const std::string &Path, int64_t M, int64_t N,
-                     int64_t K, int64_t &MrOut, int64_t &NrOut,
-                     const exo::IsaLib *ForceIsa, uint64_t *RejectedOut);
 
 /// Working-set size below which a batch item counts as "small" for the
 /// batched entry points' strategy choice: the host L2 capacity from the

@@ -37,7 +37,7 @@
 /// stores the measured GFLOPS of the analytical model's own choice on the
 /// same shape (ModelGflops / ModelMR / ModelNR). The planner refuses any
 /// record whose stored margin is non-positive, so a tuned prior cannot
-/// lose to the model on its own shape (see Planner::choosePlanWithDb and
+/// lose to the model on its own shape (see Planner::choosePlan and
 /// docs/TUNING.md).
 ///
 //===----------------------------------------------------------------------===//

@@ -217,7 +217,7 @@ private:
   uint64_t Phase = 0;
 };
 
-/// Resolves a GemmPlan::Threads value to a concrete team size:
+/// Resolves a requested team size (EngineConfig::Threads) to a concrete one:
 ///   > 0          that many threads;
 ///   0 (default)  EXO_GEMM_THREADS — unset/empty means 1 (the sequential
 ///                driver, preserving the paper's single-core methodology);

@@ -557,7 +557,7 @@ TEST(GemmdAdmission, FloodGetsBusyNotUnboundedQueueing) {
   }
   int Ok = 0, Busy = 0;
   for (int I = 0; I != Burst + 1; ++I) {
-    alignas(8) unsigned char Slot[ipc::SlotBytes];
+    alignas(8) unsigned char Slot[ipc::SlotBytes] = {};
     ASSERT_FALSE(S.nextReply(Slot, 120000));
     ipc::GemmReplyMsg Rep;
     std::memcpy(&Rep, Slot, sizeof(Rep));

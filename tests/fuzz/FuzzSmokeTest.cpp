@@ -100,8 +100,9 @@ TEST(FuzzSmokeTest, DefaultSweepIsCleanAndCoversIsas) {
   // Every PriorEvery-th sample must have drawn its tile from a synthetic
   // prior record that survived the PriorDb format round trip; a shortfall
   // means the record format broke under the fuzzer's tiles.
-  if (O.PriorEvery > 0)
+  if (O.PriorEvery > 0) {
     EXPECT_EQ(St.PriorShaped, O.Iterations / O.PriorEvery);
+  }
   if (O.Seed == FuzzOptions().Seed && O.Iterations >= FuzzOptions().Iterations) {
     // Known coverage of the default campaign (deterministic by design).
     EXPECT_EQ(St.Rejected, 0);

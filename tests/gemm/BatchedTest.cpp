@@ -324,9 +324,10 @@ TEST(Batched, TunedPriorsKeepBitwiseThreadCountInvariance) {
     ASSERT_FALSE(E.sgemmBatched(F.Items));
     F.expectBitwise();
     EXPECT_GE(E.stats().PlansFromTuned, 1u);
-    if (Threads > 1)
+    if (Threads > 1) {
       EXPECT_EQ(E.stats().BatchedCrossItem, 8u)
           << "huge crossover must schedule every item cross-batch";
+    }
     // Snapshot item 0's C (identical fixtures across team sizes).
     CByThreads.emplace_back(F.Items[0].C,
                             F.Items[0].C + F.CSeq[0].size());

@@ -5,8 +5,7 @@
 // broad shape set (edge-heavy shapes included) and all four transpose
 // combos, and holds team sizes 1 and 4 to bitwise identity. Also covers
 // argument validation (the gemm::Client leading-dimension rule), the plan
-// cache's observable behavior (counters, cap eviction, cache-off mode) and
-// the planner's measured-prior path.
+// cache's observable behavior (counters, cap eviction) and plan provenance.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -245,23 +243,6 @@ TEST(EnginePlanCache, CapOneChurnsWithoutInvalidatingReturnedPlans) {
   EXPECT_GE(E.stats().Evictions, 7u); // every later build displaces one
 }
 
-TEST(EnginePlanCache, DisabledCachePlansPerCall) {
-  EngineConfig Cfg;
-  Cfg.Series = EngineSeries::Blis;
-  Cfg.PlanCache = 0;
-  Engine E(Cfg);
-  std::vector<float> A(16 * 16), B(16 * 16), C(16 * 16, 0.f);
-  benchutil::fillRandom(A.data(), A.size(), 1);
-  benchutil::fillRandom(B.data(), B.size(), 2);
-
-  for (int Rep = 0; Rep != 3; ++Rep)
-    ASSERT_FALSE(static_cast<bool>(
-        E.sgemm(16, 16, 16, 1.f, A.data(), 16, B.data(), 16, 0.f, C.data(),
-                16)));
-  EXPECT_EQ(E.planCount(), 0u);
-  EXPECT_EQ(E.stats().Builds, 3u); // every call re-plans
-}
-
 TEST(EnginePlanner, ForcedTileWinsAndIsReported) {
   // Forcing only makes sense for planner-driven series (Exo/Auto); fixed
   // kernel series always report "fixed" because their kernel is the tile.
@@ -289,47 +270,6 @@ TEST(EnginePlanner, ForcedTileWinsAndIsReported) {
   ASSERT_TRUE(static_cast<bool>(BlisChoice))
       << BlisChoice.takeError().message();
   EXPECT_STREQ(BlisChoice->Source, "fixed");
-}
-
-TEST(EnginePlanner, MeasuredPriorWinsOnExactShape) {
-  // A minimal BENCH_*.json carrying mr/nr counters: the 8x8 row measures
-  // best for 64x48x32, so the prior must override the analytical pick.
-  std::string Path = testing::TempDir() + "/engine_prior.json";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs(R"({
-  "bench": "dispatch",
-  "rows": [
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 40.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 12}},
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 55.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 8}},
-    {"label": "96", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 99.0, "m": 96, "n": 96, "k": 96,
-     "counters": {"mr": 16, "nr": 12}}
-  ]
-})",
-               F);
-    std::fclose(F);
-  }
-
-  int64_t Mr = 0, Nr = 0;
-  ASSERT_TRUE(lookupPlanPrior(Path, 64, 48, 32, Mr, Nr));
-  EXPECT_EQ(Mr, 8);
-  EXPECT_EQ(Nr, 8);
-  EXPECT_FALSE(lookupPlanPrior(Path, 65, 48, 32, Mr, Nr)); // exact only
-
-  PlanChoice Choice = choosePlan(64, 48, 32, nullptr, Path);
-  EXPECT_STREQ(Choice.Source, "prior");
-  EXPECT_EQ(Choice.MR, 8);
-  EXPECT_EQ(Choice.NR, 8);
-
-  // Shapes without a measured row fall back to the analytical model.
-  PlanChoice Model = choosePlan(33, 65, 17, nullptr, Path);
-  EXPECT_STREQ(Model.Source, "model");
 }
 
 TEST(EngineConfigTest, CustomSeriesRequiresProvider) {
@@ -382,4 +322,53 @@ TEST(EngineConfigTest, CustomProviderServes) {
   Engine Series(widthConfig(EngineSeries::BlisPrefetch, 0));
   for (auto [TA, TB] : Combos)
     expectAgree(E, Series, TA, TB, 33, 29, 31);
+}
+
+namespace {
+
+/// Forwards to an inner provider, counting edge() probes.
+class EdgeCountingProvider final : public KernelProvider {
+public:
+  explicit EdgeCountingProvider(std::shared_ptr<KernelProvider> Inner)
+      : Inner(std::move(Inner)) {}
+  MicroKernel main() override { return Inner->main(); }
+  std::optional<MicroKernel> edge(int64_t MrEff, int64_t NrEff) override {
+    ++EdgeCalls;
+    return Inner->edge(MrEff, NrEff);
+  }
+  const char *name() const override { return "edge-counting"; }
+  int EdgeCalls = 0;
+
+private:
+  std::shared_ptr<KernelProvider> Inner;
+};
+
+} // namespace
+
+TEST(EngineConfigTest, OnlyF32PlansProbeEdgeKernels) {
+  // Half-precision plans always run the main kernel over zero-padded
+  // panels, so planning them must not ask the provider for an edge kernel
+  // it would then discard; an f32 plan over the same provider does probe.
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  auto P = std::make_shared<EdgeCountingProvider>(
+      std::make_shared<FixedProvider>(blisKernel(), "blis"));
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Custom;
+  Cfg.Provider = P;
+  Engine E(Cfg);
+  const int64_t M = 13, N = 17, K = 9;
+  std::vector<uint16_t> AH(M * K, 0x3c00), BH(K * N, 0x3c00), CH(M * N, 0);
+  for (DType Ty : {DType::F16, DType::BF16}) {
+    exo::Error Err = E.gemm(Ty, Trans::None, Trans::None, M, N, K, 1.0,
+                            AH.data(), M, BH.data(), K, 0.0, CH.data(), M);
+    ASSERT_FALSE(Err) << Err.message();
+  }
+  EXPECT_EQ(P->EdgeCalls, 0);
+
+  std::vector<float> A(M * K, 1.f), B(K * N, 1.f), C(M * N, 0.f);
+  exo::Error Err = E.gemm(DType::F32, Trans::None, Trans::None, M, N, K, 1.0,
+                          A.data(), M, B.data(), K, 0.0, C.data(), M);
+  ASSERT_FALSE(Err) << Err.message();
+  EXPECT_GT(P->EdgeCalls, 0);
 }

@@ -257,9 +257,9 @@ TEST(GemmDriverTest, StandardPlanMatchesProviderEdgeSupport) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
   FixedProvider Fixed(blisKernel(), "blis");
-  EXPECT_EQ(GemmPlan::standard(Fixed).PackMode, EdgePack::ZeroPad);
+  EXPECT_EQ(preferredEdgePack(Fixed), EdgePack::ZeroPad);
   ExoProvider Exo(8, 12, &exo::avx2Isa());
-  EXPECT_EQ(GemmPlan::standard(Exo).PackMode, EdgePack::Tight);
+  EXPECT_EQ(preferredEdgePack(Exo), EdgePack::Tight);
 }
 
 namespace {
@@ -293,7 +293,7 @@ TEST(GemmDriverTest, PartialEdgeFamilyDegradesGracefully) {
     GTEST_SKIP();
   ExoProvider Exo(8, 12, &exo::avx2Isa());
   auto P = std::make_shared<PartialEdgeProvider>(Exo, /*DenyNr=*/3);
-  ASSERT_EQ(GemmPlan::standard(*P).PackMode,
+  ASSERT_EQ(preferredEdgePack(*P),
             EdgePack::Tight); // nr=1 probe still succeeds
   Engine E = providerEngine(P);
 

@@ -185,7 +185,7 @@ TEST(NeverLoseGateTest, PositiveMarginAdmissibleRecordWins) {
   ASSERT_FALSE(static_cast<bool>(Db.store(R)));
 
   PlanOutcome Out;
-  PlanChoice C = choosePlanWithDb(96, 96, 96, nullptr, "", &Db, &Out);
+  PlanChoice C = choosePlan(96, 96, 96, nullptr, &Out, DType::F32, &Db);
   EXPECT_EQ(C.Src, PlanSource::Tuned);
   EXPECT_STREQ(C.Source, "tuned");
   EXPECT_EQ(C.MR, Mr);
@@ -201,7 +201,7 @@ TEST(NeverLoseGateTest, PositiveMarginAdmissibleRecordWins) {
   // Zero blocking fields mean "analytical": no override is attached.
   PriorRecord R2 = tunedRecord(64, 64, 64, Mr, Nr);
   ASSERT_FALSE(static_cast<bool>(Db.store(R2)));
-  PlanChoice C2 = choosePlanWithDb(64, 64, 64, nullptr, "", &Db, nullptr);
+  PlanChoice C2 = choosePlan(64, 64, 64, nullptr, nullptr, DType::F32, &Db);
   EXPECT_EQ(C2.Src, PlanSource::Tuned);
   EXPECT_FALSE(C2.Blocks.has_value());
 }
@@ -216,7 +216,7 @@ TEST(NeverLoseGateTest, NonPositiveMarginFallsBackToModel) {
   ASSERT_FALSE(static_cast<bool>(Db.store(R)));
 
   PlanOutcome Out;
-  PlanChoice C = choosePlanWithDb(96, 96, 96, nullptr, "", &Db, &Out);
+  PlanChoice C = choosePlan(96, 96, 96, nullptr, &Out, DType::F32, &Db);
   EXPECT_EQ(C.Src, PlanSource::Model);
   EXPECT_EQ(Out.TunedRejected, 1u);
   auto Model = pickTileForProblem(96, 96, 96);
@@ -232,7 +232,7 @@ TEST(NeverLoseGateTest, InadmissibleTileIsRejected) {
   ASSERT_FALSE(static_cast<bool>(Db.store(R)));
 
   PlanOutcome Out;
-  PlanChoice C = choosePlanWithDb(80, 80, 80, nullptr, "", &Db, &Out);
+  PlanChoice C = choosePlan(80, 80, 80, nullptr, &Out, DType::F32, &Db);
   EXPECT_EQ(C.Src, PlanSource::Model);
   EXPECT_EQ(Out.TunedRejected, 1u);
 }
@@ -247,84 +247,9 @@ TEST(NeverLoseGateTest, NullDbSkipsTunedStage) {
   ASSERT_FALSE(static_cast<bool>(Db.store(tunedRecord(96, 96, 96, Mr, Nr))));
 
   PlanOutcome Out;
-  PlanChoice C = choosePlanWithDb(96, 96, 96, nullptr, "", nullptr, &Out);
+  PlanChoice C = choosePlan(96, 96, 96, nullptr, &Out, DType::F32, nullptr);
   EXPECT_EQ(C.Src, PlanSource::Model);
   EXPECT_EQ(Out.TunedRejected, 0u);
-}
-
-TEST(PlannerBenchPriorTest, IsaMismatchedRowsAreCountedNotSilent) {
-  // Regression for the silent-skip bug: a BENCH prior row whose tile is
-  // not admissible under the chosen ISA used to be dropped without a
-  // trace. It must now be counted (and warned once) while the best
-  // *admissible* row still wins.
-  std::string Path = testing::TempDir() + "/tuner_prior_isa.json";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    // 8x12 measures best but 8 is not divisible by avx512's 16 f32 lanes;
-    // 16x8 is the best admissible row under avx512.
-    std::fputs(R"({
-  "bench": "dispatch",
-  "rows": [
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 99.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 12}},
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 50.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 16, "nr": 8}}
-  ]
-})",
-               F);
-    std::fclose(F);
-  }
-
-  const exo::IsaLib &Avx512 = exo::avx512Isa();
-  int64_t Mr = 0, Nr = 0;
-  uint64_t Rejected = 0;
-  ASSERT_TRUE(lookupPlanPrior(Path, 64, 48, 32, Mr, Nr, &Avx512, &Rejected));
-  EXPECT_EQ(Mr, 16);
-  EXPECT_EQ(Nr, 8);
-  EXPECT_EQ(Rejected, 1u);
-
-  // Without the ISA pin the 8x12 row is admissible (on any host: portable
-  // covers Mr = 8) and wins on value — the rejection is ISA-specific.
-  Rejected = 0;
-  ASSERT_TRUE(lookupPlanPrior(Path, 64, 48, 32, Mr, Nr, nullptr, &Rejected));
-  EXPECT_EQ(Mr, 8);
-  EXPECT_EQ(Nr, 12);
-  EXPECT_EQ(Rejected, 0u);
-
-  // Same accounting through the full selection path.
-  PlanOutcome Out;
-  PlanChoice C = choosePlanWithDb(64, 48, 32, &Avx512, Path, nullptr, &Out);
-  EXPECT_EQ(C.Src, PlanSource::Prior);
-  EXPECT_EQ(C.MR, 16);
-  EXPECT_EQ(C.NR, 8);
-  EXPECT_EQ(Out.PriorRejected, 1u);
-
-  // All rows inadmissible: fall through to the model, all counted.
-  std::string Path2 = testing::TempDir() + "/tuner_prior_isa2.json";
-  {
-    std::FILE *F = std::fopen(Path2.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs(R"({
-  "rows": [
-    {"label": "64", "series": "s", "metric": "gflops",
-     "better": "higher", "value": 99.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 12}},
-    {"label": "64", "series": "s", "metric": "gflops",
-     "better": "higher", "value": 50.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 4, "nr": 8}}
-  ]
-})",
-               F);
-    std::fclose(F);
-  }
-  PlanOutcome Out2;
-  PlanChoice C2 = choosePlanWithDb(64, 48, 32, &Avx512, Path2, nullptr,
-                                   &Out2);
-  EXPECT_EQ(C2.Src, PlanSource::Model);
-  EXPECT_EQ(Out2.PriorRejected, 2u);
 }
 
 namespace {

@@ -30,7 +30,7 @@
 //                                     records), prune (drop quarantined /
 //                                     foreign / overflow records)
 //   ukr_cachectl plan                 print the planner's decision and its
-//                                     provenance (model/prior/tuned) for
+//                                     provenance (model/tuned) for
 //                                     each --shape problem
 //
 // Common flags:
@@ -247,7 +247,6 @@ int cmdStats(bool JsonOut) {
     Plan.set("degenerate", static_cast<int64_t>(ES.Degenerate));
     Plan.set("sticky_errors", static_cast<int64_t>(ES.StickyErrors));
     Plan.set("plans_model", static_cast<int64_t>(ES.PlansFromModel));
-    Plan.set("plans_prior", static_cast<int64_t>(ES.PlansFromPrior));
     Plan.set("plans_tuned", static_cast<int64_t>(ES.PlansFromTuned));
     Plan.set("prior_rejected", static_cast<int64_t>(ES.PriorRejected));
     // Live cache composition by dtype (a gauge, not a counter): how many
@@ -328,10 +327,9 @@ int cmdStats(bool JsonOut) {
   std::printf("disk cache:  %zu artifact(s), %llu bytes, root %s%s\n",
               Entries.size(), static_cast<unsigned long long>(DiskBytes),
               DC.root().c_str(), DC.enabled() ? "" : " (disabled)");
-  std::printf("plan source: %llu model, %llu prior, %llu tuned, %llu "
-              "rejected prior row(s)/record(s)\n",
+  std::printf("plan source: %llu model, %llu tuned, %llu rejected tuned "
+              "record(s)\n",
               static_cast<unsigned long long>(ES.PlansFromModel),
-              static_cast<unsigned long long>(ES.PlansFromPrior),
               static_cast<unsigned long long>(ES.PlansFromTuned),
               static_cast<unsigned long long>(ES.PriorRejected));
   std::printf("plans live:  ");
@@ -487,8 +485,7 @@ int cmdPlan(const std::vector<Problem> &Problems, gemm::DType Ty) {
   }
   for (const Problem &P : Problems) {
     gemm::PlanOutcome Out;
-    gemm::PlanChoice C =
-        gemm::choosePlan(P.M, P.N, P.K, nullptr, "", &Out, Ty);
+    gemm::PlanChoice C = gemm::choosePlan(P.M, P.N, P.K, nullptr, &Out, Ty);
     std::printf("plan %lldx%lldx%lld (%s): tile %lldx%lld source %s",
                 static_cast<long long>(P.M), static_cast<long long>(P.N),
                 static_cast<long long>(P.K), gemm::dtypeName(Ty),
@@ -498,10 +495,9 @@ int cmdPlan(const std::vector<Problem> &Problems, gemm::DType Ty) {
       std::printf(" blocks %s", C.Blocks->describe().c_str());
     if (C.UnrollCompute)
       std::printf(" unroll");
-    if (Out.PriorRejected + Out.TunedRejected)
-      std::printf(" (%llu prior row(s)/record(s) rejected)",
-                  static_cast<unsigned long long>(Out.PriorRejected +
-                                                  Out.TunedRejected));
+    if (Out.TunedRejected)
+      std::printf(" (%llu tuned record(s) rejected)",
+                  static_cast<unsigned long long>(Out.TunedRejected));
     std::printf("\n");
   }
   return 0;
