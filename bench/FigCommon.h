@@ -335,6 +335,42 @@ inline void addSeriesRows(Context &Ctx, const std::string &Label, int64_t M,
   }
 }
 
+/// One inference pass's aggregated GEMM time per series (Figs. 16 and 18):
+/// the sum of each layer's SecondsPerCall times its multiplicity in the
+/// pass, over the per-layer points the Fig. 15/17 sweep already measured.
+struct PassTime {
+  std::vector<double> Seconds = std::vector<double>(seriesNames().size());
+  double Flops = 0;
+
+  void add(const std::vector<SeriesPoint> &Points, double LayerFlops,
+           int Count) {
+    for (size_t I = 0; I != Points.size(); ++I)
+      Seconds[I] += Points[I].M.SecondsPerCall * Count;
+    Flops += LayerFlops * Count;
+  }
+
+  /// Prints the pass-time table and adds one "seconds" row per series
+  /// under \p Label.
+  void report(Context &Ctx, const char *TableName, const char *Label) const {
+    benchutil::Table T(TableName, {"series", "time_ms", "aggregate_gflops"},
+                       Ctx.Opt.Csv);
+    for (size_t I = 0; I != Seconds.size(); ++I) {
+      T.addRow(seriesNames()[I],
+               {Seconds[I] * 1e3, benchutil::gflops(Flops, Seconds[I])});
+      benchutil::ReportRow Row;
+      Row.Label = Label;
+      Row.Series = seriesNames()[I];
+      Row.Metric = "seconds";
+      Row.Better = "lower";
+      Row.Value = Seconds[I];
+      Row.SecondsPerCall = Seconds[I];
+      Row.Threads = gemm::resolveGemmThreads(0);
+      Ctx.Rep.addRow(std::move(Row));
+    }
+    T.print();
+  }
+};
+
 } // namespace fig
 
 #endif // BENCH_FIGCOMMON_H

@@ -1,8 +1,13 @@
-//===- bench_fig15_resnet.cpp - Paper Figure 15 (and Table I) -------------===//
+//===- bench_fig15_resnet.cpp - Paper Figures 15-16 (and Table I) ---------===//
 //
 // Per-layer GFLOPS for the 20 unique ResNet50 v1.5 im2row GEMMs. Expected
 // shape (paper Fig. 15): ALG+EXO is the best option on roughly half the
 // layers (the edge-rich ones), BLIS-with-prefetch on most of the rest.
+//
+// Then the aggregated GEMM time for one inference pass (batch 1): the same
+// per-layer times summed over all 53 layer instances (resnet50_pass rows).
+// Expected shape (paper Fig. 16): ALG+EXO lowest total, then BLIS,
+// ALG+BLIS, ALG+NEON.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +35,11 @@ int main(int Argc, char **Argv) {
   benchutil::Table T("fig15_resnet_gflops",
                      fig::seriesHeader("layer", {"winner"}), Opt.Csv);
   int ExoWins = 0;
+  fig::PassTime Pass;
   for (const dnn::LayerGemm &L : Layers) {
     std::vector<fig::SeriesPoint> Pts =
         fig::gemmSeriesRun(L.M, L.N, L.K, Opt.Seconds);
+    Pass.add(Pts, L.flops(), L.Count);
     size_t Win = 0;
     for (size_t I = 1; I < Pts.size(); ++I)
       if (Pts[I].Gflops > Pts[Win].Gflops)
@@ -51,5 +58,8 @@ int main(int Argc, char **Argv) {
   std::printf("ALG+EXO is the best option for %d of %zu layers "
               "(paper: 9 of 20 on Carmel).\n",
               ExoWins, Layers.size());
+
+  std::printf("\nFigure 16: aggregated inference GEMM time, ResNet50 v1.5\n");
+  Pass.report(Ctx, "fig16_resnet_time", "resnet50_pass");
   return Ctx.finish();
 }

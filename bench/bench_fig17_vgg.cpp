@@ -1,8 +1,12 @@
-//===- bench_fig17_vgg.cpp - Paper Figure 17 (and Table II) ---------------===//
+//===- bench_fig17_vgg.cpp - Paper Figures 17-18 (and Table II) -----------===//
 //
 // Per-layer GFLOPS for the 9 unique VGG16 im2row GEMMs. Expected shape
 // (paper Fig. 17): EXO best on a few layers, BLIS-with-prefetch on several,
 // ALG+BLIS on a couple; overall close.
+//
+// Then the aggregated GEMM time for one inference pass (batch 1): the same
+// per-layer times summed over every layer instance (vgg16_pass rows).
+// Expected shape (paper Fig. 18): ALG+EXO and BLIS close at the top.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +33,11 @@ int main(int Argc, char **Argv) {
   std::printf("\nFigure 17: per-layer performance, VGG16\n");
   benchutil::Table T("fig17_vgg_gflops",
                      fig::seriesHeader("layer", {"winner"}), Opt.Csv);
+  fig::PassTime Pass;
   for (const dnn::LayerGemm &L : Layers) {
     std::vector<fig::SeriesPoint> Pts =
         fig::gemmSeriesRun(L.M, L.N, L.K, Opt.Seconds);
+    Pass.add(Pts, L.flops(), L.Count);
     size_t Win = 0;
     for (size_t I = 1; I < Pts.size(); ++I)
       if (Pts[I].Gflops > Pts[Win].Gflops)
@@ -45,5 +51,8 @@ int main(int Argc, char **Argv) {
                        Pts);
   }
   T.print();
+
+  std::printf("\nFigure 18: aggregated inference GEMM time, VGG16\n");
+  Pass.report(Ctx, "fig18_vgg_time", "vgg16_pass");
   return Ctx.finish();
 }

@@ -75,8 +75,6 @@ struct Session {
 struct Work {
   std::shared_ptr<Session> S;
   ipc::GemmRequestMsg Req;
-  ipc::GemmBatchRequestMsg BatchReq;
-  bool IsBatch = false;
 };
 
 } // namespace
@@ -140,7 +138,6 @@ struct Server::Impl {
   void handshake(ipc::Socket Conn);
   void drainSession(const std::shared_ptr<Session> &S);
   void handleGemm(const Work &W);
-  void handleGemmBatch(const Work &W);
   void reapSession(const std::shared_ptr<Session> &S, const char *Why);
   bool sendReply(const std::shared_ptr<Session> &S, const void *Packet,
                  uint32_t Bytes);
@@ -276,10 +273,10 @@ void Server::Impl::reapSession(const std::shared_ptr<Session> &S,
     if (Closed.size() >= 256)
       Closed.erase(Closed.begin());
     Closed.push_back(S->snapshot(false));
+    Closed.back().ReapReason = Why;
   }
   Reaped.fetch_add(1, std::memory_order_relaxed);
   obs::mark("gemmd.reap");
-  (void)Why;
 }
 
 void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
@@ -326,45 +323,6 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
         BusyTotal.fetch_add(1, std::memory_order_relaxed);
         ipc::GemmReplyMsg Rep;
         Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmReply);
-        Rep.H.Seq = PH.Seq;
-        Rep.H.Bytes = sizeof(Rep);
-        fillReplyError(Rep, ipc::ReqStatus::Busy,
-                       "admission queue full, request dropped");
-        sendReply(S, &Rep, sizeof(Rep));
-      }
-      break;
-    }
-    case ipc::PacketType::GemmBatchRequest: {
-      ipc::GemmBatchRequestMsg Req;
-      if (!ipc::readPacket(Slot, PH.Bytes, Req)) {
-        reapSession(S, "truncated GemmBatchRequest");
-        return;
-      }
-      S->Requests.fetch_add(1, std::memory_order_relaxed);
-      ReqTotal.fetch_add(1, std::memory_order_relaxed);
-      S->LastM.store(Req.M, std::memory_order_relaxed);
-      S->LastN.store(Req.N, std::memory_order_relaxed);
-      S->LastK.store(Req.K, std::memory_order_relaxed);
-      bool Admitted = false;
-      {
-        std::lock_guard<std::mutex> Lock(QMu);
-        if (!Stopping && Queue.size() < Opts.QueueMax) {
-          Work W;
-          W.S = S;
-          W.BatchReq = Req;
-          W.IsBatch = true;
-          Queue.push_back(std::move(W));
-          Admitted = true;
-        }
-      }
-      if (Admitted) {
-        QCv.notify_one();
-      } else {
-        obs::mark("gemmd.busy");
-        S->Busy.fetch_add(1, std::memory_order_relaxed);
-        BusyTotal.fetch_add(1, std::memory_order_relaxed);
-        ipc::GemmReplyMsg Rep;
-        Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchReply);
         Rep.H.Seq = PH.Seq;
         Rep.H.Bytes = sizeof(Rep);
         fillReplyError(Rep, ipc::ReqStatus::Busy,
@@ -487,132 +445,45 @@ void Server::Impl::handleGemm(const Work &W) {
   Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmReply);
   Rep.H.Seq = Q.H.Seq;
   Rep.H.Bytes = sizeof(Rep);
+  auto RejectBad = [&](const char *Why) {
+    S->Errors.fetch_add(1, std::memory_order_relaxed);
+    ErrTotal.fetch_add(1, std::memory_order_relaxed);
+    fillReplyError(Rep, ipc::ReqStatus::Bad, Why);
+    sendReply(S, &Rep, sizeof(Rep));
+  };
+
+  // Never trust the dtype byte: it picks the element sizes every span
+  // below is checked at. Typed batches have no engine entry yet.
+  if (Q.DTy >= gemm::DTypeCount)
+    return RejectBad("unknown request dtype");
+  const gemm::DType Ty = static_cast<gemm::DType>(Q.DTy);
+  if (Q.BatchCount > 1 && Ty != gemm::DType::F32)
+    return RejectBad("batched requests are f32-only in wire v4");
 
   // Geometry validation against the arena: every byte the engine will
-  // touch must land inside this client's region, at the *request dtype's*
+  // touch must land inside this client's region, at the request dtype's
   // element sizes (A/B at dtypeInBytes, C at dtypeOutBytes — an i8 span is
   // a quarter of the f32 span the same dims imply, and its C is still 4
-  // bytes wide). Offsets/extents are attacker-controlled; do the
-  // arithmetic wide, and never trust the dtype byte itself either.
+  // bytes wide). Offsets, extents and strides are attacker-controlled, so
+  // the arithmetic is wide; strides are required non-negative, so the
+  // furthest byte belongs to the last item, and a count of 1 is the same
+  // arithmetic with one item.
   const uint64_t Arena = S->Layout.ArenaBytes;
-  if (Q.DTy >= gemm::DTypeCount) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad, "unknown request dtype");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-  const gemm::DType Ty = static_cast<gemm::DType>(Q.DTy);
   const uint64_t InB = gemm::dtypeInBytes(Ty);
   const uint64_t OutB = gemm::dtypeOutBytes(Ty);
-  auto SpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols, uint64_t Elem) {
-    if (Ld <= 0 || Cols <= 0 || Off % Elem != 0 || Off > Arena)
+  auto SpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols, int64_t Stride,
+                    uint64_t Elem) {
+    if (Ld <= 0 || Cols <= 0 || Stride < 0 || Off % Elem != 0 || Off > Arena)
       return false;
-    unsigned __int128 Bytes =
-        static_cast<unsigned __int128>(Ld) * static_cast<uint64_t>(Cols) *
-        Elem;
-    return Bytes <= static_cast<unsigned __int128>(Arena - Off);
-  };
-  const int64_t ARows = Q.TA ? Q.K : Q.M;
-  const int64_t ACols = Q.TA ? Q.M : Q.K;
-  const int64_t BRows = Q.TB ? Q.N : Q.K;
-  const int64_t BCols = Q.TB ? Q.K : Q.N;
-  const bool Valid = Q.M > 0 && Q.N > 0 && Q.K > 0 && Q.TA <= 1 &&
-                     Q.TB <= 1 && Q.Lda >= ARows && Q.Ldb >= BRows &&
-                     Q.Ldc >= Q.M && SpanOk(Q.OffA, Q.Lda, ACols, InB) &&
-                     SpanOk(Q.OffB, Q.Ldb, BCols, InB) &&
-                     SpanOk(Q.OffC, Q.Ldc, Q.N, OutB);
-  if (!Valid) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "request geometry escapes the session arena");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-
-  unsigned char *Arena0 = S->Shm.at(S->Layout.ArenaOff);
-  const void *A = Arena0 + Q.OffA;
-  const void *B = Arena0 + Q.OffB;
-  void *C = Arena0 + Q.OffC;
-
-  // Cache-attribution flags ride on global counter deltas around the
-  // call; with several executors they can misattribute a neighbor's
-  // build, but daemon-level stats (what the warm-cache contract is
-  // verified by) stay exact.
-  gemm::EngineStats EB = Eng.stats();
-  ukr::CacheStats UB = ukr::globalCacheStats();
-  uint64_t T0 = nowNs();
-  Error E = [&] {
-    EXO_OBS_SPAN("gemmd.request");
-    // The typed front door; F32 lands on the byte-identical sgemm path.
-    // For I8I32 the engine itself rejects fractional alpha/beta, which
-    // surfaces to the client as ReqStatus::Error with the message intact.
-    return Eng.gemm(Ty, Q.TA ? gemm::Trans::Transpose : gemm::Trans::None,
-                    Q.TB ? gemm::Trans::Transpose : gemm::Trans::None, Q.M,
-                    Q.N, Q.K, static_cast<double>(Q.Alpha), A, Q.Lda, B,
-                    Q.Ldb, static_cast<double>(Q.Beta), C, Q.Ldc);
-  }();
-  Rep.ServerNs = nowNs() - T0;
-  gemm::EngineStats EA = Eng.stats();
-  ukr::CacheStats UA = ukr::globalCacheStats();
-  if (EA.Hits > EB.Hits)
-    Rep.Flags |= ipc::ReplyPlanHit;
-  if (EA.Builds > EB.Builds)
-    Rep.Flags |= ipc::ReplyPlanBuilt;
-  if (UA.Compiles > UB.Compiles)
-    Rep.Flags |= ipc::ReplyJitCompiled;
-
-  if (E) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Error, E.message());
-  } else {
-    S->Ok.fetch_add(1, std::memory_order_relaxed);
-    OkTotal.fetch_add(1, std::memory_order_relaxed);
-    Rep.Status = static_cast<int32_t>(ipc::ReqStatus::Ok);
-  }
-  sendReply(S, &Rep, sizeof(Rep));
-}
-
-void Server::Impl::handleGemmBatch(const Work &W) {
-  const std::shared_ptr<Session> &S = W.S;
-  const ipc::GemmBatchRequestMsg &Q = W.BatchReq;
-  if (S->Dead.load(std::memory_order_relaxed))
-    return; // no one left to read the result
-
-  ipc::GemmReplyMsg Rep;
-  Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchReply);
-  Rep.H.Seq = Q.H.Seq;
-  Rep.H.Bytes = sizeof(Rep);
-
-  // Batches are f32-only in wire v3 (Wire.h): the batched engine path has
-  // no typed counterpart yet, so any non-zero dtype byte is a client bug.
-  if (Q.DTy != 0) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "batched requests are f32-only in wire v3");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-
-  // Same wide arithmetic as handleGemm, stretched across the batch: the
-  // strides are required non-negative, so the furthest byte the engine
-  // can touch belongs to the last item — that span must land inside this
-  // client's arena.
-  const uint64_t Arena = S->Layout.ArenaBytes;
-  auto BatchSpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols,
-                         int64_t Stride) {
-    if (Ld <= 0 || Cols <= 0 || Stride < 0 || Off % sizeof(float) != 0 ||
-        Off > Arena)
-      return false;
-    unsigned __int128 End =
-        static_cast<unsigned __int128>(static_cast<uint64_t>(Stride)) *
-            static_cast<uint64_t>(Q.BatchCount - 1) * sizeof(float) +
-        static_cast<unsigned __int128>(Ld) * static_cast<uint64_t>(Cols) *
-            sizeof(float);
-    return End <= static_cast<unsigned __int128>(Arena - Off);
+    using U128 = unsigned __int128;
+    // Each product is below 2^63 * 2^63 * 4, so neither wraps; compare
+    // them one at a time so their sum cannot wrap either.
+    const U128 Room = Arena - Off;
+    const U128 Last = U128(static_cast<uint64_t>(Stride)) *
+                      static_cast<uint64_t>(Q.BatchCount - 1) * Elem;
+    const U128 Item = U128(static_cast<uint64_t>(Ld)) *
+                      static_cast<uint64_t>(Cols) * Elem;
+    return Last <= Room && Item <= Room - Last;
   };
   const int64_t ARows = Q.TA ? Q.K : Q.M;
   const int64_t ACols = Q.TA ? Q.M : Q.K;
@@ -624,33 +495,41 @@ void Server::Impl::handleGemmBatch(const Work &W) {
       (Q.BatchCount == 1 ||
        static_cast<__int128>(Q.StrideC) >=
            static_cast<__int128>(Q.Ldc) * Q.N) &&
-      BatchSpanOk(Q.OffA, Q.Lda, ACols, Q.StrideA) &&
-      BatchSpanOk(Q.OffB, Q.Ldb, BCols, Q.StrideB) &&
-      BatchSpanOk(Q.OffC, Q.Ldc, Q.N, Q.StrideC);
-  if (!Valid) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "batch geometry escapes the session arena");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
+      SpanOk(Q.OffA, Q.Lda, ACols, Q.StrideA, InB) &&
+      SpanOk(Q.OffB, Q.Ldb, BCols, Q.StrideB, InB) &&
+      SpanOk(Q.OffC, Q.Ldc, Q.N, Q.StrideC, OutB);
+  if (!Valid)
+    return RejectBad("request geometry escapes the session arena");
 
   unsigned char *Arena0 = S->Shm.at(S->Layout.ArenaOff);
-  const float *A = reinterpret_cast<const float *>(Arena0 + Q.OffA);
-  const float *B = reinterpret_cast<const float *>(Arena0 + Q.OffB);
-  float *C = reinterpret_cast<float *>(Arena0 + Q.OffC);
+  const gemm::Trans TA = Q.TA ? gemm::Trans::Transpose : gemm::Trans::None;
+  const gemm::Trans TB = Q.TB ? gemm::Trans::Transpose : gemm::Trans::None;
 
+  // Cache-attribution flags ride on global counter deltas around the
+  // call; with several executors they can misattribute a neighbor's
+  // build, but daemon-level stats (what the warm-cache contract is
+  // verified by) stay exact.
   gemm::EngineStats EB = Eng.stats();
   ukr::CacheStats UB = ukr::globalCacheStats();
   uint64_t T0 = nowNs();
   Error E = [&] {
+    if (Q.BatchCount == 1) {
+      EXO_OBS_SPAN("gemmd.request");
+      // The typed front door; F32 lands on the byte-identical sgemm path.
+      // For I8I32 the engine itself rejects fractional alpha/beta, which
+      // surfaces to the client as ReqStatus::Error with the message
+      // intact.
+      return Eng.gemm(Ty, TA, TB, Q.M, Q.N, Q.K, static_cast<double>(Q.Alpha),
+                      Arena0 + Q.OffA, Q.Lda, Arena0 + Q.OffB, Q.Ldb,
+                      static_cast<double>(Q.Beta), Arena0 + Q.OffC, Q.Ldc);
+    }
     EXO_OBS_SPAN("gemmd.batch");
     return Eng.sgemmStridedBatched(
-        Q.TA ? gemm::Trans::Transpose : gemm::Trans::None,
-        Q.TB ? gemm::Trans::Transpose : gemm::Trans::None, Q.M, Q.N, Q.K,
-        Q.Alpha, A, Q.Lda, Q.StrideA, B, Q.Ldb, Q.StrideB, Q.Beta, C, Q.Ldc,
-        Q.StrideC, Q.BatchCount);
+        TA, TB, Q.M, Q.N, Q.K, Q.Alpha,
+        reinterpret_cast<const float *>(Arena0 + Q.OffA), Q.Lda, Q.StrideA,
+        reinterpret_cast<const float *>(Arena0 + Q.OffB), Q.Ldb, Q.StrideB,
+        Q.Beta, reinterpret_cast<float *>(Arena0 + Q.OffC), Q.Ldc, Q.StrideC,
+        Q.BatchCount);
   }();
   Rep.ServerNs = nowNs() - T0;
   gemm::EngineStats EA = Eng.stats();
@@ -688,10 +567,7 @@ void Server::Impl::executorLoop() {
       W = std::move(Queue.front());
       Queue.pop_front();
     }
-    if (W.IsBatch)
-      handleGemmBatch(W);
-    else
-      handleGemm(W);
+    handleGemm(W);
   }
 }
 

@@ -31,7 +31,7 @@
 ///
 /// Threading: one poller thread owns the listen socket, the session table
 /// and all doorbell fds; Options::Workers executor threads own the
-/// bounded queue and run Engine::sgemm. Replies go back through the
+/// bounded queue and run the Engine. Replies go back through the
 /// session's response ring under a per-session write lock. stop() is
 /// graceful: accepted work drains, sessions then close.
 ///
@@ -56,7 +56,7 @@ struct ServerOptions {
   /// Concurrent sessions admitted; 0 resolves EXO_GEMMD_MAX_CLIENTS,
   /// else 64.
   int MaxClients = 0;
-  /// Executor threads running Engine::sgemm; 0 resolves
+  /// Executor threads running Engine calls; 0 resolves
   /// EXO_GEMMD_WORKERS, else 1 (the Engine's own team parallelism is the
   /// intended scaling axis; raise for many tiny concurrent requests).
   unsigned Workers = 0;
@@ -76,6 +76,9 @@ struct ClientStat {
   uint64_t Errors = 0;
   uint64_t Busy = 0;
   int64_t LastM = 0, LastN = 0, LastK = 0;
+  /// Why the session was torn down (a static string such as "client
+  /// hangup" or "truncated GemmRequest"); nullptr while it is active.
+  const char *ReapReason = nullptr;
 };
 
 /// Aggregate server snapshot; Wire is exactly what StatsRequest returns

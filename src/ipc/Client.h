@@ -5,19 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The client half of gemmd: `gemm::Client::sgemm` is call-compatible with
-/// `Engine::sgemm`, but instead of planning and executing locally it
-/// stages the operands into the session's shared-memory arena, posts a
-/// GemmRequest packet on the request ring, rings the doorbell, and blocks
-/// until the server's reply — so a fleet of processes shares ONE warm
-/// plan cache, ONE JIT cache, and ONE thread pool inside the daemon
-/// instead of each paying the cold-start cost (docs/GEMMD.md).
+/// The client half of gemmd: `gemm::Client` is call-compatible with the
+/// Engine's `sgemm`, `gemm` and `sgemmStridedBatched`, but instead of
+/// planning and executing locally it stages the operands into the
+/// session's shared-memory arena, posts one GemmRequest packet on the
+/// request ring, rings the doorbell, and blocks until the server's reply —
+/// so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
+/// ONE thread pool inside the daemon instead of each paying the
+/// cold-start cost (docs/GEMMD.md). All three calls are forwards to one
+/// request routine; they differ only in dtype, strides and batch count.
 ///
 /// Semantics match the Engine exactly: degenerate calls (m/n/k == 0,
-/// alpha == 0) are answered locally through the same scaleByBeta path the
-/// Engine uses and never touch the wire; everything else produces results
-/// bitwise identical to a local `Engine::sgemm` with the daemon's config
-/// (the daemon_test differential suite enforces this).
+/// alpha == 0, an empty batch) are answered locally through the same
+/// scaleByBeta path the Engine uses and never touch the wire; everything
+/// else produces results bitwise identical to the local Engine call with
+/// the daemon's config (the daemon_test differential suite enforces this).
 ///
 /// Lifecycle: connect() is explicit or implicit on first use; a
 /// connection that dies (server gone, protocol error) fails the call in
@@ -77,16 +79,16 @@ public:
                    float Alpha, const float *A, int64_t Lda, const float *B,
                    int64_t Ldb, float Beta, float *C, int64_t Ldc);
 
-  /// Typed remote GEMM, call-compatible with Engine::gemm (wire v3):
-  /// operands are raw element buffers of \p Ty's storage types (f32 floats,
-  /// f16/bf16 uint16 halves, i8 A/B with i32 C) and the dtype byte rides
-  /// the request packet so the server re-validates the arena spans at the
-  /// right element sizes. F32 routes through sgemm() and stays bitwise
-  /// identical to the untyped path. Alpha/beta cross the wire as f32, so
-  /// they must be exactly representable in f32 (for I8I32 they must also
-  /// be integers — both enforced client-side so the error names the caller
-  /// rather than costing a round trip). Degenerate calls resolve locally
-  /// through the same scaleByBeta path the Engine uses.
+  /// Typed remote GEMM, call-compatible with Engine::gemm: operands are
+  /// raw element buffers of \p Ty's storage types (f32 floats, f16/bf16
+  /// uint16 halves, i8 A/B with i32 C) and the dtype byte rides the request
+  /// packet so the server re-validates the arena spans at the right
+  /// element sizes. F32 rounds alpha/beta to f32 and is then the sgemm()
+  /// request byte for byte. For other dtypes alpha/beta cross the wire as
+  /// f32, so they must be exactly representable in f32 (for I8I32 they
+  /// must also be integers — both enforced client-side so the error names
+  /// the caller rather than costing a round trip). Degenerate calls
+  /// resolve locally through the same scaleByBeta path the Engine uses.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
@@ -121,13 +123,22 @@ public:
   /// cache.
   exo::Error serverStats(ipc::StatsReplyMsg &Out);
 
-  /// ReplyFlags of the last completed remote sgemm (plan hit / plan
-  /// built / jit compiled), 0 before any call.
+  /// ReplyFlags of the last completed remote GEMM (plan hit / plan built /
+  /// jit compiled), 0 before any call.
   uint32_t lastFlags() const { return LastFlags; }
-  /// Remote sgemm calls completed Ok over this Client's lifetime.
+  /// Remote GEMM requests completed Ok over this Client's lifetime.
   uint64_t requestsOk() const { return RequestsOk; }
 
 private:
+  /// The one remote GEMM: validates, answers degenerate calls locally,
+  /// stages, posts one GemmRequest and collects C — at \p Ty's element
+  /// sizes, with strides and a count in elements like
+  /// Engine::sgemmStridedBatched.
+  exo::Error request(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
+                     int64_t K, double Alpha, const void *A, int64_t Lda,
+                     int64_t StrideA, const void *B, int64_t Ldb,
+                     int64_t StrideB, double Beta, void *C, int64_t Ldc,
+                     int64_t StrideC, int64_t BatchCount);
   exo::Error ensureConnectedLocked();
   exo::Error transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
                             ipc::PacketType WantType, uint32_t WantSeq);

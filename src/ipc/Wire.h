@@ -39,11 +39,10 @@ namespace ipc {
 /// 'GMD1' — shared by every wire struct and the shm header.
 inline constexpr uint32_t WireMagic = 0x31444D47;
 /// Bumped on any layout or semantics change; no cross-version service.
-/// v2: batched GEMM (GemmBatchRequest/GemmBatchReply packets).
-/// v3: dtype rides GemmRequestMsg (DTy, in the former pad byte — the
-///     struct layout is unchanged but a v2 server would silently run a
-///     typed request as f32, so the version must gate it).
-inline constexpr uint16_t WireVersion = 3;
+/// v2: batched GEMM (a second request/reply packet pair).
+/// v3: the single-GEMM request's pad byte carries the dtype (DTy).
+/// v4: one GemmRequest for every GEMM: dtype, strides and batch count.
+inline constexpr uint16_t WireVersion = 4;
 
 /// Ring slot size. Every packet (header + payload) must fit one slot;
 /// StatsReply is the widest packet and sizes it.
@@ -67,7 +66,7 @@ enum class HelloStatus : uint16_t {
 /// GemmReply::Status values (negatives are transport-level).
 enum class ReqStatus : int32_t {
   Ok = 0,
-  Error = 1, ///< Engine::sgemm failed; GemmReply::Err has the message
+  Error = 1, ///< the Engine call failed; GemmReply::Err has the message
   Busy = 2,  ///< admission control: bounded queue full, request dropped
   Bad = 3,   ///< request failed validation (offsets, dims, overlap)
 };
@@ -113,8 +112,6 @@ enum class PacketType : uint16_t {
   StatsReply = 4,
   Ping = 5,
   PingReply = 6,
-  GemmBatchRequest = 7,
-  GemmBatchReply = 8,
 };
 
 /// Leads every ring packet. Bytes counts the full packet (header
@@ -130,16 +127,22 @@ struct PacketHeader {
 static_assert(sizeof(PacketHeader) == 16);
 static_assert(std::is_trivially_copyable_v<PacketHeader>);
 
-/// One GEMM over tensors in the session arena. Offsets are bytes from the
-/// arena base; operands use the same column-major convention as
-/// Engine::sgemm (with TA != 0, A is stored K x M with Lda >= K, and
-/// symmetrically for B).
+/// One GEMM, or a strided batch of same-shape GEMMs, over tensors in the
+/// session arena. Offsets are bytes from the arena base; operands use the
+/// same column-major convention as Engine::gemm (with TA != 0, A is stored
+/// K x M with Lda >= K, and symmetrically for B).
 ///
-/// v3: DTy selects the element type (gemm::DType values: 0 f32, 1 f16,
-/// 2 bf16, 3 i8->i32) and the server re-validates every arena span at that
-/// dtype's element sizes (A/B at dtypeInBytes, C at dtypeOutBytes). For
-/// I8I32, Alpha/Beta must hold exact integers. Zero — the old pad byte's
-/// only legal value — is f32, so a v2-era packet body reads as f32.
+/// DTy selects the element type (gemm::DType values: 0 f32, 1 f16, 2 bf16,
+/// 3 i8->i32) and the server re-validates every arena span at that dtype's
+/// element sizes (A/B at dtypeInBytes, C at dtypeOutBytes). For I8I32,
+/// Alpha/Beta must hold exact integers.
+///
+/// Offsets address item 0; item i's operands live at Off{A,B,C} +
+/// i * Stride{A,B,C} elements (strides in elements, like cuBLAS).
+/// Strides must be non-negative; StrideA/StrideB may be 0 (shared operand)
+/// and StrideC must keep the C items disjoint. A count of 1 is a single
+/// GEMM of any dtype; a count above 1 is served for f32 only (anything
+/// else is answered ReqStatus::Bad). One GemmReply covers the request.
 struct GemmRequestMsg {
   PacketHeader H;
   uint8_t TA = 0, TB = 0; ///< 0 = none, 1 = transpose
@@ -150,36 +153,12 @@ struct GemmRequestMsg {
   int64_t M = 0, N = 0, K = 0;
   uint64_t OffA = 0, OffB = 0, OffC = 0;
   int64_t Lda = 0, Ldb = 0, Ldc = 0;
-};
-static_assert(sizeof(GemmRequestMsg) == 104);
-static_assert(std::is_trivially_copyable_v<GemmRequestMsg>);
-
-/// A strided batch of GEMMs over arena tensors: one doorbell round-trip
-/// executes BatchCount problems of one shape through the server Engine's
-/// sgemmStridedBatched — the amortization batched clients exist for.
-/// Offsets address item 0; item i's operands live at Off{A,B,C} +
-/// i * Stride{A,B,C} * sizeof(float) (strides in elements, like cuBLAS).
-/// StrideA/StrideB may be 0 (shared operand); StrideC must keep the C
-/// items disjoint. Answered by a single GemmReplyMsg with Type ==
-/// GemmBatchReply covering the whole batch.
-struct GemmBatchRequestMsg {
-  PacketHeader H;
-  uint8_t TA = 0, TB = 0; ///< 0 = none, 1 = transpose
-  /// Batches stay f32-only in v3 (the batched engine path is f32); a
-  /// non-zero value is rejected with ReqStatus::Bad. Reserved for v4.
-  uint8_t DTy = 0;
-  uint8_t Pad0 = 0;
-  float Alpha = 1.0f;
-  float Beta = 0.0f;
-  int64_t M = 0, N = 0, K = 0;
-  uint64_t OffA = 0, OffB = 0, OffC = 0;
-  int64_t Lda = 0, Ldb = 0, Ldc = 0;
   int64_t StrideA = 0, StrideB = 0, StrideC = 0;
-  int64_t BatchCount = 0;
+  int64_t BatchCount = 1;
 };
-static_assert(sizeof(GemmBatchRequestMsg) == 136);
-static_assert(sizeof(GemmBatchRequestMsg) <= SlotBytes);
-static_assert(std::is_trivially_copyable_v<GemmBatchRequestMsg>);
+static_assert(sizeof(GemmRequestMsg) == 136);
+static_assert(sizeof(GemmRequestMsg) <= SlotBytes);
+static_assert(std::is_trivially_copyable_v<GemmRequestMsg>);
 
 /// Completion for one GemmRequestMsg (same Seq). On Ok the result is
 /// already in the arena at OffC.

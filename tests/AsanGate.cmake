@@ -2,9 +2,11 @@
 # builds a nested ASan+UBSan-instrumented tree (-DEXO_UKR_SANITIZE=address),
 # then runs the memory-sensitive tests — the macro-kernel/pack paths
 # (gemm_test), the generated-kernel numerics (ukr_test), the im2row
-# lowering's computed-offset copies (dnn_test) and the fuzz smoke sweep,
+# lowering's computed-offset copies (dnn_test), the fuzz smoke sweep,
 # whose random ldc slack and edge shapes are exactly where an out-of-bounds
-# store would land — failing on any ASan/UBSan report.
+# store would land, and the gemmd daemon suite, whose server does pointer
+# arithmetic on client-written arena offsets — failing on any ASan/UBSan
+# report.
 #
 # Variables: SRC (source root), BIN (nested binary dir).
 
@@ -17,7 +19,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BIN} --target gemm_test ukr_test
-          dnn_test fuzz_test
+          dnn_test fuzz_test daemon_test gemmd_client_helper
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "asan_gate: build failed")
@@ -47,4 +49,9 @@ execute_process(
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "asan_gate: fuzz_test failed under ASan/UBSan")
+endif()
+
+execute_process(COMMAND ${BIN}/tests/daemon_test RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  message(FATAL_ERROR "asan_gate: daemon_test failed under ASan/UBSan")
 endif()

@@ -259,7 +259,7 @@ TEST(GemmdDifferential, OutOfProcessClientVerifies) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batched round trips (wire v2)
+// Batched round trips
 //===----------------------------------------------------------------------===//
 
 TEST(GemmdBatched, StridedBatchedMatchesLocalBitwise) {
@@ -283,6 +283,19 @@ TEST(GemmdBatched, StridedBatchedMatchesLocalBitwise) {
   ASSERT_FALSE(EL) << EL.message();
   EXPECT_EQ(0, std::memcmp(CR.data(), CL.data(), CR.size() * sizeof(float)))
       << "remote batch diverged from local engine";
+
+  // A one-item batch is a single GEMM: remote batch == local sgemm.
+  std::vector<float> C1R(C0.begin(), C0.begin() + SC), C1L = C1R;
+  ER = Remote.sgemmStridedBatched(gemm::Trans::None, gemm::Trans::None, M, N,
+                                  K, 1.25f, A.data(), M, SA, B.data(), K, SB,
+                                  0.5f, C1R.data(), M, SC, 1);
+  ASSERT_FALSE(ER) << ER.message();
+  EL = Local.sgemm(gemm::Trans::None, gemm::Trans::None, M, N, K, 1.25f,
+                   A.data(), M, B.data(), K, 0.5f, C1L.data(), M);
+  ASSERT_FALSE(EL) << EL.message();
+  EXPECT_EQ(0,
+            std::memcmp(C1R.data(), C1L.data(), C1R.size() * sizeof(float)))
+      << "remote one-item batch diverged from local sgemm";
 }
 
 TEST(GemmdBatched, StrideZeroSharedOperandsMatchLocal) {
@@ -339,43 +352,6 @@ TEST(GemmdBatched, DegenerateAndInvalidBatchesResolveClientSide) {
                                        Buf.data(), 8, 0, 0.0f, Buf.data(), 8,
                                        32, 2);
   ASSERT_TRUE(E);
-}
-
-TEST(GemmdBatched, BatchGeometryEscapingArenaRejectedNotFatal) {
-  ServerFixture F;
-  RawSession S;
-  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
-  ASSERT_TRUE(S.admitted());
-  // Well-formed batched packet; the last item's C panel escapes the arena
-  // through the stride multiplication, which only wide arithmetic catches.
-  ipc::GemmBatchRequestMsg Q;
-  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchRequest);
-  Q.H.Seq = 7;
-  Q.H.Bytes = sizeof(Q);
-  Q.M = Q.N = Q.K = 8;
-  Q.Lda = Q.Ldb = Q.Ldc = 8;
-  Q.StrideA = Q.StrideB = 64;
-  Q.StrideC = int64_t(1) << 40;
-  Q.BatchCount = 4;
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  alignas(8) unsigned char Slot[ipc::SlotBytes];
-  ASSERT_FALSE(S.nextReply(Slot));
-  ipc::GemmReplyMsg Rep;
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<uint16_t>(ipc::PacketType::GemmBatchReply),
-            Rep.H.Type);
-  EXPECT_EQ(Q.H.Seq, Rep.H.Seq);
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
-  // Bad geometry is a client bug, not a protocol violation: the session
-  // survives and still answers well-formed batches.
-  Q.StrideC = 64;
-  Q.OffB = 1024;
-  Q.OffC = 2048;
-  Q.H.Seq = 8;
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  ASSERT_FALSE(S.nextReply(Slot));
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
 }
 
 //===----------------------------------------------------------------------===//
@@ -498,27 +474,166 @@ TEST(GemmdFaultIsolation, OversizedHeaderReaped) {
   EXPECT_FALSE(After.ping());
 }
 
-TEST(GemmdFaultIsolation, GeometryEscapingArenaIsRejectedNotFatal) {
+/// Polls Server::stats() until session \p Id has departed; returns its
+/// recorded reap reason ("" if it never departs or has none).
+std::string reapReasonOf(const gemmd::Server &Srv, uint32_t Id) {
+  for (int Try = 0; Try != 500; ++Try) {
+    for (const gemmd::ClientStat &C : Srv.stats().PerClient)
+      if (C.Id == Id && !C.Active)
+        return C.ReapReason ? C.ReapReason : "";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return "";
+}
+
+TEST(GemmdFaultIsolation, ReapReasonsAreRecorded) {
+  ServerFixture F;
+  uint8_t Bell;
+
+  // A v4 GemmRequest whose header still claims the v3 packet size.
+  RawSession Short;
+  ASSERT_FALSE(Short.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(Short.admitted());
+  ipc::GemmRequestMsg Q;
+  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
+  Q.H.Seq = 1;
+  Q.H.Bytes = 104;
+  ASSERT_FALSE(Short.post(&Q, Q.H.Bytes));
+  EXPECT_TRUE(bool(Short.Sock.recvAllTimed(&Bell, 1, 60000))); // EOF
+  EXPECT_EQ("truncated GemmRequest",
+            reapReasonOf(*F.Srv, Short.Ack.ClientId));
+
+  // The retired v3 batch request type.
+  RawSession Retired;
+  ASSERT_FALSE(Retired.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(Retired.admitted());
+  ipc::PacketHeader H;
+  H.Type = 7;
+  H.Seq = 2;
+  H.Bytes = sizeof(H);
+  ASSERT_FALSE(Retired.post(&H, sizeof(H)));
+  EXPECT_TRUE(bool(Retired.Sock.recvAllTimed(&Bell, 1, 60000))); // EOF
+  EXPECT_EQ("unexpected packet type",
+            reapReasonOf(*F.Srv, Retired.Ack.ClientId));
+
+  // A healthy client is served bitwise-correct afterwards.
+  gemm::Client Healthy(F.clientOpts());
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Healthy, Local, gemm::Trans::None,
+                           gemm::Trans::None, 24, 20, 16, 0.5f, 77);
+}
+
+//===----------------------------------------------------------------------===//
+// Request validation: one validator for every GEMM request
+//===----------------------------------------------------------------------===//
+
+/// A well-formed 8x8x8 request: A, B and C at arena bytes 0, 1024 and
+/// 2048, each operand's items 64 elements apart, so a batch of up to 4
+/// f32 items (and any single item of any dtype) fits.
+ipc::GemmRequestMsg wellFormedRequest(uint32_t Seq) {
+  ipc::GemmRequestMsg Q;
+  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
+  Q.H.Seq = Seq;
+  Q.H.Bytes = sizeof(Q);
+  Q.M = Q.N = Q.K = 8;
+  Q.Lda = Q.Ldb = Q.Ldc = 8;
+  Q.OffB = 1024;
+  Q.OffC = 2048;
+  Q.StrideA = Q.StrideB = Q.StrideC = 64;
+  return Q;
+}
+
+TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
   ServerFixture F;
   RawSession S;
   ASSERT_FALSE(S.connect(F.Opts.SocketPath));
   ASSERT_TRUE(S.admitted());
-  // A well-formed packet whose tensor extents escape the arena.
-  ipc::GemmRequestMsg Q;
-  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
-  Q.H.Seq = 1;
-  Q.H.Bytes = sizeof(Q);
-  Q.M = Q.N = Q.K = 1 << 20; // ~4 TiB per operand
-  Q.Lda = Q.Ldb = Q.Ldc = 1 << 20;
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+
+  constexpr uint8_t F16 = static_cast<uint8_t>(gemm::DType::F16);
+  constexpr uint8_t BF16 = static_cast<uint8_t>(gemm::DType::BF16);
+  struct Row {
+    const char *Name;
+    void (*Corrupt)(ipc::GemmRequestMsg &);
+  };
+  const Row Rows[] = {
+      {"BatchCount 0", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = 0; }},
+      {"BatchCount -1", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = -1; }},
+      {"TA 2", [](ipc::GemmRequestMsg &Q) { Q.TA = 2; }},
+      {"DTy 7", [](ipc::GemmRequestMsg &Q) { Q.DTy = 7; }},
+      {"DTy 9", [](ipc::GemmRequestMsg &Q) { Q.DTy = 9; }},
+      {"negative stride",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.BatchCount = 4;
+         Q.StrideB = -64;
+       }},
+      {"odd OffA for bf16",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.DTy = BF16;
+         Q.OffA = 1;
+       }},
+      {"OffA % 4 != 0 for f32", [](ipc::GemmRequestMsg &Q) { Q.OffA = 2; }},
+      {"Lda < rows", [](ipc::GemmRequestMsg &Q) { Q.Lda = 7; }},
+      {"overlapping StrideC",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.BatchCount = 4;
+         Q.StrideC = 32;
+       }},
+      // Every single item fits; only the stride product puts the last C
+      // panel outside the arena, which only wide arithmetic catches.
+      {"last C escapes through the stride product",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.BatchCount = 4;
+         Q.StrideC = int64_t(1) << 40;
+       }},
+      {"4 TiB single request",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.M = Q.N = Q.K = 1 << 20;
+         Q.Lda = Q.Ldb = Q.Ldc = 1 << 20;
+         Q.OffA = Q.OffB = Q.OffC = 0;
+       }},
+      {"f16 batch",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.DTy = F16;
+         Q.BatchCount = 2;
+       }},
+      {"bf16 batch",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.DTy = BF16;
+         Q.BatchCount = 2;
+       }},
+  };
+
   alignas(8) unsigned char Slot[ipc::SlotBytes];
-  ASSERT_FALSE(S.nextReply(Slot));
   ipc::GemmReplyMsg Rep;
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
+  uint32_t Seq = 100;
+  auto Roundtrip = [&](const ipc::GemmRequestMsg &Q) {
+    ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+    ASSERT_FALSE(S.nextReply(Slot));
+    std::memcpy(&Rep, Slot, sizeof(Rep));
+    EXPECT_EQ(static_cast<uint16_t>(ipc::PacketType::GemmReply), Rep.H.Type);
+    EXPECT_EQ(Q.H.Seq, Rep.H.Seq);
+  };
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    ipc::GemmRequestMsg Q = wellFormedRequest(++Seq);
+    R.Corrupt(Q);
+    Roundtrip(Q);
+    EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
+  }
+
   // Bad geometry is a client bug, not a protocol violation: the session
-  // survives and can still do real work.
-  EXPECT_FALSE(S.Sock.ring(ipc::DoorbellRequest));
+  // survives and still serves a single f32, a single i8 and an f32 batch.
+  for (auto [Ty, Count] : {std::pair{gemm::DType::F32, int64_t(1)},
+                           std::pair{gemm::DType::I8I32, int64_t(1)},
+                           std::pair{gemm::DType::F32, int64_t(4)}}) {
+    SCOPED_TRACE(std::string(gemm::dtypeName(Ty)) + " x" +
+                 std::to_string(Count));
+    ipc::GemmRequestMsg Q = wellFormedRequest(++Seq);
+    Q.DTy = static_cast<uint8_t>(Ty);
+    Q.BatchCount = Count;
+    Roundtrip(Q);
+    EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -611,7 +726,7 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
 //===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
-// Wire v3: the precision dimension over the wire (docs/PRECISION.md)
+// The precision dimension over the wire (docs/PRECISION.md)
 //===----------------------------------------------------------------------===//
 
 /// One typed problem remotely and locally; the engine's typed executor is
@@ -681,66 +796,6 @@ TEST(GemmdPrecision, ClientRejectsUnrepresentableScalesLocally) {
                                gemm::Trans::None, 4, 4, 4, 1.0000000001,
                                Ah.data(), 4, Bh.data(), 4, 0.0, Ch.data(),
                                4)));
-}
-
-TEST(GemmdPrecision, UnknownDtypeRejectedNotFatal) {
-  ServerFixture F;
-  RawSession S;
-  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
-  ASSERT_TRUE(S.admitted());
-  ipc::GemmRequestMsg Q;
-  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
-  Q.H.Seq = 21;
-  Q.H.Bytes = sizeof(Q);
-  Q.M = Q.N = Q.K = 8;
-  Q.Lda = Q.Ldb = Q.Ldc = 8;
-  Q.OffB = 1024;
-  Q.OffC = 2048;
-  Q.DTy = 7; // not a gemm::DType
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  alignas(8) unsigned char Slot[ipc::SlotBytes];
-  ASSERT_FALSE(S.nextReply(Slot));
-  ipc::GemmReplyMsg Rep;
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
-  // Session survives; the same packet with a valid dtype answers Ok.
-  Q.DTy = static_cast<uint8_t>(gemm::DType::I8I32);
-  Q.H.Seq = 22;
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  ASSERT_FALSE(S.nextReply(Slot));
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
-}
-
-TEST(GemmdPrecision, BatchDtypeRejectedInWireV3) {
-  ServerFixture F;
-  RawSession S;
-  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
-  ASSERT_TRUE(S.admitted());
-  ipc::GemmBatchRequestMsg Q;
-  Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchRequest);
-  Q.H.Seq = 31;
-  Q.H.Bytes = sizeof(Q);
-  Q.M = Q.N = Q.K = 8;
-  Q.Lda = Q.Ldb = Q.Ldc = 8;
-  Q.StrideA = Q.StrideB = Q.StrideC = 64;
-  Q.OffB = 1024;
-  Q.OffC = 2048;
-  Q.BatchCount = 2;
-  Q.DTy = static_cast<uint8_t>(gemm::DType::F16); // reserved until v4
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  alignas(8) unsigned char Slot[ipc::SlotBytes];
-  ASSERT_FALSE(S.nextReply(Slot));
-  ipc::GemmReplyMsg Rep;
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
-  // f32 batches on the same session still work.
-  Q.DTy = 0;
-  Q.H.Seq = 32;
-  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
-  ASSERT_FALSE(S.nextReply(Slot));
-  std::memcpy(&Rep, Slot, sizeof(Rep));
-  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
 }
 
 TEST(GemmdLifecycle, StopClosesSessionsAndUnlinksSocket) {
