@@ -543,65 +543,21 @@ ipc::GemmRequestMsg wellFormedRequest(uint32_t Seq) {
   return Q;
 }
 
-TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
+/// One corrupted field of a well-formed request.
+struct HostileRow {
+  const char *Name;
+  void (*Corrupt)(ipc::GemmRequestMsg &);
+};
+
+/// Posts each row's corrupted request on one raw session and expects a
+/// `Bad` reply with the request's own Seq. Bad geometry is a client bug,
+/// not a protocol violation: the session must survive and still serve a
+/// single f32, a single i8 and an f32 batch.
+void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
   ServerFixture F;
   RawSession S;
   ASSERT_FALSE(S.connect(F.Opts.SocketPath));
   ASSERT_TRUE(S.admitted());
-
-  constexpr uint8_t F16 = static_cast<uint8_t>(gemm::DType::F16);
-  constexpr uint8_t BF16 = static_cast<uint8_t>(gemm::DType::BF16);
-  struct Row {
-    const char *Name;
-    void (*Corrupt)(ipc::GemmRequestMsg &);
-  };
-  const Row Rows[] = {
-      {"BatchCount 0", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = 0; }},
-      {"BatchCount -1", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = -1; }},
-      {"TA 2", [](ipc::GemmRequestMsg &Q) { Q.TA = 2; }},
-      {"DTy 7", [](ipc::GemmRequestMsg &Q) { Q.DTy = 7; }},
-      {"DTy 9", [](ipc::GemmRequestMsg &Q) { Q.DTy = 9; }},
-      {"negative stride",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.BatchCount = 4;
-         Q.StrideB = -64;
-       }},
-      {"odd OffA for bf16",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.DTy = BF16;
-         Q.OffA = 1;
-       }},
-      {"OffA % 4 != 0 for f32", [](ipc::GemmRequestMsg &Q) { Q.OffA = 2; }},
-      {"Lda < rows", [](ipc::GemmRequestMsg &Q) { Q.Lda = 7; }},
-      {"overlapping StrideC",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.BatchCount = 4;
-         Q.StrideC = 32;
-       }},
-      // Every single item fits; only the stride product puts the last C
-      // panel outside the arena, which only wide arithmetic catches.
-      {"last C escapes through the stride product",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.BatchCount = 4;
-         Q.StrideC = int64_t(1) << 40;
-       }},
-      {"4 TiB single request",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.M = Q.N = Q.K = 1 << 20;
-         Q.Lda = Q.Ldb = Q.Ldc = 1 << 20;
-         Q.OffA = Q.OffB = Q.OffC = 0;
-       }},
-      {"f16 batch",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.DTy = F16;
-         Q.BatchCount = 2;
-       }},
-      {"bf16 batch",
-       [](ipc::GemmRequestMsg &Q) {
-         Q.DTy = BF16;
-         Q.BatchCount = 2;
-       }},
-  };
 
   alignas(8) unsigned char Slot[ipc::SlotBytes];
   ipc::GemmReplyMsg Rep;
@@ -613,7 +569,7 @@ TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
     EXPECT_EQ(static_cast<uint16_t>(ipc::PacketType::GemmReply), Rep.H.Type);
     EXPECT_EQ(Q.H.Seq, Rep.H.Seq);
   };
-  for (const Row &R : Rows) {
+  for (const HostileRow &R : Rows) {
     SCOPED_TRACE(R.Name);
     ipc::GemmRequestMsg Q = wellFormedRequest(++Seq);
     R.Corrupt(Q);
@@ -621,8 +577,6 @@ TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
     EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Bad), Rep.Status);
   }
 
-  // Bad geometry is a client bug, not a protocol violation: the session
-  // survives and still serves a single f32, a single i8 and an f32 batch.
   for (auto [Ty, Count] : {std::pair{gemm::DType::F32, int64_t(1)},
                            std::pair{gemm::DType::I8I32, int64_t(1)},
                            std::pair{gemm::DType::F32, int64_t(4)}}) {
@@ -634,6 +588,71 @@ TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
     Roundtrip(Q);
     EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
   }
+}
+
+TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
+  expectBadAndSessionSurvives({
+      {"BatchCount 0", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = 0; }},
+      {"BatchCount -1", [](ipc::GemmRequestMsg &Q) { Q.BatchCount = -1; }},
+      {"TA 2", [](ipc::GemmRequestMsg &Q) { Q.TA = 2; }},
+      {"negative stride",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.BatchCount = 4;
+         Q.StrideB = -64;
+       }},
+      {"odd OffA for bf16",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.DTy = static_cast<uint8_t>(gemm::DType::BF16);
+         Q.OffA = 1;
+       }},
+      {"OffA % 4 != 0 for f32", [](ipc::GemmRequestMsg &Q) { Q.OffA = 2; }},
+      {"Lda < rows", [](ipc::GemmRequestMsg &Q) { Q.Lda = 7; }},
+      {"overlapping StrideC",
+       [](ipc::GemmRequestMsg &Q) {
+         Q.BatchCount = 4;
+         Q.StrideC = 32;
+       }},
+  });
+}
+
+TEST(GemmdBatched, BatchGeometryEscapingArenaRejectedNotFatal) {
+  // Every single item fits; only the stride product puts the last C
+  // panel outside the arena, which only wide arithmetic catches.
+  expectBadAndSessionSurvives(
+      {{"last C escapes through the stride product",
+        [](ipc::GemmRequestMsg &Q) {
+          Q.BatchCount = 4;
+          Q.StrideC = int64_t(1) << 40;
+        }}});
+}
+
+TEST(GemmdFaultIsolation, GeometryEscapingArenaIsRejectedNotFatal) {
+  expectBadAndSessionSurvives({{"4 TiB single request",
+                                [](ipc::GemmRequestMsg &Q) {
+                                  Q.M = Q.N = Q.K = 1 << 20;
+                                  Q.Lda = Q.Ldb = Q.Ldc = 1 << 20;
+                                  Q.OffA = Q.OffB = Q.OffC = 0;
+                                }}});
+}
+
+TEST(GemmdPrecision, UnknownDtypeRejectedNotFatal) {
+  expectBadAndSessionSurvives(
+      {{"DTy 7", [](ipc::GemmRequestMsg &Q) { Q.DTy = 7; }},
+       {"DTy 9", [](ipc::GemmRequestMsg &Q) { Q.DTy = 9; }}});
+}
+
+// Batches are f32 only, as they have been since wire v3.
+TEST(GemmdPrecision, BatchDtypeRejectedInWireV3) {
+  expectBadAndSessionSurvives(
+      {{"f16 batch",
+        [](ipc::GemmRequestMsg &Q) {
+          Q.DTy = static_cast<uint8_t>(gemm::DType::F16);
+          Q.BatchCount = 2;
+        }},
+       {"bf16 batch", [](ipc::GemmRequestMsg &Q) {
+          Q.DTy = static_cast<uint8_t>(gemm::DType::BF16);
+          Q.BatchCount = 2;
+        }}});
 }
 
 //===----------------------------------------------------------------------===//
