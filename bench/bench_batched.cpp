@@ -179,9 +179,11 @@ int main(int Argc, char **Argv) {
 
   EngineStats ES = Eng.stats();
   std::fprintf(stderr,
-               "batched: items=%llu groups=%llu cross-item=%llu\n",
+               "batched: items=%llu groups=%llu cross-item=%llu "
+               "b-shared=%llu\n",
                static_cast<unsigned long long>(ES.BatchedItems),
                static_cast<unsigned long long>(ES.BatchedGroups),
-               static_cast<unsigned long long>(ES.BatchedCrossItem));
+               static_cast<unsigned long long>(ES.BatchedCrossItem),
+               static_cast<unsigned long long>(ES.BatchedBShared));
   return Ctx.finish();
 }

@@ -138,6 +138,27 @@ exo::Expected<CompareResult> benchutil::compareReports(
   const Json &FreshRows = *Fresh.get("rows");
   const Json &BaseRows = *Baseline.get("rows");
   CompareResult Res;
+  // A baseline from another machine still compares, but its deltas mean
+  // less: say so up front, without gating.
+  const Json *BM = Baseline.get("machine"), *FM = Fresh.get("machine");
+  if (BM && FM) {
+    std::string Diff;
+    auto Text = [](const Json *V) {
+      if (!V)
+        return std::string("none");
+      std::string S = V->dump(); // JSON text, newline-terminated
+      S.pop_back();
+      return S;
+    };
+    for (const char *Field : {"cpu", "arch", "hw_threads"}) {
+      const std::string BV = Text(BM->get(Field)), FV = Text(FM->get(Field));
+      if (BV != FV)
+        Diff += std::string(Diff.empty() ? "" : ", ") + Field + " " + BV +
+                " vs " + FV;
+    }
+    if (!Diff.empty())
+      Res.Notes.push_back("machine differs: " + Diff);
+  }
   for (size_t I = 0; I != BaseRows.size(); ++I) {
     const Json &B = BaseRows.at(I);
     const Json *F = nullptr;

@@ -114,7 +114,8 @@ struct CompareResult {
   int Compared = 0; ///< rows matched in both reports
   std::vector<std::string> Regressions;
   std::vector<std::string> Improvements;
-  std::vector<std::string> Notes; ///< missing/new rows, info diffs
+  /// Machine-identity mismatch, missing/new rows, info diffs.
+  std::vector<std::string> Notes;
 
   bool pass() const { return Regressions.empty(); }
 };

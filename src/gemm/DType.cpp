@@ -156,25 +156,4 @@ uint16_t f32ToF16(float F) {
   return Out;
 }
 
-//===----------------------------------------------------------------------===//
-// bfloat16
-//===----------------------------------------------------------------------===//
-
-float bf16ToF32(uint16_t H) {
-  uint32_t Bits = (uint32_t)H << 16;
-  float F;
-  std::memcpy(&F, &Bits, sizeof(F));
-  return F;
-}
-
-uint16_t f32ToBf16(float F) {
-  uint32_t Bits;
-  std::memcpy(&Bits, &F, sizeof(Bits));
-  if ((Bits & 0x7f800000u) == 0x7f800000u && (Bits & 0x7fffffu))
-    return (uint16_t)((Bits >> 16) | 0x40); // quiet the NaN
-  uint32_t Lsb = (Bits >> 16) & 1;
-  Bits += 0x7fffu + Lsb; // round to nearest even
-  return (uint16_t)(Bits >> 16);
-}
-
 } // namespace gemm

@@ -37,6 +37,7 @@
 
 #include "exo/ir/Type.h"
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -85,11 +86,21 @@ float f16ToF32(uint16_t H);
 /// f32 -> IEEE binary16 bits, round-to-nearest-even; overflow -> infinity.
 uint16_t f32ToF16(float F);
 
-/// bfloat16 bits -> f32 (exact: bf16 is the top half of f32).
-float bf16ToF32(uint16_t H);
+/// bfloat16 bits -> f32 (exact: bf16 is the top half of f32). Inline, as
+/// is f32ToBf16: the packs and the copy-out call them once per element.
+inline float bf16ToF32(uint16_t H) {
+  return std::bit_cast<float>(static_cast<uint32_t>(H) << 16);
+}
 
 /// f32 -> bfloat16 bits, round-to-nearest-even; NaN is quieted.
-uint16_t f32ToBf16(float F);
+inline uint16_t f32ToBf16(float F) {
+  uint32_t Bits = std::bit_cast<uint32_t>(F);
+  if ((Bits & 0x7f800000u) == 0x7f800000u && (Bits & 0x7fffffu))
+    return static_cast<uint16_t>((Bits >> 16) | 0x40); // quiet the NaN
+  const uint32_t Lsb = (Bits >> 16) & 1;
+  Bits += 0x7fffu + Lsb; // round to nearest even
+  return static_cast<uint16_t>(Bits >> 16);
+}
 
 } // namespace gemm
 

@@ -185,7 +185,7 @@ struct Engine::Impl {
   std::atomic<uint64_t> Hits{0}, Misses{0}, Builds{0}, Rebuilds{0},
       Evictions{0}, Degenerate{0}, StickyErrors{0};
   std::atomic<uint64_t> BatchedItems{0}, BatchedGroups{0},
-      BatchedCrossItem{0};
+      BatchedCrossItem{0}, BatchedBShared{0};
   std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
       PriorRejected{0};
   std::atomic<uint64_t> GovGrants{0}, GovShapeClamped{0}, GovOccClamped{0},
@@ -252,8 +252,8 @@ struct Engine::Impl {
                     const std::shared_ptr<ExecPlan> &Old);
   std::shared_ptr<ExecPlan> plan(const PlanKey &Key, uint64_t Calls,
                                  Error &Err);
-  void execute(const ExecPlan &Plan, const detail::GemmCall &Call,
-               detail::GemmWorkspace &WS);
+  void execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
+               int64_t NCalls, detail::GemmWorkspace &WS);
   Error run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
             double Alpha, const void *A, int64_t Lda, const void *B,
             int64_t Ldb, double Beta, void *C, int64_t Ldc);
@@ -539,21 +539,25 @@ std::shared_ptr<ExecPlan> Engine::Impl::plan(const PlanKey &Key,
   return Plan;
 }
 
-void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall &Call,
-                           detail::GemmWorkspace &WS) {
-  // Governed dispatch: the process-wide governor grants this call a team
-  // width in [1, plan width] from the shape model and live occupancy;
-  // results are bitwise identical at every width (Gemm.h), so this only
-  // changes scheduling. Nested calls skip the governor and take
-  // executeGemm's collapse path — a reservation cannot form from inside a
-  // pool job.
+void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
+                           int64_t NCalls, detail::GemmWorkspace &WS) {
+  // Governed dispatch: the process-wide governor grants this run of calls
+  // (one call, or a shared-B run of batch items) a team width in [1, plan
+  // width] from the run's total flops and live occupancy; results are
+  // bitwise identical at every width (Gemm.h), so this only changes
+  // scheduling. Nested calls skip the governor and take executeGemm's
+  // collapse path — a reservation cannot form from inside a pool job.
   if (Plan.G.T > 1 && governorOn() && !ThreadPool::global().inParallel()) {
+    const detail::GemmCall &Cl = Calls[0];
     Governor::Grant Grant;
-    Governor::global().acquire(Call.M, Call.N, Call.K, Plan.G.T, Grant);
+    Governor::global().acquireFlops(
+        2.0 * static_cast<double>(Cl.M) * static_cast<double>(Cl.N) *
+            static_cast<double>(Cl.K) * static_cast<double>(NCalls),
+        Plan.G.T, Grant);
     countGrant(Grant);
-    detail::executeGemm(Plan.G, Call, WS, &Grant.reservation());
+    detail::executeGemm(Plan.G, Calls, NCalls, WS, &Grant.reservation());
   } else {
-    detail::executeGemm(Plan.G, Call, WS);
+    detail::executeGemm(Plan.G, Calls, NCalls, WS);
   }
 }
 
@@ -577,9 +581,9 @@ Error Engine::Impl::run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
   if (!Plan)
     return Err;
   std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  execute(*Plan,
-          makeCall(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc),
-          *WS);
+  const detail::GemmCall Call =
+      makeCall(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc);
+  execute(*Plan, &Call, 1, *WS);
   Plan->release(std::move(WS));
   return Error::success();
 }
@@ -606,23 +610,47 @@ Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
 
 namespace {
 
-/// Pool-callback context for one cross-item chunk: worker Tid runs items
-/// Tid, Tid + W, Tid + 2W, ... whole, each in its own workspace. The plan
-/// was keyed with T == 1, so the inner executeGemm dispatches inline and
-/// never re-enters the pool with a team.
+/// Calls \p F(Run, Len) for each shared-B run of Calls[Begin, End):
+/// consecutive calls with the same B pointer and Ldb (a shape group
+/// already shares TB and the shape), whose B blocks the nest packs once
+/// (executeGemm). Returns the number of calls that skipped their packB.
+template <class Fn>
+uint64_t forEachSharedBRun(const detail::GemmCall *Calls, int64_t Begin,
+                           int64_t End, Fn &&F) {
+  uint64_t Shared = 0;
+  for (int64_t R = Begin; R < End;) {
+    int64_t E = R + 1;
+    while (E < End && Calls[E].B == Calls[R].B &&
+           Calls[E].Ldb == Calls[R].Ldb)
+      ++E;
+    F(Calls + R, E - R);
+    Shared += static_cast<uint64_t>(E - R - 1);
+    R = E;
+  }
+  return Shared;
+}
+
+/// Pool-callback context for one cross-item chunk: worker Tid runs the
+/// Tid-th contiguous slice of the chunk's calls whole, shared-B run by
+/// run, in its own workspace. The plan was keyed with T == 1, so the inner
+/// executeGemm dispatches inline and never re-enters the pool with a team.
 struct BatchJob {
   const detail::GemmGeometry *G;
-  const GemmBatchItem *Base;   ///< the caller's item array
-  const int64_t *Idx;          ///< indices of this chunk's items
-  int64_t NItems;              ///< chunk size
-  int64_t W;                   ///< worker count (= stride)
+  const detail::GemmCall *Calls; ///< this chunk's calls, in group order
+  int64_t NItems;                ///< chunk size
+  int64_t W;                     ///< worker count
   detail::GemmWorkspace *const *WSs; ///< one workspace per worker
+  std::atomic<uint64_t> *BShared;    ///< EngineStats::BatchedBShared
 };
 
 void runBatchItems(void *Ctx, int64_t Tid) {
   const BatchJob &J = *static_cast<BatchJob *>(Ctx);
-  for (int64_t I = Tid; I < J.NItems; I += J.W)
-    detail::executeGemm(*J.G, itemCall(J.Base[J.Idx[I]]), *J.WSs[Tid]);
+  const uint64_t Shared = forEachSharedBRun(
+      J.Calls, Tid * J.NItems / J.W, (Tid + 1) * J.NItems / J.W,
+      [&](const detail::GemmCall *Run, int64_t Len) {
+        detail::executeGemm(*J.G, Run, Len, *J.WSs[Tid]);
+      });
+  J.BShared->fetch_add(Shared, std::memory_order_relaxed);
 }
 
 /// Max items per cross-item dispatch: chunking bounds the per-batch index
@@ -709,24 +737,33 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
       detail::scaleByBeta(DType::F32, It.M, It.N, It.Beta, It.C, It.Ldc);
   }
 
+  std::vector<detail::GemmCall> Calls;
   for (const auto &[Idx, M, N, K, Cross, Plan] : Plans) {
     const int64_t GroupItems = static_cast<int64_t>(Idx.size());
     I->BatchedGroups.fetch_add(1, std::memory_order_relaxed);
+    Calls.clear();
+    for (int64_t Ix : Idx)
+      Calls.push_back(itemCall(Items[Ix]));
 
     if (!Cross) {
-      // Intra-item slab parallelism: the sgemm execution body (governed per
-      // item, so each grant tracks occupancy as sibling callers come and go
-      // over a long batch), amortizing one workspace over the group.
+      // Intra-item slab parallelism: the sgemm execution body, one
+      // shared-B run at a time (governed per run, so each grant tracks
+      // occupancy as sibling callers come and go over a long batch),
+      // amortizing one workspace over the group.
       std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-      for (int64_t Ix : Idx)
-        I->execute(*Plan, itemCall(Items[Ix]), *WS);
+      const uint64_t Shared = forEachSharedBRun(
+          Calls.data(), 0, GroupItems,
+          [&](const detail::GemmCall *Run, int64_t Len) {
+            I->execute(*Plan, Run, Len, *WS);
+          });
+      I->BatchedBShared.fetch_add(Shared, std::memory_order_relaxed);
       Plan->release(std::move(WS));
       continue;
     }
 
-    // Cross-item scheduling: one whole item per pool worker, per-worker
-    // workspaces from the plan's pool. Chunked so enormous batches bound
-    // their index spans.
+    // Cross-item scheduling: a contiguous slice of whole items per pool
+    // worker, per-worker workspaces from the plan's pool. Chunked so
+    // enormous batches bound their index spans.
     I->BatchedCrossItem.fetch_add(static_cast<uint64_t>(GroupItems),
                                   std::memory_order_relaxed);
     const int64_t ChunkMax = batchGroupMax();
@@ -753,7 +790,8 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
         Owned[WI] = Plan->acquire();
         WSs[WI] = Owned[WI].get();
       }
-      BatchJob Job{&Plan->G, Items, Idx.data() + At, NItems, W, WSs.data()};
+      BatchJob Job{&Plan->G, Calls.data() + At, NItems, W, WSs.data(),
+                   &I->BatchedBShared};
       if (Grant.reservation().Count > 0)
         ThreadPool::global().runTeam(Grant.reservation(), &runBatchItems,
                                      &Job);
@@ -889,6 +927,7 @@ EngineStats Engine::stats() const {
   S.BatchedItems = I->BatchedItems.load(std::memory_order_relaxed);
   S.BatchedGroups = I->BatchedGroups.load(std::memory_order_relaxed);
   S.BatchedCrossItem = I->BatchedCrossItem.load(std::memory_order_relaxed);
+  S.BatchedBShared = I->BatchedBShared.load(std::memory_order_relaxed);
   S.PlansFromModel = I->PlansFromModel.load(std::memory_order_relaxed);
   S.PlansFromTuned = I->PlansFromTuned.load(std::memory_order_relaxed);
   S.PriorRejected = I->PriorRejected.load(std::memory_order_relaxed);
@@ -918,6 +957,7 @@ void Engine::resetStats() {
   I->BatchedItems.store(0);
   I->BatchedGroups.store(0);
   I->BatchedCrossItem.store(0);
+  I->BatchedBShared.store(0);
   I->PlansFromModel.store(0);
   I->PlansFromTuned.store(0);
   I->PriorRejected.store(0);

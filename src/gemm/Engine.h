@@ -113,6 +113,9 @@ struct EngineStats {
   uint64_t BatchedItems = 0;  ///< items seen by the batched entry points
   uint64_t BatchedGroups = 0; ///< distinct shape groups executed in batches
   uint64_t BatchedCrossItem = 0; ///< items run whole-item across the pool
+  /// Items whose packB was skipped: they ran in a shared-B run behind an
+  /// earlier item that had already packed every B block they use.
+  uint64_t BatchedBShared = 0;
   // Per-plan provenance (PlanSource), counted at build time.
   uint64_t PlansFromModel = 0; ///< analytical-model tiles
   uint64_t PlansFromTuned = 0; ///< autotuner prior-database tiles
@@ -133,10 +136,13 @@ struct EngineStats {
 };
 
 /// One problem of a batch handed to Engine::sgemmBatched. Identical field
-/// semantics to the corresponding sgemm arguments. Precondition: distinct
-/// items' C regions must not overlap — small-item groups execute
-/// concurrently, one item per pool worker, so an overlap would be a data
-/// race (and would break the batched == N-sequential-calls equivalence).
+/// semantics to the corresponding sgemm arguments. Precondition: no
+/// item's C may overlap another item's C, or any item's A or B.
+/// Small-item groups execute concurrently, a slice of items per pool
+/// worker, and items sharing a B pointer run as one shared-B run that
+/// packs each B block once before any of them writes C — so an overlap
+/// would be a data race, and would break the batched ==
+/// N-sequential-calls equivalence.
 /// A and B may be shared between items freely.
 struct GemmBatchItem {
   Trans TA = Trans::None, TB = Trans::None;
@@ -211,12 +217,15 @@ public:
   /// are grouped by (TA, TB, M, N, K) so each distinct shape hits the plan
   /// cache once, and each group picks its execution strategy via the
   /// planner's cache model (batchPrefersCrossItem): large items keep the
-  /// intra-item team split, small items run whole — one item per pool
-  /// worker with its own pooled packing workspace — so a batch of
-  /// thousands of tiny GEMMs stops wasting the pool on shapes too small
-  /// to split. Validates every item (sgemm's argument rules) before any
-  /// work: on an invalid item, no C is written. Degenerate items (M/N/K == 0, alpha == 0) follow sgemm's
-  /// quick-return semantics wherever they sit in the batch.
+  /// intra-item team split, small items run whole — a contiguous slice of
+  /// items per pool worker with its own pooled packing workspace — so a
+  /// batch of thousands of tiny GEMMs stops wasting the pool on shapes too
+  /// small to split. Within a group (or a worker's slice), consecutive
+  /// items with the same B pointer and Ldb form one shared-B run whose B
+  /// blocks are packed once (EngineStats::BatchedBShared). Validates every
+  /// item (sgemm's argument rules) before any work: on an invalid item, no
+  /// C is written. Degenerate items (M/N/K == 0, alpha == 0) follow
+  /// sgemm's quick-return semantics wherever they sit in the batch.
   exo::Error sgemmBatched(const GemmBatchItem *Items, int64_t Count);
 
   /// Convenience overload.

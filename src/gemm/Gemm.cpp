@@ -133,7 +133,8 @@ struct F32Panels {
     // A panels are always zero-padded to the full Mr: edge kernels keep
     // the full vector width along m and the copy-out is masked instead
     // (rows >= mr_eff contribute zeros).
-    packAStrided(Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha, EdgePack::ZeroPad, Dst);
+    packPanels(DType::F32, Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha,
+               EdgePack::ZeroPad, Dst);
   }
   static void packB(const detail::GemmGeometry &G, const float *Src,
                     int64_t RS, int64_t CS, int64_t Kc, int64_t W,
@@ -145,7 +146,8 @@ struct F32Panels {
     EdgePack Mode = G.PackMode;
     if (Mode == EdgePack::Tight && W < G.Nr && !G.EdgeKernels[W])
       Mode = EdgePack::ZeroPad;
-    packBStrided(Src, RS, CS, Kc, W, G.Nr, /*Alpha=*/1.0f, Mode, Dst);
+    packPanels(DType::F32, Src, CS, RS, W, Kc, G.Nr, /*Alpha=*/1.0f, Mode,
+               Dst);
   }
   static void tile(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
                    int64_t Kc, int64_t MrEff, int64_t NrEff, const float *Ap,
@@ -197,12 +199,14 @@ template <DType Ty> struct HalfPanels {
   static void packA(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
                     const uint16_t *Src, int64_t RS, int64_t CS, int64_t Mc,
                     int64_t Kc, float *Dst) {
-    packAConvStrided(Ty, Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha, Dst);
+    packPanels(Ty, Src, RS, CS, Mc, Kc, G.Mr, Cl.Alpha, EdgePack::ZeroPad,
+               Dst);
   }
   static void packB(const detail::GemmGeometry &G, const uint16_t *Src,
                     int64_t RS, int64_t CS, int64_t Kc, int64_t W,
                     float *Dst) {
-    packBConvStrided(Ty, Src, RS, CS, Kc, W, G.Nr, /*Alpha=*/1.0f, Dst);
+    packPanels(Ty, Src, CS, RS, W, Kc, G.Nr, /*Alpha=*/1.0f,
+               EdgePack::ZeroPad, Dst);
   }
   static void tile(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
                    int64_t Kc, int64_t MrEff, int64_t NrEff, const float *Ap,
@@ -321,33 +325,38 @@ template <class Fn> void withPanels(DType Ty, Fn &&F) {
 // The five-loop nest
 //===----------------------------------------------------------------------===//
 
-/// Per-call context handed to the raw ThreadPool callback: pointers only,
+/// Per-run context handed to the raw ThreadPool callback: pointers only,
 /// so dispatching a team performs no allocation.
 struct TeamJob {
   const detail::GemmGeometry *G;
-  const detail::GemmCall *Call;
+  const detail::GemmCall *Calls; ///< the run (executeGemm's contract)
+  int64_t NCalls;
   detail::GemmWorkspace *WS;
   TeamBarrier *Bar;
 };
 
 template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
   using Packed = typename Policy::Packed;
+  using In = typename Policy::In;
+  using Out = typename Policy::Out;
   const TeamJob &Job = *static_cast<TeamJob *>(Ctx);
   const detail::GemmGeometry &G = *Job.G;
-  const detail::GemmCall &Cl = *Job.Call;
+  const detail::GemmCall *Calls = Job.Calls;
+  const int64_t NCalls = Job.NCalls;
   detail::GemmWorkspace &WS = *Job.WS;
   const int64_t Mr = G.Mr, Nr = G.Nr, Mc = G.Mc, Kc = G.Kc, Nc = G.Nc;
   const int64_t NIc = G.NIc, T = G.T, Tic = G.Tic, Tjr = G.Tjr;
-  const int64_t M = Cl.M, N = Cl.N, K = Cl.K;
-  const auto *A = static_cast<const typename Policy::In *>(Cl.A);
-  const auto *B = static_cast<const typename Policy::In *>(Cl.B);
-  auto *C = static_cast<typename Policy::Out *>(Cl.C);
+  // Every call of the run shares the shape, B, Ldb and TB.
+  const detail::GemmCall &Cl0 = Calls[0];
+  const int64_t M = Cl0.M, N = Cl0.N, K = Cl0.K;
+  const auto *B = static_cast<const In *>(Cl0.B);
   // Transposition swaps the element strides: element (i, k) of op(A) is
   // A[i*ARS + k*ACS] and (k, j) of op(B) is B[k*BRS + j*BCS].
-  const int64_t ARS = Cl.TA == Trans::None ? 1 : Cl.Lda;
-  const int64_t ACS = Cl.TA == Trans::None ? Cl.Lda : 1;
-  const int64_t BRS = Cl.TB == Trans::None ? 1 : Cl.Ldb;
-  const int64_t BCS = Cl.TB == Trans::None ? Cl.Ldb : 1;
+  const int64_t BRS = Cl0.TB == Trans::None ? 1 : Cl0.Ldb;
+  const int64_t BCS = Cl0.TB == Trans::None ? Cl0.Ldb : 1;
+  bool AnyBeta = false;
+  for (int64_t X = 0; X < NCalls; ++X)
+    AnyBeta |= !Policy::betaIsOne(Calls[X]);
 
   // Grid position: ic team owns row blocks BIdx % Tic == IcTeam; within
   // a team, jr strips (and pre-scale columns) split by JrIdx.
@@ -363,9 +372,10 @@ template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
     for (int64_t Pc = 0; Pc < K; Pc += Kc) {          // Loop L2
       const int64_t KcEff = std::min(Kc, K - Pc);
       const int64_t Depth = Policy::depth(KcEff);
-      // Cooperative packB: panel P goes to thread P % T. Packing panel
-      // by panel reproduces the monolithic layout exactly (slot stride
-      // Depth * Nr; only the last panel can be partial).
+      // Cooperative packB, once for the whole run: panel P goes to thread
+      // P % T. Packing panel by panel reproduces the monolithic layout
+      // exactly (slot stride Depth * Nr; only the last panel can be
+      // partial).
       {
         EXO_OBS_SPAN("gemm.packB");
         for (int64_t P = Tid; P < NPan; P += T) {
@@ -378,13 +388,19 @@ template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
       // Apply beta once per (jc) column block, before the first update.
       // Ownership: rows by ic team, columns round-robin within the team —
       // every C element has exactly one writer.
-      if (Pc == 0 && !Policy::betaIsOne(Cl)) {
+      if (Pc == 0 && AnyBeta) {
         EXO_OBS_SPAN("gemm.beta");
-        for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
-          const int64_t Ic = BIdx * Mc;
-          const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr)
-            Policy::scale(C + Ic + (Jc + J) * Cl.Ldc, McEff, Cl);
+        for (int64_t X = 0; X < NCalls; ++X) {
+          const detail::GemmCall &Cl = Calls[X];
+          if (Policy::betaIsOne(Cl))
+            continue;
+          auto *C = static_cast<Out *>(Cl.C);
+          for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
+            const int64_t Ic = BIdx * Mc;
+            const int64_t McEff = std::min(Mc, M - Ic);
+            for (int64_t J = JrIdx; J < NcEff; J += Tjr)
+              Policy::scale(C + Ic + (Jc + J) * Cl.Ldc, McEff, Cl);
+          }
         }
       }
       if (T > 1) {
@@ -392,27 +408,34 @@ template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
         Job.Bar->arriveAndWait(); // packB + pre-scale done before update
       }
 
-      for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
-        const int64_t Ic = BIdx * Mc;
-        const int64_t McEff = std::min(Mc, M - Ic);
-        // Each thread packs into its own buffer; members of the same ic
-        // team duplicate the pack, trading redundant bandwidth for zero
-        // intra-team synchronization.
-        {
-          EXO_OBS_SPAN("gemm.packA");
-          Policy::packA(G, Cl, A + Ic * ARS + Pc * ACS, ARS, ACS, McEff,
-                        KcEff, ABuf);
-        }
+      for (int64_t X = 0; X < NCalls; ++X) {
+        const detail::GemmCall &Cl = Calls[X];
+        const auto *A = static_cast<const In *>(Cl.A);
+        auto *C = static_cast<Out *>(Cl.C);
+        const int64_t ARS = Cl.TA == Trans::None ? 1 : Cl.Lda;
+        const int64_t ACS = Cl.TA == Trans::None ? Cl.Lda : 1;
+        for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
+          const int64_t Ic = BIdx * Mc;
+          const int64_t McEff = std::min(Mc, M - Ic);
+          // Each thread packs into its own buffer; members of the same ic
+          // team duplicate the pack, trading redundant bandwidth for zero
+          // intra-team synchronization.
+          {
+            EXO_OBS_SPAN("gemm.packA");
+            Policy::packA(G, Cl, A + Ic * ARS + Pc * ACS, ARS, ACS, McEff,
+                          KcEff, ABuf);
+          }
 
-        EXO_OBS_SPAN("gemm.ukr");
-        for (int64_t P = JrIdx; P < NPan; P += Tjr) {  // Loop L4
-          const int64_t Jr = P * Nr;
-          const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          const Packed *BPanel = BBuf + P * Depth * Nr;
-          for (int64_t Ir = 0; Ir < McEff; Ir += Mr)   // Loop L5
-            Policy::tile(G, Cl, KcEff, std::min(Mr, McEff - Ir), NrEff,
-                         ABuf + (Ir / Mr) * Depth * Mr, BPanel,
-                         C + (Ic + Ir) + (Jc + Jr) * Cl.Ldc, Scratch);
+          EXO_OBS_SPAN("gemm.ukr");
+          for (int64_t P = JrIdx; P < NPan; P += Tjr) { // Loop L4
+            const int64_t Jr = P * Nr;
+            const int64_t NrEff = std::min(Nr, NcEff - Jr);
+            const Packed *BPanel = BBuf + P * Depth * Nr;
+            for (int64_t Ir = 0; Ir < McEff; Ir += Mr)  // Loop L5
+              Policy::tile(G, Cl, KcEff, std::min(Mr, McEff - Ir), NrEff,
+                           ABuf + (Ir / Mr) * Depth * Mr, BPanel,
+                           C + (Ic + Ir) + (Jc + Jr) * Cl.Ldc, Scratch);
+          }
         }
       }
       if (T > 1) {
@@ -424,8 +447,9 @@ template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
 }
 
 template <class Policy>
-void runTeam(const detail::GemmGeometry &G, const detail::GemmCall &Call,
-             detail::GemmWorkspace &WS, ThreadPool::Reservation *Res) {
+void runTeam(const detail::GemmGeometry &G, const detail::GemmCall *Calls,
+             int64_t NCalls, detail::GemmWorkspace &WS,
+             ThreadPool::Reservation *Res) {
   ThreadPool &Pool = ThreadPool::global();
   if (!Res) {
     // Nested call (this thread is already inside a pool job): a T-member
@@ -436,12 +460,12 @@ void runTeam(const detail::GemmGeometry &G, const detail::GemmCall &Call,
     // only changes scheduling, never output.
     if (G.T > 1 && Pool.inParallel()) {
       const detail::GemmGeometry G1 = detail::reteamGeometry(G, 1);
-      TeamJob Job{&G1, &Call, &WS, nullptr}; // T == 1 never touches Bar
+      TeamJob Job{&G1, Calls, NCalls, &WS, nullptr}; // T == 1: no Bar
       runTeamMember<Policy>(&Job, 0);
       return;
     }
     TeamBarrier Bar(G.T);
-    TeamJob Job{&G, &Call, &WS, &Bar};
+    TeamJob Job{&G, Calls, NCalls, &WS, &Bar};
     Pool.parallel(G.T, &runTeamMember<Policy>, &Job);
     return;
   }
@@ -453,7 +477,7 @@ void runTeam(const detail::GemmGeometry &G, const detail::GemmCall &Call,
     Pool.release(*Res);
   const detail::GemmGeometry G2 = detail::reteamGeometry(G, 1 + Res->Count);
   TeamBarrier Bar(G2.T);
-  TeamJob Job{&G2, &Call, &WS, &Bar};
+  TeamJob Job{&G2, Calls, NCalls, &WS, &Bar};
   Pool.runTeam(*Res, &runTeamMember<Policy>, &Job);
 }
 
@@ -479,8 +503,9 @@ void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
   });
 }
 
-void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
-                         GemmWorkspace &WS, ThreadPool::Reservation *Res) {
+void detail::executeGemm(const GemmGeometry &G, const GemmCall *Calls,
+                         int64_t NCalls, GemmWorkspace &WS,
+                         ThreadPool::Reservation *Res) {
   // Tracing (see docs/OBSERVABILITY.md): spans attribute time to the
   // packA / packB / micro-kernel / beta / barrier phases at block
   // granularity — coarse enough that an *enabled* trace stays cheap, and
@@ -488,7 +513,7 @@ void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
   // The spans only observe; results are bitwise identical either way.
   EXO_OBS_SPAN("gemm.call");
   withPanels(G.Ty, [&](auto Pol) {
-    runTeam<decltype(Pol)>(G, Call, WS, Res);
+    runTeam<decltype(Pol)>(G, Calls, NCalls, WS, Res);
   });
 }
 

@@ -136,7 +136,14 @@ void resolveEdgeKernels(KernelProvider &Provider, GemmGeometry &G, int64_t N,
 GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 
 /// The five-loop macro-kernel over a fully resolved geometry, for every
-/// dtype (G.Ty picks the panel policy once per call). Performs no
+/// dtype (G.Ty picks the panel policy once per call), run over \p NCalls
+/// calls that share one B: every call has the same shape, TB, B pointer
+/// and Ldb (a lone call is a run of one). Each (jc, pc) block of B is
+/// packed once for the run; beta then applies to every call's block, and
+/// loops 3-5 run call by call. The packed values and each C tile's
+/// accumulation order are those of separate calls, so a run is bitwise
+/// equal to its calls issued one by one — provided no call's C overlaps
+/// any call's A or B (the batched aliasing rule, Engine.h). Performs no
 /// validation, no heap allocation, and never calls into the provider; the
 /// workspace must already satisfy WS.ensure(G). The team is:
 ///   - Res == nullptr: G.T members from the global pool — or, when this
@@ -148,8 +155,9 @@ GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 ///     the geometry re-teamed to the granted width 1 + Res->Count. Must not
 ///     be called from inside a pool job.
 /// Results are bitwise identical for every team size.
-void executeGemm(const GemmGeometry &G, const GemmCall &Call,
-                 GemmWorkspace &WS, ThreadPool::Reservation *Res = nullptr);
+void executeGemm(const GemmGeometry &G, const GemmCall *Calls,
+                 int64_t NCalls, GemmWorkspace &WS,
+                 ThreadPool::Reservation *Res = nullptr);
 
 /// The shared degenerate path (K == 0 or alpha == 0): C = beta * C in \p
 /// Ty's storage type — f32 directly, f16/bf16 scaled in f32 and rounded

@@ -5,30 +5,45 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two packing routines of the BLIS macro-kernel (paper Fig. 1/2). Both
-/// produce panel-major buffers the micro-kernel reads with unit stride:
+/// The packing routines of the BLIS macro-kernel (paper Fig. 1/2). Both
+/// operands become panel-major buffers the micro-kernel reads with unit
+/// stride:
 ///
-///   packA: an mc x kc block of column-major A becomes ceil(mc/mr) panels,
-///          panel p holding rows [p*mr, p*mr + mr) as a kc x mr matrix
-///          (k-major), scaled by alpha. Panel capacity is always kc*mr
-///          elements; a short edge panel is either packed *tight* (kc x
-///          mr_eff, for dispatch to a specialized edge kernel) or
-///          zero-padded to full width (for a monolithic kernel + scratch
-///          tile).
+///   packA: an mc x kc block of A becomes ceil(mc/mr) panels, panel p
+///          holding rows [p*mr, p*mr + mr) as a kc x mr matrix (k-major),
+///          scaled by alpha.
 ///   packB: symmetric, nr-wide panels of a kc x nc block of B.
 ///
-/// Two dtype-specific families extend the layout (docs/PRECISION.md):
+/// The two are one operation, packPanels: panel element (k, w) is
+/// Alpha * load(Src[w*WS + k*KS]), W wide, with (WS, KS) the row/column
+/// strides for A and the column/row strides for B (a transposed operand is
+/// just the swapped pair, so packing absorbs the transpose, as in BLIS).
+/// `load` is the identity for f32 and the upconversion for f16/bf16
+/// storage (convert-pack: f32 panels in the identical layout, so the f32
+/// micro-kernels consume half-precision operands unchanged;
+/// docs/PRECISION.md). Panel capacity is always kc*W elements; a short edge
+/// panel is either packed *tight* (kc x w_eff, for dispatch to a
+/// specialized edge kernel) or zero-padded to full width (for a monolithic
+/// kernel + scratch tile).
 ///
-///   convert-pack: f16/bf16 storage upconverted to *f32 panels* with the
-///          identical layout, so the existing f32 micro-kernels consume
-///          half-precision operands unchanged (accumulation is f32 by
-///          construction — the dot-unit contract).
-///   i8 K-grouped pack: the VNNI/sdot layout. Panels group the k dimension
-///          in quads (I8KGroup): element (g, i, kk) of an A panel sits at
-///          Panel[g*mr*4 + i*4 + kk], i.e. each micro-row contributes 4
-///          consecutive k values — exactly one dot-instruction operand.
-///          Short edges and the K remainder are always zero-padded (zeros
-///          are exact in integer dot products).
+/// packPanels switches once per call to a compile-time panel width for
+/// every width the planner's tile candidates use ({4, 6, 8, 12, 16, 24}),
+/// and picks one of two loop orders by which stride is unit (PanelPath):
+/// Copy moves W contiguous elements per k when WS == 1; Transpose reads
+/// four k values of four panel rows when KS == 1 and transposes them in
+/// registers (portable vector extensions, no target flags), with a scalar
+/// tail for kc mod 4. Any other width or stride pair, every partial edge
+/// panel, and every f16 panel (its software decode is an out-of-line call
+/// per element, so there is nothing to batch) run the runtime-width loop.
+/// Alpha is always multiplied in, even when it is 1, so NaN payloads and
+/// signed zeros come out the same on every path.
+///
+/// The i8 K-grouped pack is the VNNI/sdot layout. Panels group the k
+/// dimension in quads (I8KGroup): element (g, i, kk) of an A panel sits at
+/// Panel[g*mr*4 + i*4 + kk], i.e. each micro-row contributes 4 consecutive
+/// k values — exactly one dot-instruction operand. Short edges and the K
+/// remainder are always zero-padded (zeros are exact in integer dot
+/// products).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,29 +69,19 @@ void packA(const float *A, int64_t Lda, int64_t Mc, int64_t Kc, int64_t Mr,
 void packB(const float *B, int64_t Ldb, int64_t Kc, int64_t Nc, int64_t Nr,
            float Alpha, EdgePack Mode, float *Buf);
 
-/// Generalized variants over arbitrary element strides: element (i, k) of
-/// the logical mc x kc block sits at A[i*RowStride + k*ColStride]. These
-/// implement the BLAS transpose cases — a transposed operand is just the
-/// swapped stride pair, packed identically (packing absorbs the transpose,
-/// as in BLIS).
-void packAStrided(const float *A, int64_t RowStride, int64_t ColStride,
-                  int64_t Mc, int64_t Kc, int64_t Mr, float Alpha,
-                  EdgePack Mode, float *Buf);
-void packBStrided(const float *B, int64_t RowStride, int64_t ColStride,
-                  int64_t Kc, int64_t Nc, int64_t Nr, float Alpha,
-                  EdgePack Mode, float *Buf);
+/// The loop packPanels runs for dtype \p Ty, panel width \p W and strides
+/// (WS, KS); see file comment. Exposed so tests can confirm every path is
+/// drawn.
+enum class PanelPath : uint8_t { Copy, Transpose, Runtime };
+PanelPath panelPath(DType Ty, int64_t W, int64_t WS, int64_t KS);
 
-/// Convert-packs for f16/bf16 storage (\p Ty selects the decoder): identical
-/// panel layout to packAStrided/packBStrided but the source elements are
-/// raw 16-bit halves upconverted to f32 (alpha applied in f32). Only the
-/// ZeroPad layout is produced — half-precision plans have no specialized
-/// edge kernels.
-void packAConvStrided(DType Ty, const uint16_t *A, int64_t RowStride,
-                      int64_t ColStride, int64_t Mc, int64_t Kc, int64_t Mr,
-                      float Alpha, float *Buf);
-void packBConvStrided(DType Ty, const uint16_t *B, int64_t RowStride,
-                      int64_t ColStride, int64_t Kc, int64_t Nc, int64_t Nr,
-                      float Alpha, float *Buf);
+/// The one float-panel packer (see file comment): element (w, k) of the
+/// logical Len x Kc block sits at Src[w*WS + k*KS], in \p Ty's storage
+/// (float for F32, uint16_t halves for F16/BF16; I8I32 has its own pack
+/// below). Writes ceil(Len/W) panels of Kc*W floats into \p Buf.
+void packPanels(DType Ty, const void *Src, int64_t WS, int64_t KS,
+                int64_t Len, int64_t Kc, int64_t W, float Alpha,
+                EdgePack Mode, float *Buf);
 
 /// K-grouped int8 packs (see file comment). Caller sizes Buf as
 /// ceil(mc/mr) * ceil(kc/4)*4 * mr bytes (resp. nc/nr). No alpha: integer

@@ -12,8 +12,8 @@
 // (m/n/k == 0, alpha == 0) interleaved mid-batch.
 //
 // Rides in gemm_test, so the tsan_gemm_threads8 gate re-runs the
-// cross-item scheduling (one item per pool worker, per-worker packing
-// workspaces) under ThreadSanitizer.
+// cross-item scheduling (a slice of items per pool worker, per-worker
+// packing workspaces) and the shared-B runs under ThreadSanitizer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -248,20 +249,118 @@ TEST(Batched, StridedMatchesItemList) {
 TEST(Batched, StridedSharedOperandsViaStrideZero) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
-  const int64_t M = 24, N = 36, K = 48, Count = 5;
-  Engine E = makeEngine(1);
-  std::vector<float> A(M * K), B(K * N), C(M * N * Count),
-      CSeq(M * N * Count);
+  // A stride-0 B makes the batch one shared-B run: each B block is packed
+  // once for every item. Blocks small enough that K spans three Kc blocks
+  // and N three Nc blocks (the last one partial), so the run crosses
+  // several (jc, pc) rounds and their barriers. Both scheduling paths,
+  // team widths 1 and 4, beta 0 over NaN and beta 0.5, alpha 1 and 1.5,
+  // A shared or distinct — every case bitwise equal to sequential sgemm.
+  const int64_t M = 24, N = 60, K = 48, Count = 5;
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Blis;
+  Cfg.Blocks = BlockSizes{16, 16, 24};
+  std::vector<float> A(M * K * Count), B(K * N), C0(M * N * Count);
   benchutil::fillRandom(A.data(), A.size(), 51);
   benchutil::fillRandom(B.data(), B.size(), 52);
-  for (int64_t I = 0; I != Count; ++I)
-    ASSERT_FALSE(E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 0.0f,
+  benchutil::fillRandom(C0.data(), C0.size(), 53);
+  for (const char *Crossover : {"0", "1099511627776"})
+    for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+      ScopedEnv Env("EXO_GEMM_BATCH_CROSSOVER", Crossover);
+      Cfg.Threads = Threads;
+      Engine E(Cfg);
+      for (float Beta : {0.0f, 0.5f})
+        for (float Alpha : {1.0f, 1.5f})
+          for (int64_t StrideA : {int64_t(0), M * K}) {
+            std::vector<float> C = C0;
+            if (Beta == 0.0f)
+              std::fill(C.begin(), C.end(), std::nanf(""));
+            std::vector<float> CSeq = C;
+            for (int64_t I = 0; I != Count; ++I)
+              ASSERT_FALSE(E.sgemm(M, N, K, Alpha, A.data() + I * StrideA,
+                                   M, B.data(), K, Beta,
+                                   CSeq.data() + I * M * N, M));
+            ASSERT_FALSE(E.sgemmStridedBatched(
+                Trans::None, Trans::None, M, N, K, Alpha, A.data(), M,
+                StrideA, B.data(), K, 0, Beta, C.data(), M, M * N, Count));
+            EXPECT_EQ(0, std::memcmp(C.data(), CSeq.data(),
+                                     C.size() * sizeof(float)))
+                << "crossover " << Crossover << ", threads " << Threads
+                << ", beta " << Beta << ", alpha " << Alpha
+                << ", StrideA " << StrideA;
+          }
+    }
+}
+
+TEST(Batched, SharedBPointerItemsWithDistinctAAndC) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  // An item list (not a stride) whose items share one B pointer but own
+  // their A and C, transposed B, with a distinct-B item in the middle that
+  // splits the shared-B runs.
+  for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+    EngineConfig Cfg;
+    Cfg.Series = EngineSeries::Blis;
+    Cfg.Threads = Threads;
+    Cfg.Blocks = BlockSizes{16, 16, 24};
+    Engine E(Cfg);
+    BatchFixture F;
+    for (size_t I = 0; I != 7; ++I)
+      F.add(Trans::Transpose, Trans::Transpose, 20, 50, 40, I);
+    for (size_t I = 1; I != 7; ++I)
+      if (I != 3)
+        F.Items[I].B = F.Items[0].B;
+    F.runSequential(E);
+    EngineStats Before = E.stats();
+    ASSERT_FALSE(E.sgemmBatched(F.Items));
+    F.expectBitwise();
+    // Runs {0,1,2}, {3}, {4,5,6} when the group runs as one (intra-item);
+    // cross-item slices can only split runs further.
+    const uint64_t Shared = E.stats().BatchedBShared - Before.BatchedBShared;
+    EXPECT_LE(Shared, 4u);
+    if (Threads == 1) {
+      EXPECT_EQ(Shared, 4u);
+    }
+  }
+}
+
+TEST(Batched, SameBPointerDifferentLdbDoesNotShareARun) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  // Same B pointer, different Ldb: different matrices, so each item packs
+  // its own B.
+  const int64_t M = 16, N = 24, K = 12, Count = 4;
+  Engine E = makeEngine(1);
+  std::vector<float> A(M * K), B((K + Count) * N), C(M * N * Count),
+      CSeq(M * N * Count);
+  benchutil::fillRandom(A.data(), A.size(), 61);
+  benchutil::fillRandom(B.data(), B.size(), 62);
+  std::vector<GemmBatchItem> Items(Count);
+  for (int64_t I = 0; I != Count; ++I) {
+    Items[I] = GemmBatchItem{Trans::None, Trans::None, M, N, K, 1.0f,
+                             A.data(), M, B.data(), K + I, 0.0f,
+                             C.data() + I * M * N, M};
+    ASSERT_FALSE(E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K + I, 0.0f,
                          CSeq.data() + I * M * N, M));
-  // A shared across the batch (stride 0), distinct C per item.
-  ASSERT_FALSE(E.sgemmStridedBatched(Trans::None, Trans::None, M, N, K, 1.0f,
-                                     A.data(), M, 0, B.data(), K, 0, 0.0f,
-                                     C.data(), M, M * N, Count));
+  }
+  ASSERT_FALSE(E.sgemmBatched(Items));
   EXPECT_EQ(0, std::memcmp(C.data(), CSeq.data(), C.size() * sizeof(float)));
+  EXPECT_EQ(E.stats().BatchedBShared, 0u);
+}
+
+TEST(Batched, StrideZeroBPacksOnceForTheWholeBatch) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  // One block, 16 items, team size 1: the first item packs B, the other
+  // 15 reuse it.
+  const int64_t M = 64, N = 64, K = 64, Count = 16;
+  Engine E = makeEngine(1);
+  std::vector<float> A(M * K * Count), B(K * N), C(M * N * Count);
+  benchutil::fillRandom(A.data(), A.size(), 71);
+  benchutil::fillRandom(B.data(), B.size(), 72);
+  ASSERT_FALSE(E.sgemmStridedBatched(Trans::None, Trans::None, M, N, K, 1.0f,
+                                     A.data(), M, M * K, B.data(), K, 0, 0.0f,
+                                     C.data(), M, M * N, Count));
+  EXPECT_EQ(E.stats().BatchedBShared, 15u);
 }
 
 TEST(Batched, TunedPriorsKeepBitwiseThreadCountInvariance) {

@@ -68,13 +68,14 @@ TEST(TransposeTest, NT) { runCase(Trans::None, Trans::Transpose); }
 TEST(TransposeTest, TT) { runCase(Trans::Transpose, Trans::Transpose); }
 
 TEST(TransposeTest, StridedPackingAgreesWithPlain) {
-  // packA == packAStrided(1, lda) by definition; sanity-check the wrapper.
+  // packA == packPanels(F32, 1, lda) by definition; sanity-check the
+  // wrapper.
   const int64_t Mc = 7, Kc = 5, Mr = 4, Lda = 9;
   std::vector<float> A(Lda * Kc);
   benchutil::fillRandom(A.data(), A.size(), 4);
   std::vector<float> B1(2 * Kc * Mr, -1), B2(2 * Kc * Mr, -2);
   packA(A.data(), Lda, Mc, Kc, Mr, 1.5f, EdgePack::ZeroPad, B1.data());
-  packAStrided(A.data(), 1, Lda, Mc, Kc, Mr, 1.5f, EdgePack::ZeroPad,
-               B2.data());
+  packPanels(DType::F32, A.data(), 1, Lda, Mc, Kc, Mr, 1.5f,
+             EdgePack::ZeroPad, B2.data());
   EXPECT_EQ(B1, B2);
 }

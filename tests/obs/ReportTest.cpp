@@ -147,6 +147,28 @@ TEST(ReportTest, MissingRowsNoteOrFail) {
   EXPECT_FALSE(R2->pass());
 }
 
+TEST(ReportTest, MachineMismatchIsNotedNotGated) {
+  Json Base = report({row("a", "s", 10.0)});
+  Json Fresh = Base;
+  auto Same = compareReports(Base, Fresh, {});
+  ASSERT_TRUE(bool(Same));
+  EXPECT_TRUE(Same->Notes.empty());
+
+  Json Machine = *Base.get("machine");
+  Machine.set("cpu", "Other CPU @ 2.70GHz");
+  Machine.set("hw_threads", static_cast<int64_t>(1024));
+  Fresh.set("machine", Machine);
+  auto R = compareReports(Base, Fresh, {});
+  ASSERT_TRUE(bool(R));
+  EXPECT_TRUE(R->pass());
+  ASSERT_EQ(R->Notes.size(), 1u);
+  EXPECT_EQ(R->Notes[0].rfind("machine differs: cpu ", 0), 0u) << R->Notes[0];
+  EXPECT_NE(R->Notes[0].find("Other CPU @ 2.70GHz"), std::string::npos);
+  EXPECT_NE(R->Notes[0].find("hw_threads"), std::string::npos);
+  EXPECT_EQ(R->Notes[0].find("arch"), std::string::npos);
+  EXPECT_EQ(R->Notes[0].find('\n'), std::string::npos);
+}
+
 TEST(ReportTest, SchemaOrBenchMismatchIsAnError) {
   Json A = report({row("a", "s", 1.0)});
   Json B = report({row("a", "s", 1.0)});

@@ -11,6 +11,9 @@
 // Rows match on (series, label, metric); a relative regression beyond the
 // tolerance (default 0.10 = 10%) in the row's declared "better" direction
 // fails the gate. Exit codes: 0 pass, 1 regression, 2 usage/parse error.
+// A baseline whose machine identity (cpu, arch or hw_threads) differs from
+// the fresh report's gets a "machine differs" note; the exit code does not
+// change.
 // This is the gate future perf PRs cite: regenerate the BENCH_*.json in
 // question, run bench_check against the committed baseline, and paste the
 // summary (see EXPERIMENTS.md for the workflow).
