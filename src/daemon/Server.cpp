@@ -453,12 +453,10 @@ void Server::Impl::handleGemm(const Work &W) {
   };
 
   // Never trust the dtype byte: it picks the element sizes every span
-  // below is checked at. Typed batches have no engine entry yet.
+  // below is checked at.
   if (Q.DTy >= gemm::DTypeCount)
     return RejectBad("unknown request dtype");
   const gemm::DType Ty = static_cast<gemm::DType>(Q.DTy);
-  if (Q.BatchCount > 1 && Ty != gemm::DType::F32)
-    return RejectBad("batched requests are f32-only in wire v4");
 
   // Geometry validation against the arena: every byte the engine will
   // touch must land inside this client's region, at the request dtype's
@@ -513,22 +511,15 @@ void Server::Impl::handleGemm(const Work &W) {
   ukr::CacheStats UB = ukr::globalCacheStats();
   uint64_t T0 = nowNs();
   Error E = [&] {
-    if (Q.BatchCount == 1) {
-      EXO_OBS_SPAN("gemmd.request");
-      // The typed front door; F32 lands on the byte-identical sgemm path.
-      // For I8I32 the engine itself rejects fractional alpha/beta, which
-      // surfaces to the client as ReqStatus::Error with the message
-      // intact.
-      return Eng.gemm(Ty, TA, TB, Q.M, Q.N, Q.K, static_cast<double>(Q.Alpha),
-                      Arena0 + Q.OffA, Q.Lda, Arena0 + Q.OffB, Q.Ldb,
-                      static_cast<double>(Q.Beta), Arena0 + Q.OffC, Q.Ldc);
-    }
-    EXO_OBS_SPAN("gemmd.batch");
-    return Eng.sgemmStridedBatched(
-        TA, TB, Q.M, Q.N, Q.K, Q.Alpha,
-        reinterpret_cast<const float *>(Arena0 + Q.OffA), Q.Lda, Q.StrideA,
-        reinterpret_cast<const float *>(Arena0 + Q.OffB), Q.Ldb, Q.StrideB,
-        Q.Beta, reinterpret_cast<float *>(Arena0 + Q.OffC), Q.Ldc, Q.StrideC,
+    // One typed call for every request; F32 lands on the byte-identical
+    // sgemm path. For I8I32 the engine itself rejects fractional
+    // alpha/beta, which surfaces to the client as ReqStatus::Error with the
+    // message intact.
+    EXO_OBS_SPAN(Q.BatchCount == 1 ? "gemmd.request" : "gemmd.batch");
+    return Eng.gemmStridedBatched(
+        Ty, TA, TB, Q.M, Q.N, Q.K, static_cast<double>(Q.Alpha),
+        Arena0 + Q.OffA, Q.Lda, Q.StrideA, Arena0 + Q.OffB, Q.Ldb, Q.StrideB,
+        static_cast<double>(Q.Beta), Arena0 + Q.OffC, Q.Ldc, Q.StrideC,
         Q.BatchCount);
   }();
   Rep.ServerNs = nowNs() - T0;

@@ -11,11 +11,10 @@
 #include "obs/Obs.h"
 #include "ukr/KernelService.h"
 
+#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -103,48 +102,8 @@ int64_t envPlanCacheCap() {
                      /*Default=*/256, /*Min=*/1, /*Max=*/1 << 30);
 }
 
-/// Answered by the quick return: nothing to multiply, so the call never
-/// plans, allocates, or reads A/B (BLAS semantics).
-bool isDegenerate(int64_t M, int64_t N, int64_t K, double Alpha) {
-  return M == 0 || N == 0 || K == 0 || Alpha == 0.0;
-}
-
-/// The argument rules every call and every batch item obeys, in
-/// gemm::Client's order: negative dimensions; for I8I32, scales that are
-/// not exact integers; then — only for calls past the quick return — a
-/// leading dimension smaller than its operand's stored rows, which would
-/// make the executor read or write out of range.
-Error checkCall(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                double Alpha, double Beta, int64_t Lda, int64_t Ldb,
-                int64_t Ldc) {
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemm engine: negative dimension");
-  if (Ty == DType::I8I32) {
-    // Integer alpha/beta only: they scale the i32 accumulator exactly.
-    // A fractional scale is a quantization policy decision that belongs in
-    // the caller, not a silently-rounded GEMM parameter (DType.h).
-    constexpr double Lim = 9.0e18; // < 2^63, exactly representable
-    if (Alpha != std::nearbyint(Alpha) || Beta != std::nearbyint(Beta) ||
-        std::fabs(Alpha) > Lim || std::fabs(Beta) > Lim)
-      return errorf("gemm engine: i8 alpha/beta must be exact integers "
-                    "(got alpha=%g beta=%g)",
-                    Alpha, Beta);
-  }
-  if (isDegenerate(M, N, K, Alpha))
-    return Error::success();
-  const int64_t ARows = TA == Trans::None ? M : K;
-  const int64_t BRows = TB == Trans::None ? K : N;
-  if (Lda < ARows || Ldb < BRows || Ldc < M)
-    return errorf("gemm engine: leading dimension smaller than rows "
-                  "(lda=%lld ldb=%lld ldc=%lld for %lldx%lldx%lld)",
-                  static_cast<long long>(Lda), static_cast<long long>(Ldb),
-                  static_cast<long long>(Ldc), static_cast<long long>(M),
-                  static_cast<long long>(N), static_cast<long long>(K));
-  return Error::success();
-}
-
 /// The executor's call bundle from the user-facing scalars: f32 scales for
-/// the float dtypes, exact integers for I8I32 (checkCall vetted them).
+/// the float dtypes, exact integers for I8I32 (checkGemmArgs vetted them).
 detail::GemmCall makeCall(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                           int64_t K, double Alpha, const void *A, int64_t Lda,
                           const void *B, int64_t Ldb, double Beta, void *C,
@@ -156,11 +115,6 @@ detail::GemmCall makeCall(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
     Cl.BetaI = static_cast<int64_t>(Beta);
   }
   return Cl;
-}
-
-detail::GemmCall itemCall(const GemmBatchItem &It) {
-  return makeCall(DType::F32, It.TA, It.TB, It.M, It.N, It.K, It.Alpha, It.A,
-                  It.Lda, It.B, It.Ldb, It.Beta, It.C, It.Ldc);
 }
 
 } // namespace
@@ -254,9 +208,9 @@ struct Engine::Impl {
                                  Error &Err);
   void execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
                int64_t NCalls, detail::GemmWorkspace &WS);
-  Error run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-            double Alpha, const void *A, int64_t Lda, const void *B,
-            int64_t Ldb, double Beta, void *C, int64_t Ldc);
+  void quickReturn(DType Ty, const detail::GemmCall &Cl);
+  Error run(DType Ty, const detail::GemmCall &Cl);
+  Error runBatch(DType Ty, std::vector<detail::GemmCall> &Calls);
 };
 
 Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
@@ -561,51 +515,31 @@ void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
   }
 }
 
-Error Engine::Impl::run(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                        int64_t K, double Alpha, const void *A, int64_t Lda,
-                        const void *B, int64_t Ldb, double Beta, void *C,
-                        int64_t Ldc) {
-  if (Error E = checkCall(Ty, TA, TB, M, N, K, Alpha, Beta, Lda, Ldb, Ldc))
-    return E;
-  // Degenerate quick returns, ahead of the plan cache (beta == 0
-  // overwrites in storage type; m == 0 or n == 0 touches nothing).
-  if (isDegenerate(M, N, K, Alpha)) {
-    Degenerate.fetch_add(1, std::memory_order_relaxed);
-    if (M != 0 && N != 0)
-      detail::scaleByBeta(Ty, M, N, Beta, C, Ldc);
+/// Degenerate calls skip the plan cache (beta == 0 overwrites in storage
+/// type; m == 0 or n == 0 touches nothing).
+void Engine::Impl::quickReturn(DType Ty, const detail::GemmCall &Cl) {
+  Degenerate.fetch_add(1, std::memory_order_relaxed);
+  if (Cl.M != 0 && Cl.N != 0)
+    detail::scaleByBeta(Ty, Cl.M, Cl.N,
+                        Ty == DType::I8I32 ? static_cast<double>(Cl.BetaI)
+                                           : Cl.Beta,
+                        Cl.C, Cl.Ldc);
+}
+
+Error Engine::Impl::run(DType Ty, const detail::GemmCall &Cl) {
+  if (detail::isDegenerate(Cl.M, Cl.N, Cl.K, Cl.Alpha)) {
+    quickReturn(Ty, Cl);
     return Error::success();
   }
   Error Err = Error::success();
   std::shared_ptr<ExecPlan> Plan =
-      plan(key(Ty, TA, TB, M, N, K, plannedThreads()), 1, Err);
+      plan(key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, plannedThreads()), 1, Err);
   if (!Plan)
     return Err;
   std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  const detail::GemmCall Call =
-      makeCall(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc);
-  execute(*Plan, &Call, 1, *WS);
+  execute(*Plan, &Cl, 1, *WS);
   Plan->release(std::move(WS));
   return Error::success();
-}
-
-Error Engine::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                    float Alpha, const float *A, int64_t Lda, const float *B,
-                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
-  return I->run(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
-                Ldc);
-}
-
-Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, double Alpha, const void *A, int64_t Lda,
-                   const void *B, int64_t Ldb, double Beta, void *C,
-                   int64_t Ldc) {
-  // The f32 door takes sgemm's f32 scales, so the two spellings agree
-  // bitwise (including which tiny alpha counts as zero).
-  if (Ty == DType::F32) {
-    Alpha = static_cast<float>(Alpha);
-    Beta = static_cast<float>(Beta);
-  }
-  return I->run(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc);
 }
 
 namespace {
@@ -653,134 +587,103 @@ void runBatchItems(void *Ctx, int64_t Tid) {
   J.BShared->fetch_add(Shared, std::memory_order_relaxed);
 }
 
-/// Max items per cross-item dispatch: chunking bounds the per-batch index
-/// array and lets provisional-plan rebuilds land mid-batch on huge batches.
-int64_t batchGroupMax() {
-  return exo::envInt("EXO_GEMM_BATCH_GROUP_MAX",
-                     std::getenv("EXO_GEMM_BATCH_GROUP_MAX"),
-                     /*Default=*/4096, /*Min=*/1, /*Max=*/1 << 30);
-}
+/// Max items per cross-item dispatch: chunking bounds the per-dispatch
+/// workspace residency and lets provisional-plan rebuilds land mid-batch on
+/// huge batches.
+constexpr int64_t BatchChunkMax = 4096;
 
 } // namespace
 
-Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
-  if (Count < 0)
-    return errorf("gemm engine: negative batch count");
-  if (Count > 0 && !Items)
-    return errorf("gemm engine: null batch item array");
-  // Validate the whole batch before touching any C: a batch either starts
-  // or fails — callers never see half-written output on a bad item.
-  for (int64_t Ix = 0; Ix < Count; ++Ix) {
-    const GemmBatchItem &It = Items[Ix];
-    if (Error E = checkCall(DType::F32, It.TA, It.TB, It.M, It.N, It.K,
-                            It.Alpha, It.Beta, It.Lda, It.Ldb, It.Ldc))
-      return errorf("batch item %lld: %s", static_cast<long long>(Ix),
-                    E.message().c_str());
-  }
-  I->BatchedItems.fetch_add(static_cast<uint64_t>(Count),
-                            std::memory_order_relaxed);
-  if (Count == 0)
-    return Error::success();
+Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
+  BatchedItems.fetch_add(Calls.size(), std::memory_order_relaxed);
+  // Degenerate calls move behind the rest, which sort stably by shape: each
+  // distinct (TA, TB, M, N, K) becomes one contiguous group, in batch order,
+  // that plans once. Every group plans before any C is written, so a plan
+  // error (a shape with no runnable kernel, a Custom series without a
+  // provider) leaves the whole batch untouched.
+  auto Shape = [](const detail::GemmCall &Cl) {
+    return std::tie(Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K);
+  };
+  const auto Live = std::stable_partition(
+      Calls.begin(), Calls.end(), [](const detail::GemmCall &Cl) {
+        return !detail::isDegenerate(Cl.M, Cl.N, Cl.K, Cl.Alpha);
+      });
+  std::stable_sort(Calls.begin(), Live,
+                   [&](const detail::GemmCall &X, const detail::GemmCall &Y) {
+                     return Shape(X) < Shape(Y);
+                   });
 
-  // Non-degenerate items group by shape so each distinct (TA, TB, M, N, K)
-  // plans once. Every group plans before any C is written, so a plan error
-  // (a shape with no runnable kernel, a Custom series without a provider)
-  // also leaves the whole batch untouched.
-  std::map<std::tuple<uint8_t, uint8_t, int64_t, int64_t, int64_t>,
-           std::vector<int64_t>>
-      Groups;
-  for (int64_t Ix = 0; Ix < Count; ++Ix) {
-    const GemmBatchItem &It = Items[Ix];
-    if (!isDegenerate(It.M, It.N, It.K, It.Alpha))
-      Groups[{static_cast<uint8_t>(It.TA), static_cast<uint8_t>(It.TB), It.M,
-              It.N, It.K}]
-          .push_back(Ix);
-  }
-
-  const int64_t T = I->plannedThreads();
-  const bool Governed = I->governorOn() && !ThreadPool::global().inParallel();
-  struct GroupPlan {
-    const std::vector<int64_t> &Idx;
-    int64_t M, N, K;
+  const int64_t T = plannedThreads();
+  const bool InPool = ThreadPool::global().inParallel();
+  struct Group {
+    int64_t Begin, Len;
     bool Cross;
     std::shared_ptr<ExecPlan> Plan;
   };
-  std::vector<GroupPlan> Plans;
-  Plans.reserve(Groups.size());
-  for (const auto &[Shape, Idx] : Groups) {
-    const auto &[TA, TB, M, N, K] = Shape;
-    const int64_t GroupItems = static_cast<int64_t>(Idx.size());
+  std::vector<Group> Groups;
+  const int64_t NLive = Live - Calls.begin();
+  for (int64_t Begin = 0, End = 0; Begin < NLive; Begin = End) {
+    const detail::GemmCall &Cl = Calls[Begin];
+    End = Begin + 1;
+    while (End < NLive && Shape(Calls[End]) == Shape(Cl))
+      ++End;
     const bool Cross =
-        batchPrefersCrossItem(M, N, K, T, GroupItems) &&
-        !ThreadPool::global().inParallel();
+        batchPrefersCrossItem(Cl.M, Cl.N, Cl.K, T, End - Begin) && !InPool;
     // Cross-item groups run every item single-threaded, so they want the
     // T == 1 plan — a distinct cache key from the intra-item plan, which
     // is exactly right: the two strategies use different geometry.
     Error Err = Error::success();
-    std::shared_ptr<ExecPlan> Plan = I->plan(
-        I->key(DType::F32, static_cast<Trans>(TA), static_cast<Trans>(TB), M,
-               N, K, Cross ? 1 : T),
-        static_cast<uint64_t>(GroupItems), Err);
+    std::shared_ptr<ExecPlan> Plan =
+        plan(key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, Cross ? 1 : T),
+             static_cast<uint64_t>(End - Begin), Err);
     if (!Plan)
       return Err;
-    Plans.push_back({Idx, M, N, K, Cross, std::move(Plan)});
+    Groups.push_back({Begin, End - Begin, Cross, std::move(Plan)});
   }
 
-  // Degenerate items resolve inline (sgemm's quick-return semantics, in
-  // batch order — they never group or plan).
-  for (int64_t Ix = 0; Ix < Count; ++Ix) {
-    const GemmBatchItem &It = Items[Ix];
-    if (!isDegenerate(It.M, It.N, It.K, It.Alpha))
-      continue;
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    if (It.M != 0 && It.N != 0)
-      detail::scaleByBeta(DType::F32, It.M, It.N, It.Beta, It.C, It.Ldc);
-  }
+  for (auto It = Live; It != Calls.end(); ++It)
+    quickReturn(Ty, *It);
 
-  std::vector<detail::GemmCall> Calls;
-  for (const auto &[Idx, M, N, K, Cross, Plan] : Plans) {
-    const int64_t GroupItems = static_cast<int64_t>(Idx.size());
-    I->BatchedGroups.fetch_add(1, std::memory_order_relaxed);
-    Calls.clear();
-    for (int64_t Ix : Idx)
-      Calls.push_back(itemCall(Items[Ix]));
-
+  const bool Governed = governorOn() && !InPool;
+  for (const auto &[Begin, GroupItems, Cross, Plan] : Groups) {
+    const detail::GemmCall *GroupCalls = Calls.data() + Begin;
+    BatchedGroups.fetch_add(1, std::memory_order_relaxed);
     if (!Cross) {
-      // Intra-item slab parallelism: the sgemm execution body, one
+      // Intra-item slab parallelism: the lone-call execution body, one
       // shared-B run at a time (governed per run, so each grant tracks
       // occupancy as sibling callers come and go over a long batch),
       // amortizing one workspace over the group.
       std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
       const uint64_t Shared = forEachSharedBRun(
-          Calls.data(), 0, GroupItems,
+          GroupCalls, 0, GroupItems,
           [&](const detail::GemmCall *Run, int64_t Len) {
-            I->execute(*Plan, Run, Len, *WS);
+            execute(*Plan, Run, Len, *WS);
           });
-      I->BatchedBShared.fetch_add(Shared, std::memory_order_relaxed);
+      BatchedBShared.fetch_add(Shared, std::memory_order_relaxed);
       Plan->release(std::move(WS));
       continue;
     }
 
     // Cross-item scheduling: a contiguous slice of whole items per pool
-    // worker, per-worker workspaces from the plan's pool. Chunked so
-    // enormous batches bound their index spans.
-    I->BatchedCrossItem.fetch_add(static_cast<uint64_t>(GroupItems),
-                                  std::memory_order_relaxed);
-    const int64_t ChunkMax = batchGroupMax();
-    for (int64_t At = 0; At < GroupItems; At += ChunkMax) {
-      const int64_t NItems = std::min(ChunkMax, GroupItems - At);
+    // worker, per-worker workspaces from the plan's pool, in chunks of at
+    // most BatchChunkMax items.
+    BatchedCrossItem.fetch_add(static_cast<uint64_t>(GroupItems),
+                               std::memory_order_relaxed);
+    const detail::GemmCall &Cl = GroupCalls[0];
+    for (int64_t At = 0; At < GroupItems; At += BatchChunkMax) {
+      const int64_t NItems = std::min(BatchChunkMax, GroupItems - At);
       int64_t W = std::min<int64_t>(T, NItems);
       // Governed: the chunk's aggregate flops (not one small item's) drive
       // the width model — cross-item chunks are many small items, and it
       // is their sum that justifies workers.
       Governor::Grant Grant;
       if (Governed && W > 1) {
-        Governor::global().acquireFlops(2.0 * static_cast<double>(M) *
-                                            static_cast<double>(N) *
-                                            static_cast<double>(K) *
+        Governor::global().acquireFlops(2.0 * static_cast<double>(Cl.M) *
+                                            static_cast<double>(Cl.N) *
+                                            static_cast<double>(Cl.K) *
                                             static_cast<double>(NItems),
                                         W, Grant);
-        I->countGrant(Grant);
+        countGrant(Grant);
         W = Grant.width();
       }
       std::vector<std::unique_ptr<detail::GemmWorkspace>> Owned(
@@ -790,8 +693,8 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
         Owned[WI] = Plan->acquire();
         WSs[WI] = Owned[WI].get();
       }
-      BatchJob Job{&Plan->G, Calls.data() + At, NItems, W, WSs.data(),
-                   &I->BatchedBShared};
+      BatchJob Job{&Plan->G, GroupCalls + At, NItems, W, WSs.data(),
+                   &BatchedBShared};
       if (Grant.reservation().Count > 0)
         ThreadPool::global().runTeam(Grant.reservation(), &runBatchItems,
                                      &Job);
@@ -804,41 +707,58 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
   return Error::success();
 }
 
-Error Engine::sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
-                                  int64_t K, float Alpha, const float *A,
-                                  int64_t Lda, int64_t StrideA,
-                                  const float *B, int64_t Ldb,
-                                  int64_t StrideB, float Beta, float *C,
-                                  int64_t Ldc, int64_t StrideC,
-                                  int64_t BatchCount) {
-  if (BatchCount < 0)
+Error Engine::gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
+                                 int64_t N, int64_t K, double Alpha,
+                                 const void *A, int64_t Lda, int64_t StrideA,
+                                 const void *B, int64_t Ldb, int64_t StrideB,
+                                 double Beta, void *C, int64_t Ldc,
+                                 int64_t StrideC, int64_t BatchCount) {
+  // The f32 door takes sgemm's f32 scales, so every f32 spelling agrees
+  // bitwise (including which tiny alpha counts as zero).
+  if (Ty == DType::F32) {
+    Alpha = static_cast<float>(Alpha);
+    Beta = static_cast<float>(Beta);
+  }
+  if (Error E = detail::checkGemmArgs("gemm engine", Ty, TA, TB, M, N, K,
+                                      Alpha, Beta, Lda, Ldb, Ldc, StrideA,
+                                      StrideB, StrideC, BatchCount))
+    return E;
+  const detail::GemmCall Item0 =
+      makeCall(Ty, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C, Ldc);
+  if (BatchCount == 1)
+    return I->run(Ty, Item0);
+  // Item i's operands sit i strides (in elements) past item 0's.
+  const int64_t InB = dtypeInBytes(Ty), OutB = dtypeOutBytes(Ty);
+  std::vector<detail::GemmCall> Calls(static_cast<size_t>(BatchCount), Item0);
+  for (int64_t Ix = 1; Ix < BatchCount; ++Ix) {
+    Calls[Ix].A = static_cast<const unsigned char *>(A) + Ix * StrideA * InB;
+    Calls[Ix].B = static_cast<const unsigned char *>(B) + Ix * StrideB * InB;
+    Calls[Ix].C = static_cast<unsigned char *>(C) + Ix * StrideC * OutB;
+  }
+  return I->runBatch(Ty, Calls);
+}
+
+Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
+  if (Count < 0)
     return errorf("gemm engine: negative batch count");
-  if (StrideA < 0 || StrideB < 0 || StrideC < 0)
-    return errorf("gemm engine: negative batch stride");
-  // Disjoint-C rule (same as cuBLAS): items may run concurrently, so
-  // overlapping C regions would race — and would not match sequential
-  // semantics anyway.
-  if (BatchCount > 1 && M > 0 && N > 0 && StrideC < Ldc * N)
-    return errorf("gemm engine: StrideC (%lld) overlaps C items "
-                  "(need >= Ldc * N = %lld)",
-                  static_cast<long long>(StrideC),
-                  static_cast<long long>(Ldc * N));
-  std::vector<GemmBatchItem> Items(static_cast<size_t>(BatchCount));
-  for (int64_t Ix = 0; Ix < BatchCount; ++Ix)
-    Items[Ix] = GemmBatchItem{TA,
-                              TB,
-                              M,
-                              N,
-                              K,
-                              Alpha,
-                              A + Ix * StrideA,
-                              Lda,
-                              B + Ix * StrideB,
-                              Ldb,
-                              Beta,
-                              C + Ix * StrideC,
-                              Ldc};
-  return sgemmBatched(Items.data(), BatchCount);
+  if (Count > 0 && !Items)
+    return errorf("gemm engine: null batch item array");
+  // Validate the whole batch before touching any C: a batch either starts
+  // or fails — callers never see half-written output on a bad item.
+  std::vector<detail::GemmCall> Calls;
+  Calls.reserve(static_cast<size_t>(Count));
+  for (int64_t Ix = 0; Ix < Count; ++Ix) {
+    const GemmBatchItem &It = Items[Ix];
+    if (Error E = detail::checkGemmArgs("gemm engine", DType::F32, It.TA,
+                                        It.TB, It.M, It.N, It.K, It.Alpha,
+                                        It.Beta, It.Lda, It.Ldb, It.Ldc))
+      return errorf("batch item %lld: %s", static_cast<long long>(Ix),
+                    E.message().c_str());
+    Calls.push_back(makeCall(DType::F32, It.TA, It.TB, It.M, It.N, It.K,
+                             It.Alpha, It.A, It.Lda, It.B, It.Ldb, It.Beta,
+                             It.C, It.Ldc));
+  }
+  return I->runBatch(DType::F32, Calls);
 }
 
 Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,

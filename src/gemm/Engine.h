@@ -14,11 +14,15 @@
 /// §IV) moves from bench-harness code into the dispatch layer.
 ///
 /// Guarantees:
-///   - One executor for every dtype: sgemm, gemm, the batched entries and
-///     warm-up share one validate -> plan -> dispatch routine and the one
-///     five-loop detail::executeGemm, so sgemm and gemm(F32) agree
-///     bitwise, and every dtype is governed, pooled and thread-count
-///     invariant alike (EngineTest, PrecisionTest, GemmDriverTest).
+///   - One routine for every dtype: sgemm, gemm and sgemmStridedBatched
+///     forward to gemmStridedBatched (as gemm::Client's doors forward to
+///     its one request), which validates through the argument rules shared
+///     with the Client (detail::checkGemmArgs), runs a lone call or the
+///     batch core behind sgemmBatched, and ends in the one five-loop
+///     detail::executeGemm. So sgemm and gemm(F32) agree bitwise, batch
+///     items of every dtype equal lone calls bitwise, and every dtype is
+///     governed, pooled and thread-count invariant alike (EngineTest,
+///     PrecisionTest, BatchedTest, GemmDriverTest).
 ///   - Degenerate calls (m/n/k == 0, alpha == 0) return before touching
 ///     the plan cache and never allocate or plan.
 ///   - The steady state performs zero heap allocations per call: plans are
@@ -110,7 +114,8 @@ struct EngineStats {
   uint64_t Evictions = 0;  ///< plans dropped by the cache cap
   uint64_t Degenerate = 0; ///< calls answered by the quick return
   uint64_t StickyErrors = 0; ///< sticky build failures recorded in the cache
-  uint64_t BatchedItems = 0;  ///< items seen by the batched entry points
+  uint64_t BatchedItems = 0;  ///< items run by the batch core (sgemmBatched
+                              ///< and strided batches of two or more)
   uint64_t BatchedGroups = 0; ///< distinct shape groups executed in batches
   uint64_t BatchedCrossItem = 0; ///< items run whole-item across the pool
   /// Items whose packB was skipped: they ran in a shared-B run behind an
@@ -170,11 +175,15 @@ public:
   /// The process-wide default-configured Engine (examples, dnn drivers).
   static Engine &global();
 
-  /// The typed front door: C = alpha * op(A) * op(B) + beta * C,
-  /// column-major, with operand storage in \p Ty's element types
-  /// (dtypeInBytes / dtypeOutBytes; docs/PRECISION.md):
+  /// The one GEMM routine every door below forwards to (the mirror of
+  /// gemm::Client::gemmStridedBatched): BatchCount column-major problems,
+  /// item i computing C + i*StrideC = alpha * op(A + i*StrideA) *
+  /// op(B + i*StrideB) + beta * (C + i*StrideC), strides in elements (the
+  /// cuBLAS layout, and the gemmd wire's). Operand storage is in \p Ty's
+  /// element types (dtypeInBytes / dtypeOutBytes; docs/PRECISION.md):
   ///
-  ///   F32    identical — bitwise — to sgemm below (it runs the same code).
+  ///   F32    alpha/beta are rounded to f32 first, so every f32 spelling
+  ///          (sgemm, gemm(F32), the batches) agrees bitwise.
   ///   F16    A/B/C are IEEE binary16 (uint16_t storage); FMAs in f32 over
   ///   BF16   convert-packed panels (bf16 likewise), alpha/beta applied in
   ///          f32, C rounded to storage (RNE) once per Kc depth block.
@@ -183,26 +192,41 @@ public:
   ///          (a fractional scale is rejected — quantization policy lives
   ///          in the caller).
   ///
-  /// Degenerate semantics match sgemm (beta == 0 overwrites in storage
-  /// type; A/B unread), and so do the errors: negative dimensions, and —
-  /// past the quick return — a leading dimension smaller than its
-  /// operand's stored rows (the gemm::Client rule). Every dtype flows
-  /// through the same plan cache, pooled workspaces, governor and
-  /// five-loop executor; plans are keyed by dtype.
+  /// Arguments obey detail::checkGemmArgs (Gemm.h), the rules gemm::Client
+  /// checks too: StrideA/StrideB may be 0 (operand shared across items),
+  /// and with BatchCount > 1 StrideC must keep the C items disjoint,
+  /// because items may run concurrently. Degenerate calls (m/n/k == 0,
+  /// alpha == 0) return before touching the plan cache: beta == 0
+  /// overwrites in storage type, A/B are unread. A count of 1 is a lone
+  /// call (allocation-free once warm); larger counts run the batch core
+  /// behind sgemmBatched, so each item is bitwise equal to a lone call.
+  /// Every dtype flows through the same plan cache, pooled workspaces,
+  /// governor and five-loop executor; plans are keyed by dtype.
+  exo::Error gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
+                                int64_t N, int64_t K, double Alpha,
+                                const void *A, int64_t Lda, int64_t StrideA,
+                                const void *B, int64_t Ldb, int64_t StrideB,
+                                double Beta, void *C, int64_t Ldc,
+                                int64_t StrideC, int64_t BatchCount);
+
+  /// The typed lone call: C = alpha * op(A) * op(B) + beta * C.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
-                  int64_t Ldc);
+                  int64_t Ldc) {
+    return gemmStridedBatched(Ty, TA, TB, M, N, K, Alpha, A, Lda, 0, B, Ldb,
+                              0, Beta, C, Ldc, 0, 1);
+  }
 
-  /// C = alpha * op(A) * op(B) + beta * C, column-major, through the plan
-  /// cache — the f32 door of gemm() above (same plans, same executor;
-  /// kept as the BLAS-shaped entry the rest of the stack calls). Beta == 0
-  /// overwrites, A/B are unread on degenerate calls; fails on negative
-  /// dimensions, leading dimensions smaller than the stored rows, or when
-  /// no runnable kernel exists for the shape.
+  /// The f32 lone call, kept as the BLAS-shaped entry the rest of the stack
+  /// calls; fails like gemm(), or when no runnable kernel exists for the
+  /// shape.
   exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
                    float Alpha, const float *A, int64_t Lda, const float *B,
-                   int64_t Ldb, float Beta, float *C, int64_t Ldc);
+                   int64_t Ldb, float Beta, float *C, int64_t Ldc) {
+    return gemm(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
+                Ldc);
+  }
 
   /// Non-transposed convenience form.
   exo::Error sgemm(int64_t M, int64_t N, int64_t K, float Alpha,
@@ -212,39 +236,40 @@ public:
                  Beta, C, Ldc);
   }
 
-  /// Executes \p Count independent GEMMs, result-equivalent (bitwise, for
-  /// every thread count) to calling sgemm once per item in order. Items
-  /// are grouped by (TA, TB, M, N, K) so each distinct shape hits the plan
-  /// cache once, and each group picks its execution strategy via the
-  /// planner's cache model (batchPrefersCrossItem): large items keep the
-  /// intra-item team split, small items run whole — a contiguous slice of
-  /// items per pool worker with its own pooled packing workspace — so a
-  /// batch of thousands of tiny GEMMs stops wasting the pool on shapes too
-  /// small to split. Within a group (or a worker's slice), consecutive
-  /// items with the same B pointer and Ldb form one shared-B run whose B
-  /// blocks are packed once (EngineStats::BatchedBShared). Validates every
-  /// item (sgemm's argument rules) before any work: on an invalid item, no
-  /// C is written. Degenerate items (M/N/K == 0, alpha == 0) follow
-  /// sgemm's quick-return semantics wherever they sit in the batch.
+  /// The f32 strided batch.
+  exo::Error sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
+                                 int64_t K, float Alpha, const float *A,
+                                 int64_t Lda, int64_t StrideA, const float *B,
+                                 int64_t Ldb, int64_t StrideB, float Beta,
+                                 float *C, int64_t Ldc, int64_t StrideC,
+                                 int64_t BatchCount) {
+    return gemmStridedBatched(DType::F32, TA, TB, M, N, K, Alpha, A, Lda,
+                              StrideA, B, Ldb, StrideB, Beta, C, Ldc, StrideC,
+                              BatchCount);
+  }
+
+  /// Executes \p Count independent f32 GEMMs, result-equivalent (bitwise,
+  /// for every thread count) to calling sgemm once per item in order — the
+  /// batch core every batch runs on. Items are grouped by (TA, TB, M, N, K)
+  /// so each distinct shape hits the plan cache once, and each group picks
+  /// its execution strategy via the planner's cache model
+  /// (batchPrefersCrossItem): large items keep the intra-item team split,
+  /// small items run whole — a contiguous slice of items per pool worker
+  /// with its own pooled packing workspace — so a batch of thousands of
+  /// tiny GEMMs stops wasting the pool on shapes too small to split. Within
+  /// a group (or a worker's slice), consecutive items with the same B
+  /// pointer and Ldb form one shared-B run whose B blocks are packed once
+  /// (EngineStats::BatchedBShared). Validates every item (sgemm's argument
+  /// rules) and plans every group before any work: on an invalid item or a
+  /// plan error, no C is written. Degenerate items (M/N/K == 0,
+  /// alpha == 0) follow sgemm's quick-return semantics wherever they sit
+  /// in the batch.
   exo::Error sgemmBatched(const GemmBatchItem *Items, int64_t Count);
 
   /// Convenience overload.
   exo::Error sgemmBatched(const std::vector<GemmBatchItem> &Items) {
     return sgemmBatched(Items.data(), static_cast<int64_t>(Items.size()));
   }
-
-  /// Strided-batched form (the cuBLAS-style layout): item i computes
-  /// C + i*StrideC = alpha * op(A + i*StrideA) * op(B + i*StrideB) +
-  /// beta * (C + i*StrideC), strides in elements. StrideA/StrideB may be 0
-  /// (operand shared across items); StrideC must keep the C regions
-  /// disjoint — with BatchCount > 1 it must be >= Ldc * N (checked), the
-  /// same rule cuBLAS imposes, because items may execute concurrently.
-  exo::Error sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
-                                 int64_t K, float Alpha, const float *A,
-                                 int64_t Lda, int64_t StrideA, const float *B,
-                                 int64_t Ldb, int64_t StrideB, float Beta,
-                                 float *C, int64_t Ldc, int64_t StrideC,
-                                 int64_t BatchCount);
 
   /// Builds (and caches) the plan for a shape ahead of traffic and
   /// prefetches its kernel family through KernelService — the main kernel,

@@ -6,6 +6,7 @@
 #include "obs/Obs.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -529,4 +530,46 @@ void detail::scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta,
     for (int64_t J = 0; J < N; ++J)
       Policy::scale(Out + J * Ldc, M, Cl);
   });
+}
+
+Error detail::checkGemmArgs(const char *Who, DType Ty, Trans TA, Trans TB,
+                            int64_t M, int64_t N, int64_t K, double Alpha,
+                            double Beta, int64_t Lda, int64_t Ldb,
+                            int64_t Ldc, int64_t StrideA, int64_t StrideB,
+                            int64_t StrideC, int64_t BatchCount) {
+  if (M < 0 || N < 0 || K < 0)
+    return errorf("%s: negative dimension", Who);
+  if (BatchCount < 0)
+    return errorf("%s: negative batch count", Who);
+  if (StrideA < 0 || StrideB < 0 || StrideC < 0)
+    return errorf("%s: negative batch stride", Who);
+  if (Ty == DType::I8I32) {
+    // Integer alpha/beta only: they scale the i32 accumulator exactly.
+    // A fractional scale is a quantization policy decision that belongs in
+    // the caller, not a silently-rounded GEMM parameter (DType.h).
+    constexpr double Lim = 9.0e18; // < 2^63, exactly representable
+    if (Alpha != std::nearbyint(Alpha) || Beta != std::nearbyint(Beta) ||
+        std::fabs(Alpha) > Lim || std::fabs(Beta) > Lim)
+      return errorf("%s: i8 alpha/beta must be exact integers "
+                    "(got alpha=%g beta=%g)",
+                    Who, Alpha, Beta);
+  }
+  if (BatchCount == 0 || isDegenerate(M, N, K, Alpha))
+    return Error::success();
+  const int64_t ARows = TA == Trans::None ? M : K;
+  const int64_t BRows = TB == Trans::None ? K : N;
+  if (Lda < ARows || Ldb < BRows || Ldc < M)
+    return errorf("%s: leading dimension smaller than rows "
+                  "(lda=%lld ldb=%lld ldc=%lld for %lldx%lldx%lld)",
+                  Who, static_cast<long long>(Lda),
+                  static_cast<long long>(Ldb), static_cast<long long>(Ldc),
+                  static_cast<long long>(M), static_cast<long long>(N),
+                  static_cast<long long>(K));
+  if (BatchCount > 1 &&
+      static_cast<__int128>(StrideC) < static_cast<__int128>(Ldc) * N)
+    return errorf("%s: StrideC (%lld) overlaps C items (need >= Ldc * N "
+                  "= %lld * %lld)",
+                  Who, static_cast<long long>(StrideC),
+                  static_cast<long long>(Ldc), static_cast<long long>(N));
+  return Error::success();
 }

@@ -159,6 +159,30 @@ void executeGemm(const GemmGeometry &G, const GemmCall *Calls,
                  int64_t NCalls, GemmWorkspace &WS,
                  ThreadPool::Reservation *Res = nullptr);
 
+/// True when a call is answered by the quick return: nothing to multiply,
+/// so it never plans, allocates or reads A/B (BLAS semantics). Alpha counts
+/// as zero when it rounds to zero in f32, the precision every float dtype
+/// applies it in (an integer i8 scale is zero exactly when its f32 image
+/// is), so a call and its GemmCall agree on it.
+inline bool isDegenerate(int64_t M, int64_t N, int64_t K, double Alpha) {
+  return M == 0 || N == 0 || K == 0 || static_cast<float>(Alpha) == 0.0f;
+}
+
+/// The argument rules of every GEMM entry — the Engine and gemm::Client
+/// alike, for a lone call (the defaults) or a strided batch (strides in
+/// elements) — checked in one order: negative dimensions, a negative batch
+/// count or stride, and for I8I32 scales that are not exact integers; then,
+/// only for a non-empty batch past the quick return, a leading dimension
+/// smaller than its operand's stored rows and, with more than one item, a
+/// StrideC below Ldc * N, which would let C items overlap (the cuBLAS rule:
+/// items may run concurrently). Ldc * N is compared in 128 bits, since it
+/// can exceed int64_t. \p Who prefixes the message.
+exo::Error checkGemmArgs(const char *Who, DType Ty, Trans TA, Trans TB,
+                         int64_t M, int64_t N, int64_t K, double Alpha,
+                         double Beta, int64_t Lda, int64_t Ldb, int64_t Ldc,
+                         int64_t StrideA = 0, int64_t StrideB = 0,
+                         int64_t StrideC = 0, int64_t BatchCount = 1);
+
 /// The shared degenerate path (K == 0 or alpha == 0): C = beta * C in \p
 /// Ty's storage type — f32 directly, f16/bf16 scaled in f32 and rounded
 /// back, i8 -> i32 scaled by the integer beta with wraparound. Beta == 0

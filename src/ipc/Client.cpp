@@ -9,7 +9,6 @@
 #include "exo/support/Env.h"
 #include "obs/Obs.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -177,60 +176,28 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
   }
 }
 
-Error Client::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                    float Alpha, const float *A, int64_t Lda, const float *B,
-                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
-  return request(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, 0, B, Ldb, 0,
-                 Beta, C, Ldc, 0, 1);
-}
-
-Error Client::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, double Alpha, const void *A, int64_t Lda,
-                   const void *B, int64_t Ldb, double Beta, void *C,
-                   int64_t Ldc) {
-  // The f32 door rounds its scales like Engine::gemm's f32 path does, so
-  // it stays byte for byte the sgemm request.
+Error Client::gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
+                                 int64_t N, int64_t K, double Alpha,
+                                 const void *A, int64_t Lda, int64_t StrideA,
+                                 const void *B, int64_t Ldb, int64_t StrideB,
+                                 double Beta, void *C, int64_t Ldc,
+                                 int64_t StrideC, int64_t BatchCount) {
+  // The f32 door rounds its scales like the Engine's does, so gemm(F32)
+  // stays byte for byte the sgemm request.
   if (Ty == DType::F32) {
     Alpha = static_cast<float>(Alpha);
     Beta = static_cast<float>(Beta);
   }
-  return request(Ty, TA, TB, M, N, K, Alpha, A, Lda, 0, B, Ldb, 0, Beta, C,
-                 Ldc, 0, 1);
-}
-
-Error Client::sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
-                                  int64_t K, float Alpha, const float *A,
-                                  int64_t Lda, int64_t StrideA,
-                                  const float *B, int64_t Ldb,
-                                  int64_t StrideB, float Beta, float *C,
-                                  int64_t Ldc, int64_t StrideC,
-                                  int64_t BatchCount) {
-  return request(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, StrideA, B, Ldb,
-                 StrideB, Beta, C, Ldc, StrideC, BatchCount);
-}
-
-Error Client::request(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                      int64_t K, double Alpha, const void *A, int64_t Lda,
-                      int64_t StrideA, const void *B, int64_t Ldb,
-                      int64_t StrideB, double Beta, void *C, int64_t Ldc,
-                      int64_t StrideC, int64_t BatchCount) {
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemmd client: negative dimension");
-  if (BatchCount < 0)
-    return errorf("gemmd client: negative batch count");
-  if (StrideA < 0 || StrideB < 0 || StrideC < 0)
-    return errorf("gemmd client: negative batch stride");
+  if (Error E = detail::checkGemmArgs("gemmd client", Ty, TA, TB, M, N, K,
+                                      Alpha, Beta, Lda, Ldb, Ldc, StrideA,
+                                      StrideB, StrideC, BatchCount))
+    return E;
   // The wire carries alpha/beta as f32; refuse anything that would be
-  // silently rounded in transit. For I8I32 the engine additionally
-  // requires exact integers — check here too so the diagnostic names the
-  // caller instead of costing a round trip.
+  // silently rounded in transit.
   if (static_cast<double>(static_cast<float>(Alpha)) != Alpha ||
       static_cast<double>(static_cast<float>(Beta)) != Beta)
     return errorf("gemmd client: alpha/beta must be exactly representable "
                   "as f32 (the wire carries them as f32)");
-  if (Ty == DType::I8I32 &&
-      (Alpha != std::nearbyint(Alpha) || Beta != std::nearbyint(Beta)))
-    return errorf("gemmd client: i8 gemm requires integer alpha/beta");
   const uint64_t InB = dtypeInBytes(Ty);
   const uint64_t OutB = dtypeOutBytes(Ty);
   auto *CBytes = static_cast<unsigned char *>(C);
@@ -239,24 +206,17 @@ Error Client::request(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
   // identical).
   if (BatchCount == 0 || M == 0 || N == 0)
     return Error::success();
-  if (K == 0 || Alpha == 0.0) {
+  if (detail::isDegenerate(M, N, K, Alpha)) {
     for (int64_t I = 0; I < BatchCount; ++I)
       detail::scaleByBeta(Ty, M, N, Beta,
                           CBytes + static_cast<uint64_t>(I * StrideC) * OutB,
                           Ldc);
     return Error::success();
   }
-  if (BatchCount > 1 && StrideC < Ldc * N)
-    return errorf("gemmd client: StrideC (%lld) overlaps C items "
-                  "(need >= Ldc * N = %lld)",
-                  static_cast<long long>(StrideC),
-                  static_cast<long long>(Ldc * N));
   const int64_t ARows = TA == Trans::None ? M : K;
   const int64_t ACols = TA == Trans::None ? K : M;
   const int64_t BRows = TB == Trans::None ? K : N;
   const int64_t BCols = TB == Trans::None ? N : K;
-  if (Lda < ARows || Ldb < BRows || Ldc < M)
-    return errorf("gemmd client: leading dimension smaller than rows");
 
   std::lock_guard<std::mutex> Lock(Mu);
   if (Error E = ensureConnectedLocked())

@@ -6,14 +6,16 @@
 ///
 /// \file
 /// The client half of gemmd: `gemm::Client` is call-compatible with the
-/// Engine's `sgemm`, `gemm` and `sgemmStridedBatched`, but instead of
+/// Engine's `gemmStridedBatched`, `gemm`, `sgemm` and
+/// `sgemmStridedBatched`, but instead of
 /// planning and executing locally it stages the operands into the
 /// session's shared-memory arena, posts one GemmRequest packet on the
 /// request ring, rings the doorbell, and blocks until the server's reply —
 /// so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
 /// ONE thread pool inside the daemon instead of each paying the
-/// cold-start cost (docs/GEMMD.md). All three calls are forwards to one
-/// request routine; they differ only in dtype, strides and batch count.
+/// cold-start cost (docs/GEMMD.md). Like the Engine's, every door is a
+/// forward to the one typed routine, gemmStridedBatched; they differ only
+/// in dtype, strides and batch count.
 ///
 /// Semantics match the Engine exactly: degenerate calls (m/n/k == 0,
 /// alpha == 0, an empty batch) are answered locally through the same
@@ -72,27 +74,48 @@ public:
   /// Tears the session down; the next call reconnects.
   void disconnect();
 
-  /// Remote C = alpha * op(A) * op(B) + beta * C; call-compatible with
-  /// Engine::sgemm and bitwise identical to the daemon engine's local
-  /// result.
-  exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                   float Alpha, const float *A, int64_t Lda, const float *B,
-                   int64_t Ldb, float Beta, float *C, int64_t Ldc);
+  /// The one remote GEMM every door below forwards to, call-compatible
+  /// with Engine::gemmStridedBatched: BatchCount same-shape problems of
+  /// \p Ty (strides and count in elements) cross the wire as ONE
+  /// GemmRequest packet and ONE doorbell round trip, so a model's worth of
+  /// small GEMMs pays the per-request latency once. Operands are raw
+  /// element buffers of \p Ty's storage types (f32 floats, f16/bf16 uint16
+  /// halves, i8 A/B with i32 C); the server re-validates the arena spans at
+  /// those element sizes. StrideA/StrideB == 0 ships the shared operand a
+  /// single time.
+  ///
+  /// The argument rules are the Engine's (detail::checkGemmArgs), checked
+  /// here so the error names the caller rather than costing a round trip,
+  /// plus the wire's own: alpha/beta cross as f32, so for dtypes other
+  /// than F32 (which rounds them to f32 like the Engine) they must be
+  /// exactly representable in f32, and the staged operands must fit the
+  /// session arena. Degenerate calls and empty batches resolve locally
+  /// through the same scaleByBeta path the Engine uses and never touch the
+  /// wire; everything else is bitwise identical to the daemon engine's
+  /// local gemmStridedBatched.
+  exo::Error gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
+                                int64_t N, int64_t K, double Alpha,
+                                const void *A, int64_t Lda, int64_t StrideA,
+                                const void *B, int64_t Ldb, int64_t StrideB,
+                                double Beta, void *C, int64_t Ldc,
+                                int64_t StrideC, int64_t BatchCount);
 
-  /// Typed remote GEMM, call-compatible with Engine::gemm: operands are
-  /// raw element buffers of \p Ty's storage types (f32 floats, f16/bf16
-  /// uint16 halves, i8 A/B with i32 C) and the dtype byte rides the request
-  /// packet so the server re-validates the arena spans at the right
-  /// element sizes. F32 rounds alpha/beta to f32 and is then the sgemm()
-  /// request byte for byte. For other dtypes alpha/beta cross the wire as
-  /// f32, so they must be exactly representable in f32 (for I8I32 they
-  /// must also be integers — both enforced client-side so the error names
-  /// the caller rather than costing a round trip). Degenerate calls
-  /// resolve locally through the same scaleByBeta path the Engine uses.
+  /// Typed remote GEMM, call-compatible with Engine::gemm.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
-                  int64_t Ldc);
+                  int64_t Ldc) {
+    return gemmStridedBatched(Ty, TA, TB, M, N, K, Alpha, A, Lda, 0, B, Ldb,
+                              0, Beta, C, Ldc, 0, 1);
+  }
+
+  /// Remote f32 GEMM, call-compatible with Engine::sgemm.
+  exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                   float Alpha, const float *A, int64_t Lda, const float *B,
+                   int64_t Ldb, float Beta, float *C, int64_t Ldc) {
+    return gemm(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
+                Ldc);
+  }
 
   exo::Error sgemm(int64_t M, int64_t N, int64_t K, float Alpha,
                    const float *A, int64_t Lda, const float *B, int64_t Ldb,
@@ -101,19 +124,18 @@ public:
                  Beta, C, Ldc);
   }
 
-  /// Remote strided-batched GEMM, call-compatible with
-  /// Engine::sgemmStridedBatched: BatchCount same-shape problems cross the
-  /// wire as ONE packet and ONE doorbell round-trip, so a model's worth of
-  /// small GEMMs pays the per-request latency once. StrideA/StrideB == 0
-  /// ships the shared operand a single time. Degenerate batches resolve
-  /// locally like sgemm; results are bitwise identical to the daemon
-  /// engine's local sgemmStridedBatched.
+  /// Remote f32 strided batch, call-compatible with
+  /// Engine::sgemmStridedBatched.
   exo::Error sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
                                  int64_t K, float Alpha, const float *A,
                                  int64_t Lda, int64_t StrideA, const float *B,
                                  int64_t Ldb, int64_t StrideB, float Beta,
                                  float *C, int64_t Ldc, int64_t StrideC,
-                                 int64_t BatchCount);
+                                 int64_t BatchCount) {
+    return gemmStridedBatched(DType::F32, TA, TB, M, N, K, Alpha, A, Lda,
+                              StrideA, B, Ldb, StrideB, Beta, C, Ldc, StrideC,
+                              BatchCount);
+  }
 
   /// Round-trips a Ping packet (liveness probe).
   exo::Error ping();
@@ -130,15 +152,6 @@ public:
   uint64_t requestsOk() const { return RequestsOk; }
 
 private:
-  /// The one remote GEMM: validates, answers degenerate calls locally,
-  /// stages, posts one GemmRequest and collects C — at \p Ty's element
-  /// sizes, with strides and a count in elements like
-  /// Engine::sgemmStridedBatched.
-  exo::Error request(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                     int64_t K, double Alpha, const void *A, int64_t Lda,
-                     int64_t StrideA, const void *B, int64_t Ldb,
-                     int64_t StrideB, double Beta, void *C, int64_t Ldc,
-                     int64_t StrideC, int64_t BatchCount);
   exo::Error ensureConnectedLocked();
   exo::Error transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
                             ipc::PacketType WantType, uint32_t WantSeq);

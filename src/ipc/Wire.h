@@ -141,8 +141,8 @@ static_assert(std::is_trivially_copyable_v<PacketHeader>);
 /// i * Stride{A,B,C} elements (strides in elements, like cuBLAS).
 /// Strides must be non-negative; StrideA/StrideB may be 0 (shared operand)
 /// and StrideC must keep the C items disjoint. A count of 1 is a single
-/// GEMM of any dtype; a count above 1 is served for f32 only (anything
-/// else is answered ReqStatus::Bad). One GemmReply covers the request.
+/// GEMM; any count serves every dtype, through one
+/// Engine::gemmStridedBatched call. One GemmReply covers the request.
 struct GemmRequestMsg {
   PacketHeader H;
   uint8_t TA = 0, TB = 0; ///< 0 = none, 1 = transpose

@@ -352,6 +352,14 @@ TEST(GemmdBatched, DegenerateAndInvalidBatchesResolveClientSide) {
                                        Buf.data(), 8, 0, 0.0f, Buf.data(), 8,
                                        32, 2);
   ASSERT_TRUE(E);
+  // Ldc * N = 2^64 wraps a 64-bit product to 0, which would let StrideC 0
+  // pass the same rule and send the collect loop to C[j * 2^62].
+  std::vector<float> COut(8, 7.0f);
+  EXPECT_TRUE(Remote.sgemmStridedBatched(
+      gemm::Trans::None, gemm::Trans::None, 1, 4, 1, 1.0f, Buf.data(), 1, 1,
+      Buf.data(), 1, 4, 0.0f, COut.data(), int64_t(1) << 62, 0, 2));
+  EXPECT_EQ(COut, std::vector<float>(8, 7.0f));
+  EXPECT_FALSE(Remote.ping()) << "the session must keep serving";
 }
 
 //===----------------------------------------------------------------------===//
@@ -529,7 +537,7 @@ TEST(GemmdFaultIsolation, ReapReasonsAreRecorded) {
 
 /// A well-formed 8x8x8 request: A, B and C at arena bytes 0, 1024 and
 /// 2048, each operand's items 64 elements apart, so a batch of up to 4
-/// f32 items (and any single item of any dtype) fits.
+/// items of any dtype fits.
 ipc::GemmRequestMsg wellFormedRequest(uint32_t Seq) {
   ipc::GemmRequestMsg Q;
   Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
@@ -552,7 +560,7 @@ struct HostileRow {
 /// Posts each row's corrupted request on one raw session and expects a
 /// `Bad` reply with the request's own Seq. Bad geometry is a client bug,
 /// not a protocol violation: the session must survive and still serve a
-/// single f32, a single i8 and an f32 batch.
+/// single f32, a single i8, an f32 batch and a bf16 batch.
 void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
   ServerFixture F;
   RawSession S;
@@ -579,7 +587,8 @@ void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
 
   for (auto [Ty, Count] : {std::pair{gemm::DType::F32, int64_t(1)},
                            std::pair{gemm::DType::I8I32, int64_t(1)},
-                           std::pair{gemm::DType::F32, int64_t(4)}}) {
+                           std::pair{gemm::DType::F32, int64_t(4)},
+                           std::pair{gemm::DType::BF16, int64_t(4)}}) {
     SCOPED_TRACE(std::string(gemm::dtypeName(Ty)) + " x" +
                  std::to_string(Count));
     ipc::GemmRequestMsg Q = wellFormedRequest(++Seq);
@@ -639,20 +648,6 @@ TEST(GemmdPrecision, UnknownDtypeRejectedNotFatal) {
   expectBadAndSessionSurvives(
       {{"DTy 7", [](ipc::GemmRequestMsg &Q) { Q.DTy = 7; }},
        {"DTy 9", [](ipc::GemmRequestMsg &Q) { Q.DTy = 9; }}});
-}
-
-// Batches are f32 only, as they have been since wire v3.
-TEST(GemmdPrecision, BatchDtypeRejectedInWireV3) {
-  expectBadAndSessionSurvives(
-      {{"f16 batch",
-        [](ipc::GemmRequestMsg &Q) {
-          Q.DTy = static_cast<uint8_t>(gemm::DType::F16);
-          Q.BatchCount = 2;
-        }},
-       {"bf16 batch", [](ipc::GemmRequestMsg &Q) {
-          Q.DTy = static_cast<uint8_t>(gemm::DType::BF16);
-          Q.BatchCount = 2;
-        }}});
 }
 
 //===----------------------------------------------------------------------===//
@@ -748,6 +743,22 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
 // The precision dimension over the wire (docs/PRECISION.md)
 //===----------------------------------------------------------------------===//
 
+/// Fills \p V with random \p Ty elements: f16 or bf16 halves in [-1, 1],
+/// or random bytes for i8 (and so random i32 values in a C buffer).
+void fillTyped(std::vector<unsigned char> &V, gemm::DType Ty,
+               std::mt19937 &Rng) {
+  if (Ty == gemm::DType::I8I32) {
+    for (unsigned char &X : V)
+      X = static_cast<unsigned char>(Rng());
+    return;
+  }
+  std::uniform_real_distribution<float> D(-1.0f, 1.0f);
+  auto *H = reinterpret_cast<uint16_t *>(V.data());
+  for (size_t X = 0; X != V.size() / 2; ++X)
+    H[X] = Ty == gemm::DType::F16 ? gemm::f32ToF16(D(Rng))
+                                  : gemm::f32ToBf16(D(Rng));
+}
+
 /// One typed problem remotely and locally; the engine's typed executor is
 /// deterministic for a fixed plan, and both sides plan on the same
 /// machine, so C must match bitwise for every dtype.
@@ -759,20 +770,8 @@ void expectTypedRoundTrip(gemm::Client &Remote, gemm::Engine &Local,
   std::vector<unsigned char> A(M * K * InB), B(K * N * InB),
       C0(M * N * OutB);
   std::mt19937 Rng(Seed);
-  auto FillIn = [&](std::vector<unsigned char> &V) {
-    if (Ty == gemm::DType::I8I32) {
-      for (unsigned char &X : V)
-        X = static_cast<unsigned char>(Rng());
-      return;
-    }
-    std::uniform_real_distribution<float> D(-1.0f, 1.0f);
-    auto *H = reinterpret_cast<uint16_t *>(V.data());
-    for (size_t X = 0; X != V.size() / 2; ++X)
-      H[X] = Ty == gemm::DType::F16 ? gemm::f32ToF16(D(Rng))
-                                    : gemm::f32ToBf16(D(Rng));
-  };
-  FillIn(A);
-  FillIn(B);
+  fillTyped(A, Ty, Rng);
+  fillTyped(B, Ty, Rng);
   std::vector<unsigned char> CR = C0, CL = C0;
   Error ER = Remote.gemm(Ty, gemm::Trans::None, gemm::Trans::None, M, N, K,
                          Alpha, A.data(), M, B.data(), K, Beta, CR.data(),
@@ -798,6 +797,49 @@ TEST(GemmdPrecision, TypedRoundTripMatchesLocalBitwise) {
     expectTypedRoundTrip(Remote, Local, Ty, 40, 24, 32, 1.0,
                          Ty == gemm::DType::I8I32 ? 2.0 : 0.0, Seed++);
   }
+}
+
+TEST(GemmdPrecision, TypedBatchesMatchLocalEngine) {
+  // Every dtype batches through the one typed request: remote batches,
+  // strided and with A and B shared through stride 0, equal the local
+  // Engine::gemmStridedBatched bitwise, and the session keeps serving.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  gemm::Engine Local;
+  const int64_t M = 17, N = 13, K = 19, Count = 4;
+  const int64_t SA = M * K + 3, SB = K * N + 1, SC = M * N + 2;
+  std::mt19937 Rng(600);
+  for (gemm::DType Ty :
+       {gemm::DType::F16, gemm::DType::BF16, gemm::DType::I8I32}) {
+    const unsigned InB = gemm::dtypeInBytes(Ty);
+    const unsigned OutB = gemm::dtypeOutBytes(Ty);
+    std::vector<unsigned char> A(SA * Count * InB), B(SB * Count * InB),
+        C0(SC * Count * OutB);
+    fillTyped(A, Ty, Rng);
+    fillTyped(B, Ty, Rng);
+    fillTyped(C0, Ty, Rng);
+    const double Alpha = Ty == gemm::DType::I8I32 ? 2.0 : 1.25;
+    const double Beta = Ty == gemm::DType::I8I32 ? 3.0 : 0.5;
+    for (bool Shared : {false, true}) {
+      SCOPED_TRACE(std::string(gemm::dtypeName(Ty)) +
+                   (Shared ? " stride 0" : " strided"));
+      std::vector<unsigned char> CR = C0, CL = C0;
+      Error ER = Remote.gemmStridedBatched(
+          Ty, gemm::Trans::None, gemm::Trans::None, M, N, K, Alpha, A.data(),
+          M, Shared ? 0 : SA, B.data(), K, Shared ? 0 : SB, Beta, CR.data(),
+          M, SC, Count);
+      ASSERT_FALSE(ER) << ER.message();
+      Error EL = Local.gemmStridedBatched(
+          Ty, gemm::Trans::None, gemm::Trans::None, M, N, K, Alpha, A.data(),
+          M, Shared ? 0 : SA, B.data(), K, Shared ? 0 : SB, Beta, CL.data(),
+          M, SC, Count);
+      ASSERT_FALSE(EL) << EL.message();
+      EXPECT_EQ(0, std::memcmp(CR.data(), CL.data(), CR.size()))
+          << "remote typed batch diverged from the local engine";
+    }
+  }
+  expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                           gemm::Trans::None, 24, 20, 16, 0.5f, 610);
 }
 
 TEST(GemmdPrecision, ClientRejectsUnrepresentableScalesLocally) {

@@ -4,8 +4,8 @@
 // warm" guarantee (Engine.h): global operator new/delete are replaced with
 // counting versions, the Engine is warmed on the workload's shapes, and
 // then a batch of hot calls — cache hits, both transpose forms, the f16,
-// bf16 and i8 -> i32 doors, plus a degenerate quick return — must leave the
-// allocation counter untouched.
+// bf16 and i8 -> i32 doors, a count-1 gemmStridedBatched per dtype, plus a
+// degenerate quick return — must leave the allocation counter untouched.
 //
 // Deliberately not a gtest: the framework allocates on every assertion, so
 // the counted window must stay free of any harness code. Exit 0 on pass,
@@ -97,6 +97,24 @@ int run() {
     return E.gemm(DType::I8I32, Trans::None, Trans::None, S.M, S.N, S.K, 2.0,
                   AI.data(), S.M, BI.data(), S.K, 0.0, CI.data(), S.M);
   };
+  // One count-1 strided batch per dtype: the call every lone gemmd request
+  // makes.
+  auto StridedOne = [&](const Shape &S) -> exo::Error {
+    const struct {
+      DType Ty;
+      const void *A, *B;
+      void *C;
+    } Doors[] = {{DType::F32, A.data(), B.data(), C.data()},
+                 {DType::F16, AH.data(), BH.data(), CH.data()},
+                 {DType::BF16, AB.data(), BB.data(), CB.data()},
+                 {DType::I8I32, AI.data(), BI.data(), CI.data()}};
+    for (const auto &D : Doors)
+      if (exo::Error Err = E.gemmStridedBatched(
+              D.Ty, Trans::None, Trans::None, S.M, S.N, S.K, 1.0, D.A, S.M,
+              S.M * S.K, D.B, S.K, 0, 0.0, D.C, S.M, S.M * S.N, 1))
+        return Err;
+    return exo::Error::success();
+  };
 
   // Warm-up: builds every plan, populates the workspace pool, spins up the
   // thread pool, and lets lazy library/runtime init happen outside the
@@ -122,6 +140,12 @@ int run() {
                      Err.message().c_str());
         return 1;
       }
+      if (exo::Error Err = StridedOne(S)) {
+        std::fprintf(stderr,
+                     "engine_alloc_test: strided warm-up failed: %s\n",
+                     Err.message().c_str());
+        return 1;
+      }
     }
 
   EngineStats Warm = E.stats();
@@ -138,6 +162,8 @@ int run() {
                   A.data(), S.K, B.data(), S.K, 0.5f, C.data(), S.M))
         ++Failures;
       if (Typed(S))
+        ++Failures;
+      if (StridedOne(S))
         ++Failures;
     }
     // Degenerate quick return: must also be allocation-free.
@@ -172,7 +198,7 @@ int run() {
   }
   std::printf("engine_alloc_test: PASS (0 allocations across %d hot calls, "
               "%llu cached plans)\n",
-              10 * (5 * 3 + 1), static_cast<unsigned long long>(E.planCount()));
+              10 * (9 * 3 + 1), static_cast<unsigned long long>(E.planCount()));
   return 0;
 }
 

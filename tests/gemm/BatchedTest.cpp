@@ -1,15 +1,16 @@
 //===- BatchedTest.cpp - Batched entry points vs N sequential sgemm -------===//
 //
 // The batched front door's core guarantee: Engine::sgemmBatched and
-// Engine::sgemmStridedBatched are *scheduling* layers, not different
+// Engine::gemmStridedBatched are *scheduling* layers, not different
 // arithmetic. Whatever the grouping and whichever execution strategy the
 // planner picks (intra-item slab teams or whole-item cross-batch
 // scheduling), every item's C must be bitwise identical to the same item
-// run through a lone Engine::sgemm — at every team size. The differential
-// suite here holds that across mixed shapes in one batch, all four
-// transpose combos, team sizes 1 and 4, both forced scheduling modes
-// (EXO_GEMM_BATCH_CROSSOVER at 0 and huge), and degenerate items
-// (m/n/k == 0, alpha == 0) interleaved mid-batch.
+// run through a lone Engine::gemm — for every dtype, at every team size.
+// The differential suite here holds that across mixed shapes in one
+// batch, all four transpose combos, f32/f16/bf16/i8 strided batches, team
+// sizes 1 and 4, both forced scheduling modes (EXO_GEMM_BATCH_CROSSOVER at
+// 0 and huge), and degenerate items (m/n/k == 0, alpha == 0) interleaved
+// mid-batch.
 //
 // Rides in gemm_test, so the tsan_gemm_threads8 gate re-runs the
 // cross-item scheduling (a slice of items per pool worker, per-worker
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -147,6 +149,67 @@ private:
   bool HadOld = false;
 };
 
+constexpr DType AllDtypes[] = {DType::F32, DType::F16, DType::BF16,
+                               DType::I8I32};
+
+/// \p Elems seeded elements of \p Ty's input type (\p Out false) or C
+/// type: draws in [-1, 1] rounded to f16/bf16, or scaled to small integers
+/// for i8 and i32. With \p Poison every element is NaN (INT32_MIN for
+/// i32), which a beta-0 call must overwrite without reading.
+std::vector<unsigned char> typedBuffer(DType Ty, bool Out, size_t Elems,
+                                       unsigned Seed, bool Poison = false) {
+  std::vector<float> F(Elems, std::nanf(""));
+  if (!Poison)
+    benchutil::fillRandom(F.data(), Elems, Seed);
+  const size_t Bytes = Out ? dtypeOutBytes(Ty) : dtypeInBytes(Ty);
+  std::vector<unsigned char> V(Elems * Bytes);
+  for (size_t I = 0; I != Elems; ++I) {
+    unsigned char *D = &V[I * Bytes];
+    if (Ty == DType::F32) {
+      std::memcpy(D, &F[I], 4);
+    } else if (Ty != DType::I8I32) {
+      const uint16_t H = Ty == DType::F16 ? f32ToF16(F[I]) : f32ToBf16(F[I]);
+      std::memcpy(D, &H, 2);
+    } else if (!Out) {
+      *D = static_cast<unsigned char>(static_cast<int8_t>(F[I] * 100.0f));
+    } else {
+      const int32_t Q =
+          Poison ? INT32_MIN : static_cast<int32_t>(F[I] * 1000.0f);
+      std::memcpy(D, &Q, 4);
+    }
+  }
+  return V;
+}
+
+/// A scale for \p Ty: \p F for the float dtypes, the integer \p I for i8.
+double scaleFor(DType Ty, double F, double I) {
+  return Ty == DType::I8I32 ? I : F;
+}
+
+/// One non-transposed strided batch of \p Ty through
+/// Engine::gemmStridedBatched, and the same items as lone Engine::gemm
+/// calls on a copy of C; the C bytes must match. C items sit SC elements
+/// apart (ld M).
+void expectStridedMatchesLoneCalls(Engine &E, DType Ty, int64_t M, int64_t N,
+                                   int64_t K, double Alpha, double Beta,
+                                   const std::vector<unsigned char> &A,
+                                   int64_t SA,
+                                   const std::vector<unsigned char> &B,
+                                   int64_t SB, std::vector<unsigned char> C,
+                                   int64_t SC, int64_t Count) {
+  const int64_t InB = dtypeInBytes(Ty), OutB = dtypeOutBytes(Ty);
+  std::vector<unsigned char> CSeq = C;
+  for (int64_t I = 0; I != Count; ++I)
+    ASSERT_FALSE(E.gemm(Ty, Trans::None, Trans::None, M, N, K, Alpha,
+                        A.data() + I * SA * InB, M, B.data() + I * SB * InB,
+                        K, Beta, CSeq.data() + I * SC * OutB, M));
+  ASSERT_FALSE(E.gemmStridedBatched(Ty, Trans::None, Trans::None, M, N, K,
+                                    Alpha, A.data(), M, SA, B.data(), K, SB,
+                                    Beta, C.data(), M, SC, Count));
+  EXPECT_EQ(0, std::memcmp(C.data(), CSeq.data(), C.size()))
+      << dtypeName(Ty) << " batch of " << Count << " differs from lone calls";
+}
+
 void runMixedDifferential(int64_t Threads) {
   Engine E = makeEngine(Threads);
   BatchFixture F;
@@ -227,23 +290,36 @@ TEST(Batched, DegeneratesInterleavedMidBatch) {
 TEST(Batched, StridedMatchesItemList) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
-  const int64_t M = 17, N = 23, K = 31, Count = 6;
+  // Every dtype, counts 1 (the lone-call path), 2 and 7, padded strides or
+  // A and B shared through stride 0, beta 0 over poisoned C and beta != 0,
+  // team widths 1 and 4 under both scheduling modes.
+  const int64_t M = 17, N = 23, K = 31, MaxCount = 7;
   const int64_t SA = M * K + 5, SB = K * N + 3, SC = M * N + 7;
-  Engine E = makeEngine(4);
-  std::vector<float> A(SA * Count), B(SB * Count), C(SC * Count),
-      CSeq(SC * Count);
-  benchutil::fillRandom(A.data(), A.size(), 41);
-  benchutil::fillRandom(B.data(), B.size(), 42);
-  benchutil::fillRandom(C.data(), C.size(), 43);
-  std::memcpy(CSeq.data(), C.data(), C.size() * sizeof(float));
-  for (int64_t I = 0; I != Count; ++I)
-    ASSERT_FALSE(E.sgemm(M, N, K, 1.5f, A.data() + I * SA, M,
-                         B.data() + I * SB, K, 0.25f, CSeq.data() + I * SC,
-                         M));
-  ASSERT_FALSE(E.sgemmStridedBatched(Trans::None, Trans::None, M, N, K, 1.5f,
-                                     A.data(), M, SA, B.data(), K, SB, 0.25f,
-                                     C.data(), M, SC, Count));
-  EXPECT_EQ(0, std::memcmp(C.data(), CSeq.data(), C.size() * sizeof(float)));
+  for (const char *Crossover : {"0", "1099511627776"})
+    for (int64_t Threads : {int64_t(1), int64_t(4)}) {
+      ScopedEnv Env("EXO_GEMM_BATCH_CROSSOVER", Crossover);
+      Engine E = makeEngine(Threads);
+      for (DType Ty : AllDtypes) {
+        const std::vector<unsigned char> A =
+            typedBuffer(Ty, false, SA * MaxCount, 41);
+        const std::vector<unsigned char> B =
+            typedBuffer(Ty, false, SB * MaxCount, 42);
+        for (bool Poison : {true, false})
+          for (int64_t Count : {int64_t(1), int64_t(2), MaxCount})
+            for (bool Shared : {false, true}) {
+              SCOPED_TRACE(testing::Message()
+                           << "crossover " << Crossover << ", threads "
+                           << Threads << ", beta "
+                           << (Poison ? "0" : "!= 0") << ", stride "
+                           << (Shared ? "0" : "padded"));
+              expectStridedMatchesLoneCalls(
+                  E, Ty, M, N, K, scaleFor(Ty, 1.5, 3.0),
+                  Poison ? 0.0 : scaleFor(Ty, 0.25, 2.0), A, Shared ? 0 : SA,
+                  B, Shared ? 0 : SB,
+                  typedBuffer(Ty, true, SC * Count, 43, Poison), SC, Count);
+            }
+      }
+    }
 }
 
 TEST(Batched, StridedSharedOperandsViaStrideZero) {
@@ -252,42 +328,44 @@ TEST(Batched, StridedSharedOperandsViaStrideZero) {
   // A stride-0 B makes the batch one shared-B run: each B block is packed
   // once for every item. Blocks small enough that K spans three Kc blocks
   // and N three Nc blocks (the last one partial), so the run crosses
-  // several (jc, pc) rounds and their barriers. Both scheduling paths,
-  // team widths 1 and 4, beta 0 over NaN and beta 0.5, alpha 1 and 1.5,
-  // A shared or distinct — every case bitwise equal to sequential sgemm.
+  // several (jc, pc) rounds and their barriers. Every dtype, both
+  // scheduling paths, team widths 1 and 4, beta 0 over poisoned C and
+  // beta != 0, alpha 1 and another, A shared or distinct — every case
+  // bitwise equal to lone gemm calls.
   const int64_t M = 24, N = 60, K = 48, Count = 5;
   EngineConfig Cfg;
   Cfg.Series = EngineSeries::Blis;
   Cfg.Blocks = BlockSizes{16, 16, 24};
-  std::vector<float> A(M * K * Count), B(K * N), C0(M * N * Count);
-  benchutil::fillRandom(A.data(), A.size(), 51);
-  benchutil::fillRandom(B.data(), B.size(), 52);
-  benchutil::fillRandom(C0.data(), C0.size(), 53);
   for (const char *Crossover : {"0", "1099511627776"})
     for (int64_t Threads : {int64_t(1), int64_t(4)}) {
       ScopedEnv Env("EXO_GEMM_BATCH_CROSSOVER", Crossover);
       Cfg.Threads = Threads;
       Engine E(Cfg);
-      for (float Beta : {0.0f, 0.5f})
-        for (float Alpha : {1.0f, 1.5f})
-          for (int64_t StrideA : {int64_t(0), M * K}) {
-            std::vector<float> C = C0;
-            if (Beta == 0.0f)
-              std::fill(C.begin(), C.end(), std::nanf(""));
-            std::vector<float> CSeq = C;
-            for (int64_t I = 0; I != Count; ++I)
-              ASSERT_FALSE(E.sgemm(M, N, K, Alpha, A.data() + I * StrideA,
-                                   M, B.data(), K, Beta,
-                                   CSeq.data() + I * M * N, M));
-            ASSERT_FALSE(E.sgemmStridedBatched(
-                Trans::None, Trans::None, M, N, K, Alpha, A.data(), M,
-                StrideA, B.data(), K, 0, Beta, C.data(), M, M * N, Count));
-            EXPECT_EQ(0, std::memcmp(C.data(), CSeq.data(),
-                                     C.size() * sizeof(float)))
-                << "crossover " << Crossover << ", threads " << Threads
-                << ", beta " << Beta << ", alpha " << Alpha
-                << ", StrideA " << StrideA;
-          }
+      for (DType Ty : AllDtypes) {
+        const std::vector<unsigned char> A = typedBuffer(Ty, false, M * K * Count, 51);
+        const std::vector<unsigned char> B = typedBuffer(Ty, false, K * N, 52);
+        for (bool Poison : {true, false})
+          for (double Alpha : {1.0, scaleFor(Ty, 1.5, 3.0)})
+            for (int64_t StrideA : {int64_t(0), M * K}) {
+              SCOPED_TRACE(testing::Message()
+                           << "crossover " << Crossover << ", threads "
+                           << Threads << ", beta "
+                           << (Poison ? "0" : "!= 0") << ", alpha " << Alpha
+                           << ", StrideA " << StrideA);
+              const uint64_t Before = E.stats().BatchedBShared;
+              expectStridedMatchesLoneCalls(
+                  E, Ty, M, N, K, Alpha,
+                  Poison ? 0.0 : scaleFor(Ty, 0.5, 2.0), A, StrideA, B, 0,
+                  typedBuffer(Ty, true, M * N * Count, 53, Poison), M * N, Count);
+              // One run of Count items when the group runs whole; cross-
+              // item slices (threads 4) can only split it.
+              const uint64_t Shared = E.stats().BatchedBShared - Before;
+              EXPECT_LE(Shared, uint64_t(Count - 1));
+              if (Threads == 1 || Crossover[0] == '0') {
+                EXPECT_EQ(Shared, uint64_t(Count - 1));
+              }
+            }
+      }
     }
 }
 
@@ -465,6 +543,16 @@ TEST(Batched, RejectsBadArguments) {
   EXPECT_TRUE(E.sgemmStridedBatched(Trans::None, Trans::None, 8, 8, 8, 1.0f,
                                     Buf.data(), 8, 64, Buf.data(), 8, 64,
                                     0.0f, Buf.data(), 8, 32, 2));
+  // Ldc * N = 2^64 wraps a 64-bit product to 0, which would let StrideC 0
+  // pass the same rule and send the executor to C[j * 2^62].
+  {
+    std::vector<float> COut(8, 7.0f);
+    EXPECT_TRUE(E.sgemmStridedBatched(Trans::None, Trans::None, 1, 4, 1, 1.0f,
+                                      Buf.data(), 1, 1, Buf.data(), 1, 4,
+                                      0.0f, COut.data(), int64_t(1) << 62, 0,
+                                      2));
+    EXPECT_EQ(COut, std::vector<float>(8, 7.0f));
+  }
   // A leading dimension below the stored rows (the sgemm / gemm::Client
   // rule) in a later item fails the batch before the valid first item
   // writes its C.
