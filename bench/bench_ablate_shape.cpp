@@ -8,7 +8,7 @@
 
 #include "FigCommon.h"
 
-#include "ukr/KernelRegistry.h"
+#include "ukr/KernelService.h"
 
 #include <cstdio>
 #include <vector>
@@ -41,7 +41,7 @@ int main(int Argc, char **Argv) {
       // The shared ISA-per-shape rule (same one the planner, provider, and
       // warm-up use), so this sweep times the kernels a plan would pick.
       ukr::UkrConfig Cfg = ukr::shapeConfig(Mr, Nr);
-      auto K = ukr::KernelCache::global().get(Cfg);
+      auto K = ukr::KernelService::global().get(Cfg);
       if (!K || !(*K)->Fn) {
         Row.push_back(0);
         continue;

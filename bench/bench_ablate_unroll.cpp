@@ -8,7 +8,7 @@
 
 #include "FigCommon.h"
 
-#include "ukr/KernelRegistry.h"
+#include "ukr/KernelService.h"
 
 #include <cstdio>
 #include <vector>
@@ -55,7 +55,7 @@ int main(int Argc, char **Argv) {
       Cfg.Isa = Isa;
       Cfg.UnrollLoads = Variant >= 1;
       Cfg.UnrollCompute = Variant == 2;
-      auto K = ukr::KernelCache::global().get(Cfg);
+      auto K = ukr::KernelService::global().get(Cfg);
       if (!K || !(*K)->Fn) {
         Row.push_back(0);
         continue;

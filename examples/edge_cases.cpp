@@ -9,7 +9,7 @@
 
 #include "benchutil/Bench.h"
 #include "exo/support/Str.h"
-#include "ukr/KernelRegistry.h"
+#include "ukr/KernelService.h"
 
 #include <cstdio>
 #include <vector>
@@ -31,7 +31,7 @@ int main() {
     Cfg.Isa = ukr::bestIsaForMr(MR);
     if (!Cfg.Isa)
       Cfg.Style = ukr::FmaStyle::Scalar;
-    auto K = ukr::KernelCache::global().get(Cfg);
+    auto K = ukr::KernelService::global().get(Cfg);
     if (!K) {
       std::fprintf(stderr, "%lldx%lld: %s\n", static_cast<long long>(MR),
                    static_cast<long long>(NR), K.message().c_str());
@@ -64,7 +64,7 @@ int main() {
   Cfg.MR = 4;
   Cfg.NR = 4;
   Cfg.Isa = ukr::bestIsaForMr(4);
-  auto K = ukr::KernelCache::global().get(Cfg);
+  auto K = ukr::KernelService::global().get(Cfg);
   if (K)
     std::printf("%s\n", (*K)->CSource.c_str());
   return 0;

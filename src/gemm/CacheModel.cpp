@@ -38,9 +38,7 @@ int64_t waysFor(int64_t Bytes, int64_t WaySize) {
   return (Bytes + WaySize - 1) / WaySize;
 }
 
-} // namespace
-
-CacheConfig CacheConfig::host() {
+CacheConfig detectHostCaches() {
   CacheConfig Cfg;
   // Scan cpu0's cache indices for data/unified caches.
   for (int Index = 0; Index < 8; ++Index) {
@@ -74,6 +72,15 @@ CacheConfig CacheConfig::host() {
   if (!Cfg.L2.present())
     Cfg.L2 = {1024 * 1024, 16, 64};
   return Cfg;
+}
+
+} // namespace
+
+CacheConfig CacheConfig::host() {
+  // The planner asks once per candidate tile; sysfs does not change under
+  // a running process, so scan it once.
+  static const CacheConfig Host = detectHostCaches();
+  return Host;
 }
 
 CacheConfig CacheConfig::carmel() {

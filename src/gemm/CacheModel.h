@@ -42,8 +42,9 @@ struct CacheLevel {
 struct CacheConfig {
   CacheLevel L1, L2, L3;
 
-  /// Detects the host's data caches from sysfs; falls back to a typical
-  /// server configuration (32K/8, 1M/16, 32M/16) when unavailable.
+  /// Detects the host's data caches from sysfs, once per process; falls
+  /// back to a typical server configuration (32K/8, 1M/16, 32M/16) when
+  /// unavailable.
   static CacheConfig host();
 
   /// The NVIDIA Carmel (paper testbed) configuration: 64K/4 L1D, 2M/16 L2

@@ -777,40 +777,13 @@ Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                    int64_t K, bool Wait) {
   if (M <= 0 || N <= 0 || K <= 0)
     return Error::success(); // degenerate shapes never plan
+  // Building the plan resolves its kernel family (the main kernel plus the
+  // edge widths it dispatches) through KernelService::global(), the one
+  // kernel cache: a sync Engine returns with every kernel built, an async
+  // one with every build queued.
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan =
-      I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()), 0, Err);
-  if (!Plan)
+  if (!I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()), 0, Err))
     return Err;
-  const PlanChoice &Choice = Plan->Choice;
-  const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
-                       (I->Cfg.Series == EngineSeries::Auto &&
-                        Choice.Src != PlanSource::Fallback);
-  // Fixed kernels and the i8 policy's built-in dot have nothing to
-  // precompile.
-  if (!WantExo || Ty == DType::I8I32)
-    return Error::success();
-  // Prefetch the plan's kernel family so the disk cache serves every later
-  // process: the main kernel, plus — for f32, the only policy that
-  // dispatches edge kernels — the edge widths this problem uses. The
-  // plan's resolved geometry, not the host cache model, supplies NC, so an
-  // EngineConfig::Blocks override prefetches the edges it will use.
-  const exo::IsaLib *PIsa =
-      I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
-  std::vector<ukr::UkrConfig> Family;
-  Family.push_back(
-      ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
-  const int64_t Nc = std::max<int64_t>(Plan->G.Nc, 1);
-  std::vector<bool> Seen(static_cast<size_t>(Choice.NR), false);
-  for (int64_t Jc = 0; Ty == DType::F32 && Jc < N; Jc += Nc) {
-    int64_t W = std::min(Nc, N - Jc) % Choice.NR;
-    if (W == 0 || Seen[W])
-      continue;
-    Seen[W] = true;
-    Family.push_back(
-        ukr::shapeConfig(Choice.MR, W, PIsa, I->Cfg.UnrollCompute));
-  }
-  ukr::KernelService::global().prefetchBatch(Family);
   if (Wait)
     ukr::KernelService::global().wait();
   return Error::success();

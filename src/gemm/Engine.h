@@ -271,12 +271,13 @@ public:
     return sgemmBatched(Items.data(), static_cast<int64_t>(Items.size()));
   }
 
-  /// Builds (and caches) the plan for a shape ahead of traffic and
-  /// prefetches its kernel family through KernelService — the main kernel,
-  /// plus the edge widths the shape dispatches for F32 (the other dtypes
-  /// run no edge kernels; I8I32 compiles nothing). \p Wait blocks until
-  /// the background builds resolve, so the next call runs fully
-  /// specialized — the `ukr_cachectl warm --shape/--model/--dtype` path.
+  /// Builds (and caches) the plan for a shape ahead of traffic. The build
+  /// resolves the plan's kernel family through KernelService — the main
+  /// kernel, plus the edge widths the shape dispatches for F32 (the other
+  /// dtypes run no edge kernels; I8I32 compiles nothing). \p Wait blocks
+  /// until queued background builds resolve (async Engines), so the next
+  /// call runs fully specialized — the `ukr_cachectl warm
+  /// --shape/--model/--dtype` path.
   exo::Error warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, bool Wait = true);
 

@@ -40,7 +40,7 @@ std::optional<MicroKernel> ExoProvider::shape(int64_t Mr, int64_t Nr) {
     return Out;
   }
 
-  auto K = ukr::KernelCache::global().get(Cfg);
+  auto K = ukr::KernelService::global().get(Cfg);
   std::optional<MicroKernel> Out;
   if (K && (*K)->Fn)
     Out = MicroKernel{Mr, Nr, (*K)->Fn, "exo generated"};

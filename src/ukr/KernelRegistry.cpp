@@ -2,15 +2,19 @@
 
 #include "ukr/KernelRegistry.h"
 
-#include <map>
-#include <mutex>
+#include "obs/Obs.h"
 
 using namespace exo;
 using namespace ukr;
 
 Expected<Kernel> ukr::buildKernel(const UkrConfig &Cfg,
                                   const SchedOptions &Opts) {
-  auto Res = generateUkernel(Cfg, Opts);
+  auto Res = [&] {
+    // Schedule + rewrite validation + C emission, apart from the disk
+    // probe, dlopen or compile that follows (nested in jit.build).
+    obs::Span Span("ukr.generate");
+    return generateUkernel(Cfg, Opts);
+  }();
   if (!Res)
     return Res.takeError();
 
@@ -47,42 +51,6 @@ Expected<Kernel> ukr::buildKernel(const UkrConfig &Cfg,
     }
   }
   return K;
-}
-
-struct KernelCache::Impl {
-  std::mutex Mu;
-  std::map<std::string, Kernel> Kernels;
-};
-
-KernelCache &KernelCache::global() {
-  static KernelCache C;
-  return C;
-}
-
-KernelCache::Impl &KernelCache::impl() const {
-  static Impl I;
-  return I;
-}
-
-Expected<const Kernel *> KernelCache::get(const UkrConfig &Cfg) {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  std::string Key = Cfg.kernelName();
-  auto It = I.Kernels.find(Key);
-  if (It != I.Kernels.end())
-    return const_cast<const Kernel *>(&It->second);
-  auto K = buildKernel(Cfg);
-  if (!K)
-    return K.takeError();
-  auto [Pos, Inserted] = I.Kernels.emplace(Key, K.take());
-  (void)Inserted;
-  return const_cast<const Kernel *>(&Pos->second);
-}
-
-size_t KernelCache::size() const {
-  Impl &I = impl();
-  std::lock_guard<std::mutex> Lock(I.Mu);
-  return I.Kernels.size();
 }
 
 UkrConfig ukr::shapeConfig(int64_t Mr, int64_t Nr, const IsaLib *Preferred,

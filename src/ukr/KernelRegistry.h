@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Turns UkrConfig descriptions into callable kernels: runs the schedule,
-/// emits C, JIT-compiles it with the system compiler, and caches the result
-/// for the process lifetime. The GEMM framework asks this registry for the
-/// specialized kernel of each (mr, nr) it encounters — the paper's "one
-/// auto-generated micro-kernel per edge case" deployment model.
+/// emits C and JIT-compiles it with the system compiler. KernelService
+/// (KernelService.h) is the one process-wide cache over buildKernel: the
+/// GEMM framework asks it for the specialized kernel of each (mr, nr) it
+/// encounters — the paper's "one auto-generated micro-kernel per edge case"
+/// deployment model.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,22 +65,6 @@ struct Kernel {
 exo::Expected<Kernel>
 buildKernel(const UkrConfig &Cfg,
             const exo::SchedOptions &Opts = exo::defaultSchedOptions());
-
-/// Process-wide cache keyed by the kernel name.
-class KernelCache {
-public:
-  static KernelCache &global();
-
-  /// Returns the cached kernel for \p Cfg, building it on first use.
-  exo::Expected<const Kernel *> get(const UkrConfig &Cfg);
-
-  /// Number of kernels built so far.
-  size_t size() const;
-
-private:
-  struct Impl;
-  Impl &impl() const;
-};
 
 /// Picks the widest host-executable ISA whose f32 vector width divides
 /// \p MR; nullptr when none does (the scalar fallback case).

@@ -241,16 +241,6 @@ void KernelService::prefetch(const UkrConfig &Cfg) {
   I->enqueueLocked(Cfg, Cfg.kernelName());
 }
 
-void KernelService::prefetchBatch(const std::vector<UkrConfig> &Cfgs) {
-  // One lock acquisition for the whole batch: plan warm-up enqueues a
-  // shape's entire kernel family (main + edges) in one shot, and taking
-  // the mutex per config would let tryGet() callers interleave half-warm
-  // states between them.
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  for (const UkrConfig &Cfg : Cfgs)
-    I->enqueueLocked(Cfg, Cfg.kernelName());
-}
-
 Error KernelService::warm(const std::vector<UkrConfig> &Cfgs) {
   for (const UkrConfig &Cfg : Cfgs)
     prefetch(Cfg);

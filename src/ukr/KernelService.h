@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The kernel-cache service: a worker pool compiles micro-kernels in the
-/// background while a non-blocking tryGet() hands callers a portable
-/// reference stand-in, so the first GEMM over a new shape never stalls on a
-/// `cc -O3 -shared` invocation. Built kernels flow through the two-level
+/// The kernel-cache service, and through global() the process's one cache
+/// of generated kernels: each config is generated and built once, by a
+/// worker pool. The blocking get() serves the synchronous GEMM path; the
+/// non-blocking tryGet() hands callers a portable reference stand-in, so
+/// the first GEMM over a new shape never stalls on a `cc -O3 -shared`
+/// invocation. Built kernels flow through the two-level
 /// JIT cache (in-process map + the persistent disk cache of DiskCache.h),
 /// so a service constructed over a warm cache directory serves every kernel
 /// from disk with zero compiler invocations — the AOT warmup path of
@@ -80,7 +82,8 @@ public:
   KernelService(const KernelService &) = delete;
   KernelService &operator=(const KernelService &) = delete;
 
-  /// The process-wide service used by ExoProvider's async mode.
+  /// The process-wide service: ExoProvider (sync and async), Engine::warm,
+  /// the fuzzer and the ablation benches share its one entry per config.
   static KernelService &global();
 
   /// Non-blocking: the specialized kernel when it is ready, otherwise
@@ -96,11 +99,6 @@ public:
 
   /// Enqueues a build without waiting (cache warming).
   void prefetch(const UkrConfig &Cfg);
-
-  /// Enqueues a batch of builds under one lock acquisition without
-  /// waiting — the Engine planner's warm-up path for a cold shape's whole
-  /// kernel family (main + edge kernels).
-  void prefetchBatch(const std::vector<UkrConfig> &Cfgs);
 
   /// Enqueues every config and blocks until all have resolved. Returns an
   /// error naming the configs that failed (the rest are still cached).
@@ -133,9 +131,9 @@ std::vector<UkrConfig> standardShapeFamily(int64_t MR = 8, int64_t NR = 12,
 void printCacheStats(const CacheStats &St, std::FILE *Out);
 
 /// The global service's ledger with the JIT-layer counters reported as
-/// process-wide totals rather than per-service deltas, so the synchronous
-/// KernelCache path's compiles and disk hits are visible too. What the
-/// benches dump.
+/// process-wide totals rather than per-service deltas, so compiles and disk
+/// hits of private services and direct buildKernel calls are visible too.
+/// What the benches dump.
 CacheStats globalCacheStats();
 
 } // namespace ukr

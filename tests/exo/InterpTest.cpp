@@ -252,3 +252,85 @@ TEST(InterpTest, NestedLoopShadowingRestoresOuterValue) {
   // y1+=2 -> 2.
   EXPECT_EQ(Y, (std::vector<double>{4, 2}));
 }
+
+TEST(InterpTest, AllocInLoopIsFreshZeroEveryIteration) {
+  // for i in (0,3): { t : f32[1]; t[0] += 1; y[i] = t[0] }
+  // Every execution of the Alloc binds new zeroed storage, so each
+  // iteration sees 1, not a running count.
+  ProcBuilder B("fresh");
+  B.tensorParam("y", ScalarKind::F32, {idx(3)}, MemSpace::dram(), true);
+  ExprPtr I = B.beginFor("i", idx(0), idx(3));
+  B.alloc("t", ScalarKind::F32, {idx(1)}, MemSpace::dram());
+  B.reduce("t", {idx(0)}, ConstExpr::makeFloat(1.0, ScalarKind::F32));
+  B.assign("y", {I}, B.readOf("t", {idx(0)}));
+  B.endFor();
+  Proc P = B.build();
+  std::vector<double> Y{-1, -1, -1};
+  ASSERT_FALSE(interpret(P, {}, {{"y", {Y.data(), {3}}}}));
+  EXPECT_EQ(Y, (std::vector<double>{1, 1, 1}));
+}
+
+TEST(InterpTest, LoopVariableIsUnboundAfterItsLoop) {
+  ProcBuilder B("escape");
+  B.tensorParam("y", ScalarKind::F32, {idx(2)}, MemSpace::dram(), true);
+  ExprPtr I = B.beginFor("i", idx(0), idx(2));
+  B.assign("y", {I}, ConstExpr::makeFloat(0.0, ScalarKind::F32));
+  B.endFor();
+  B.assign("y", {I}, ConstExpr::makeFloat(1.0, ScalarKind::F32));
+  Proc P = B.build();
+  std::vector<double> Y{-1, -1};
+  Error Err = interpret(P, {}, {{"y", {Y.data(), {2}}}});
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("unbound variable 'i'"), std::string::npos)
+      << Err.message();
+}
+
+TEST(InterpTest, BufferReadBeforeItsAllocIsUnknown) {
+  ProcBuilder B("early");
+  B.tensorParam("y", ScalarKind::F32, {idx(1)}, MemSpace::dram(), true);
+  B.assign("y", {idx(0)}, read("t", {idx(0)}, ScalarKind::F32));
+  B.alloc("t", ScalarKind::F32, {idx(1)}, MemSpace::dram());
+  Proc P = B.build();
+  std::vector<double> Y{-1};
+  Error Err = interpret(P, {}, {{"y", {Y.data(), {1}}}});
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("access to unknown buffer 't'"),
+            std::string::npos)
+      << Err.message();
+}
+
+TEST(InterpTest, InstrBodyCannotSeeCallerVariables) {
+  // The instruction body reads `j`, which only the caller binds: a callee
+  // frame holds its parameters and nothing else.
+  ProcBuilder S("peek");
+  S.tensorParam("dst", ScalarKind::F32, {idx(1)}, MemSpace::dram(), true);
+  S.assign("dst", {idx(0)}, var("j"));
+  InstrPtr Peek = Instr::make(S.build(), "/* peek */");
+
+  ProcBuilder B("caller");
+  B.tensorParam("y", ScalarKind::F32, {idx(2)}, MemSpace::dram(), true);
+  ExprPtr J = B.beginFor("j", idx(0), idx(2));
+  B.call(Peek, {CallArg::window("y", {WindowDim::interval(J, idx(1))})});
+  B.endFor();
+  Proc P = B.build();
+  std::vector<double> Y{-1, -1};
+  Error Err = interpret(P, {}, {{"y", {Y.data(), {2}}}});
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("unbound variable 'j'"), std::string::npos)
+      << Err.message();
+}
+
+TEST(InterpTest, CancellingIndexTermsStillNeedTheirVariables) {
+  // y[j - j + 0 * k]: the index is 0 for any j and k, but both variables
+  // must be bound, and the first unbound one in the expression is named.
+  ProcBuilder B("cancel");
+  B.tensorParam("y", ScalarKind::F32, {idx(1)}, MemSpace::dram(), true);
+  B.assign("y", {var("j") - var("j") + idx(0) * var("k")},
+           ConstExpr::makeFloat(1.0, ScalarKind::F32));
+  Proc P = B.build();
+  std::vector<double> Y{-1};
+  Error Err = interpret(P, {}, {{"y", {Y.data(), {1}}}});
+  ASSERT_TRUE(Err);
+  EXPECT_NE(Err.message().find("unbound variable 'j'"), std::string::npos)
+      << Err.message();
+}

@@ -1,6 +1,6 @@
 //===- EdgeFamilyTest.cpp - The §III-B edge-case kernel family ------------===//
 
-#include "ukr/KernelRegistry.h"
+#include "ukr/KernelService.h"
 
 #include "benchutil/Bench.h"
 
@@ -29,7 +29,7 @@ TEST(EdgeFamilyTest, WholePaperFamilyBuildsAndRuns) {
     Cfg.Isa = bestIsaForMr(MR);
     if (!Cfg.Isa)
       Cfg.Style = FmaStyle::Scalar;
-    auto K = KernelCache::global().get(Cfg);
+    auto K = KernelService::global().get(Cfg);
     ASSERT_TRUE(static_cast<bool>(K))
         << MR << "x" << NR << ": " << K.message();
     ASSERT_NE((*K)->Fn, nullptr) << MR << "x" << NR;
@@ -74,7 +74,7 @@ TEST(EdgeFamilyTest, ArbitraryShapesAlwaysHaveAKernel) {
       Cfg.Isa = bestIsaForMr(MR);
       if (!Cfg.Isa)
         Cfg.Style = FmaStyle::Scalar;
-      auto K = KernelCache::global().get(Cfg);
+      auto K = KernelService::global().get(Cfg);
       ASSERT_TRUE(static_cast<bool>(K))
           << MR << "x" << NR << ": " << K.message();
       EXPECT_NE((*K)->Fn, nullptr) << MR << "x" << NR;

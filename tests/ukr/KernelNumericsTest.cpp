@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ukr/KernelRegistry.h"
+#include "ukr/KernelService.h"
 
 #include "benchutil/Bench.h"
 #include "exo/interp/Interp.h"
@@ -135,8 +135,8 @@ TEST(KernelCacheTest, CachesByName) {
   Cfg.MR = 8;
   Cfg.NR = 4;
   Cfg.Isa = &portableIsa();
-  auto K1 = KernelCache::global().get(Cfg);
-  auto K2 = KernelCache::global().get(Cfg);
+  auto K1 = KernelService::global().get(Cfg);
+  auto K2 = KernelService::global().get(Cfg);
   ASSERT_TRUE(static_cast<bool>(K1)) << K1.message();
   ASSERT_TRUE(static_cast<bool>(K2));
   EXPECT_EQ(*K1, *K2);

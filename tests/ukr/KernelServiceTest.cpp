@@ -6,6 +6,8 @@
 #include "benchutil/Bench.h"
 #include "exo/jit/DiskCache.h"
 #include "exo/jit/Jit.h"
+#include "gemm/Engine.h"
+#include "gemm/ExoProvider.h"
 #include "ukr/KernelRegistry.h"
 
 #include <gtest/gtest.h>
@@ -144,12 +146,15 @@ TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
   // threads never touch shared containers (TSan-clean by construction).
   std::vector<std::vector<MicroKernelF32>> FromService(
       NumThreads, std::vector<MicroKernelF32>(Family.size(), nullptr));
-  std::vector<std::vector<MicroKernelF32>> FromCache = FromService;
+  std::vector<std::vector<MicroKernelF32>> FromProvider = FromService;
   std::vector<int> Errors(NumThreads, 0);
 
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {
+      // Each thread's own sync provider over the 8x12 family: its shape()
+      // calls converge on the global service's blocking get().
+      gemm::ExoProvider Prov(8, 12);
       for (size_t I = 0; I < Family.size(); ++I) {
         const UkrConfig &Cfg = Family[I];
         // Non-blocking path: either the stand-in or the real kernel,
@@ -166,13 +171,14 @@ TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
           continue;
         }
         FromService[T][I] = (*K)->Fn;
-        // And the synchronous registry agrees under the same contention.
-        auto C = KernelCache::global().get(Cfg);
-        if (!C || !(*C)->Fn) {
+        // And the Engine's sync provider path agrees under the same
+        // contention.
+        std::optional<gemm::MicroKernel> P = Prov.shape(Cfg.MR, Cfg.NR);
+        if (!P || !P->Fn) {
           ++Errors[T];
           continue;
         }
-        FromCache[T][I] = (*C)->Fn;
+        FromProvider[T][I] = P->Fn;
       }
     });
   for (std::thread &T : Threads)
@@ -184,7 +190,7 @@ TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
       // One build per config: every thread got the same function pointer.
       EXPECT_EQ(FromService[T][I], FromService[0][I])
           << "thread " << T << " config " << Family[I].kernelName();
-      EXPECT_EQ(FromCache[T][I], FromCache[0][I])
+      EXPECT_EQ(FromProvider[T][I], FromProvider[0][I])
           << "thread " << T << " config " << Family[I].kernelName();
       EXPECT_NE(FromService[T][I], nullptr);
     }
@@ -195,6 +201,30 @@ TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
   EXPECT_EQ(St.Failures, 0u);
   EXPECT_EQ(St.InFlight, 0u);
   EXPECT_EQ(S.size(), Family.size());
+}
+
+TEST(KernelServiceTest, EnginePlanAndWarmShareOneBuild) {
+  if (!jitAvailable())
+    GTEST_SKIP();
+  // A default (sync) Engine builds its plan's kernels through the global
+  // service, so a later warm of the same shape finds every config built.
+  const int64_t M = 40, N = 29, K = 24;
+  gemm::Engine E;
+  std::vector<float> A(M * K, 1.0f), B(K * N, 1.0f), C(M * N, 0.0f);
+  ASSERT_FALSE(E.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K, 0.0f,
+                       C.data(), M));
+  auto Choice = E.planFor(gemm::Trans::None, gemm::Trans::None, M, N, K);
+  ASSERT_TRUE(static_cast<bool>(Choice)) << Choice.message();
+  ASSERT_NE(Choice->Src, gemm::PlanSource::Fallback);
+  const UkrConfig Main =
+      shapeConfig(Choice->MR, Choice->NR, nullptr, Choice->UnrollCompute);
+  const Kernel *Ready = KernelService::global().tryGet(Main);
+  ASSERT_NE(Ready, nullptr);
+  EXPECT_FALSE(Ready->IsFallback) << Main.kernelName();
+
+  const uint64_t Builds = KernelService::global().stats().Builds;
+  ASSERT_FALSE(E.warm(gemm::Trans::None, gemm::Trans::None, M, N, K));
+  EXPECT_EQ(KernelService::global().stats().Builds, Builds);
 }
 
 TEST(KernelServiceTest, SecondServiceOverWarmDirSkipsTheCompiler) {
