@@ -589,7 +589,6 @@ void Server::Impl::fillWireStats(ipc::StatsReplyMsg &W) const {
   ukr::CacheStats US = ukr::globalCacheStats();
   W.UkrDiskHits = US.DiskHits;
   W.UkrCompiles = US.Compiles;
-  W.UkrFallbacks = US.Fallbacks;
   W.UptimeNs = nowNs() - StartNs;
 }
 

@@ -9,7 +9,6 @@
 #include "gemm/Kernels.h"
 #include "gemm/ThreadPool.h"
 #include "obs/Obs.h"
-#include "ukr/KernelService.h"
 
 #include <algorithm>
 #include <atomic>
@@ -43,19 +42,13 @@ struct PlanKey {
 
 /// A resolved, immutable-after-publish execution plan plus its workspace
 /// pool. Geometry and edge kernels are never mutated once the plan is
-/// visible to other threads; provisional plans are *replaced*, not edited,
-/// so in-flight executions keep a consistent snapshot via their shared_ptr.
+/// visible to other threads; in-flight executions hold it through their
+/// shared_ptr, so eviction never pulls a plan out from under a call.
 struct ExecPlan {
   detail::GemmGeometry G;
   std::vector<std::optional<MicroKernel>> Edges;
   std::shared_ptr<KernelProvider> Provider;
   PlanChoice Choice;
-  /// Built over an async provider's portable fallback; re-resolved after
-  /// RebuildPeriod further calls in the hope the specialized kernels have
-  /// landed.
-  bool Provisional = false;
-  std::atomic<uint64_t> Calls{0};
-  std::atomic<bool> Rebuilding{false};
 
   /// Pooled workspaces, bounded by the reserved capacity so release()
   /// never reallocates the vector (zero-allocation steady state).
@@ -86,7 +79,6 @@ struct ExecPlan {
   }
 };
 
-constexpr uint64_t RebuildPeriod = 32;
 constexpr size_t WorkspacePoolCap = 16;
 
 struct CacheEntry {
@@ -136,8 +128,8 @@ struct Engine::Impl {
       ExoProvs;
 
   std::atomic<uint64_t> Tick{0};
-  std::atomic<uint64_t> Hits{0}, Misses{0}, Builds{0}, Rebuilds{0},
-      Evictions{0}, Degenerate{0}, StickyErrors{0};
+  std::atomic<uint64_t> Hits{0}, Misses{0}, Builds{0}, Evictions{0},
+      Degenerate{0}, StickyErrors{0};
   std::atomic<uint64_t> BatchedItems{0}, BatchedGroups{0},
       BatchedCrossItem{0}, BatchedBShared{0};
   std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
@@ -187,7 +179,6 @@ struct Engine::Impl {
     if (It != ExoProvs.end())
       return It->second;
     auto P = std::make_shared<ExoProvider>(MR, NR, Cfg.Isa, UnrollCompute);
-    P->setAsync(Cfg.Async);
     P->setSpecializeEdges(Cfg.SpecializeEdges);
     ExoProvs.emplace(std::make_pair(MR, NR | UnrollTag), P);
     return P;
@@ -202,10 +193,6 @@ struct Engine::Impl {
   Expected<std::shared_ptr<ExecPlan>> build(const PlanKey &Key);
   std::shared_ptr<ExecPlan> lookupOrBuild(const PlanKey &Key, Error &Err);
   void evictLocked(const PlanKey *Keep = nullptr);
-  void maybeRebuild(const PlanKey &Key,
-                    const std::shared_ptr<ExecPlan> &Old);
-  std::shared_ptr<ExecPlan> plan(const PlanKey &Key, uint64_t Calls,
-                                 Error &Err);
   void execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
                int64_t NCalls, detail::GemmWorkspace &WS);
   void quickReturn(DType Ty, const detail::GemmCall &Cl);
@@ -304,15 +291,8 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   P->G = detail::deriveGeometry(Main, PackMode, Blocks, Key.T, Key.M, Key.N,
                                 Key.K);
   P->G.Ty = Ty;
-  bool EdgeFallback = false;
-  if (P->G.PackMode == EdgePack::Tight) {
+  if (P->G.PackMode == EdgePack::Tight)
     detail::resolveEdgeKernels(*Provider, P->G, Key.N, P->Edges);
-    for (const std::optional<MicroKernel> &E : P->Edges)
-      if (E && E->IsFallback)
-        EdgeFallback = true;
-  }
-  P->Provisional =
-      Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.MissingEdge);
   P->Pool.reserve(WorkspacePoolCap);
   P->Pool.push_back(P->acquire());
   return P;
@@ -416,25 +396,6 @@ std::shared_ptr<ExecPlan> Engine::Impl::lookupOrBuild(const PlanKey &Key,
   return Ret;
 }
 
-void Engine::Impl::maybeRebuild(const PlanKey &Key,
-                                const std::shared_ptr<ExecPlan> &Old) {
-  bool Claim = false;
-  if (!Old->Rebuilding.compare_exchange_strong(Claim, true))
-    return; // another caller is already re-resolving this plan
-  Expected<std::shared_ptr<ExecPlan>> Built = build(Key);
-  if (Built) {
-    std::unique_lock<std::shared_mutex> UL(Mu);
-    auto It = Cache.find(Key);
-    if (It != Cache.end() && It->second.Plan == Old) {
-      It->second.Plan = Built.take();
-      Rebuilds.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // A failed rebuild keeps serving the provisional plan; the next period
-  // retries.
-  Old->Rebuilding.store(false);
-}
-
 Engine::Engine() : Engine(EngineConfig{}) {}
 
 Engine::Engine(const EngineConfig &Cfg) : I(new Impl) {
@@ -477,22 +438,6 @@ Engine &Engine::global() {
   return E;
 }
 
-std::shared_ptr<ExecPlan> Engine::Impl::plan(const PlanKey &Key,
-                                             uint64_t Calls, Error &Err) {
-  std::shared_ptr<ExecPlan> Plan = lookupOrBuild(Key, Err);
-  if (!Plan)
-    return nullptr;
-  // Credit the executions this lookup serves; a provisional plan rebuilds
-  // when the count crosses a period boundary.
-  if (Plan->Provisional && Calls > 0) {
-    const uint64_t Before =
-        Plan->Calls.fetch_add(Calls, std::memory_order_relaxed);
-    if (Before / RebuildPeriod != (Before + Calls) / RebuildPeriod)
-      maybeRebuild(Key, Plan);
-  }
-  return Plan;
-}
-
 void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
                            int64_t NCalls, detail::GemmWorkspace &WS) {
   // Governed dispatch: the process-wide governor grants this run of calls
@@ -532,8 +477,8 @@ Error Engine::Impl::run(DType Ty, const detail::GemmCall &Cl) {
     return Error::success();
   }
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan =
-      plan(key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, plannedThreads()), 1, Err);
+  std::shared_ptr<ExecPlan> Plan = lookupOrBuild(
+      key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, plannedThreads()), Err);
   if (!Plan)
     return Err;
   std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
@@ -588,8 +533,7 @@ void runBatchItems(void *Ctx, int64_t Tid) {
 }
 
 /// Max items per cross-item dispatch: chunking bounds the per-dispatch
-/// workspace residency and lets provisional-plan rebuilds land mid-batch on
-/// huge batches.
+/// workspace residency on huge batches.
 constexpr int64_t BatchChunkMax = 4096;
 
 } // namespace
@@ -633,9 +577,8 @@ Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
     // T == 1 plan — a distinct cache key from the intra-item plan, which
     // is exactly right: the two strategies use different geometry.
     Error Err = Error::success();
-    std::shared_ptr<ExecPlan> Plan =
-        plan(key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, Cross ? 1 : T),
-             static_cast<uint64_t>(End - Begin), Err);
+    std::shared_ptr<ExecPlan> Plan = lookupOrBuild(
+        key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, Cross ? 1 : T), Err);
     if (!Plan)
       return Err;
     Groups.push_back({Begin, End - Begin, Cross, std::move(Plan)});
@@ -766,26 +709,24 @@ Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,
   if (M <= 0 || N <= 0 || K <= 0)
     return errorf("gemm engine: planFor needs positive dimensions");
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan = I->plan(
-      I->key(DType::F32, TA, TB, M, N, K, I->plannedThreads()), 0, Err);
+  std::shared_ptr<ExecPlan> Plan = I->lookupOrBuild(
+      I->key(DType::F32, TA, TB, M, N, K, I->plannedThreads()), Err);
   if (!Plan)
     return Err;
   return Plan->Choice;
 }
 
 Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, bool Wait) {
+                   int64_t K) {
   if (M <= 0 || N <= 0 || K <= 0)
     return Error::success(); // degenerate shapes never plan
   // Building the plan resolves its kernel family (the main kernel plus the
   // edge widths it dispatches) through KernelService::global(), the one
-  // kernel cache: a sync Engine returns with every kernel built, an async
-  // one with every build queued.
+  // kernel cache, so it returns with every kernel built.
   Error Err = Error::success();
-  if (!I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()), 0, Err))
+  if (!I->lookupOrBuild(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()),
+                        Err))
     return Err;
-  if (Wait)
-    ukr::KernelService::global().wait();
   return Error::success();
 }
 
@@ -813,7 +754,6 @@ EngineStats Engine::stats() const {
   S.Hits = I->Hits.load(std::memory_order_relaxed);
   S.Misses = I->Misses.load(std::memory_order_relaxed);
   S.Builds = I->Builds.load(std::memory_order_relaxed);
-  S.Rebuilds = I->Rebuilds.load(std::memory_order_relaxed);
   S.Evictions = I->Evictions.load(std::memory_order_relaxed);
   S.Degenerate = I->Degenerate.load(std::memory_order_relaxed);
   S.StickyErrors = I->StickyErrors.load(std::memory_order_relaxed);
@@ -843,7 +783,6 @@ void Engine::resetStats() {
   I->Hits.store(0);
   I->Misses.store(0);
   I->Builds.store(0);
-  I->Rebuilds.store(0);
   I->Evictions.store(0);
   I->Degenerate.store(0);
   I->StickyErrors.store(0);

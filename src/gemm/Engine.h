@@ -78,10 +78,6 @@ struct EngineConfig {
   /// Macro-kernel team size; 0 resolves EXO_GEMM_THREADS per call
   /// (resolveGemmThreads, ThreadPool.h).
   int64_t Threads = 0;
-  /// Request kernels through KernelService's non-blocking path: cold
-  /// shapes run the portable fallback while the specialized kernel
-  /// compiles, and their provisional plans re-resolve once it lands.
-  bool Async = false;
   bool SpecializeEdges = true;
   bool UnrollCompute = false;
   /// Ablation overrides; unset uses the analytical model / edge probe
@@ -110,7 +106,6 @@ struct EngineStats {
   uint64_t Hits = 0;       ///< calls served by a cached plan
   uint64_t Misses = 0;     ///< calls that had to build (or wait for) a plan
   uint64_t Builds = 0;     ///< plans built (exactly one per cached key)
-  uint64_t Rebuilds = 0;   ///< provisional plans re-resolved after warm-up
   uint64_t Evictions = 0;  ///< plans dropped by the cache cap
   uint64_t Degenerate = 0; ///< calls answered by the quick return
   uint64_t StickyErrors = 0; ///< sticky build failures recorded in the cache
@@ -274,17 +269,15 @@ public:
   /// Builds (and caches) the plan for a shape ahead of traffic. The build
   /// resolves the plan's kernel family through KernelService — the main
   /// kernel, plus the edge widths the shape dispatches for F32 (the other
-  /// dtypes run no edge kernels; I8I32 compiles nothing). \p Wait blocks
-  /// until queued background builds resolve (async Engines), so the next
+  /// dtypes run no edge kernels; I8I32 compiles nothing), so the next
   /// call runs fully specialized — the `ukr_cachectl warm
   /// --shape/--model/--dtype` path.
   exo::Error warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                  int64_t K, bool Wait = true);
+                  int64_t K);
 
   /// F32 warm-up.
-  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                  bool Wait = true) {
-    return warm(DType::F32, TA, TB, M, N, K, Wait);
+  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K) {
+    return warm(DType::F32, TA, TB, M, N, K);
   }
 
   /// Tile + provider the cached (or freshly built) plan for this shape

@@ -24,22 +24,6 @@ std::optional<MicroKernel> ExoProvider::shape(int64_t Mr, int64_t Nr) {
   ukr::UkrConfig Cfg =
       ukr::shapeConfig(Mr, Nr, Mr == MR ? Isa : nullptr, UnrollCompute);
 
-  if (Async) {
-    // Non-blocking: run whatever the service has right now. A fallback
-    // answer is deliberately NOT memoized, so a later call picks up the
-    // specialized kernel once the background build lands.
-    const ukr::Kernel *K = ukr::KernelService::global().tryGet(Cfg);
-    if (!K || !K->Fn)
-      return std::nullopt; // No fallback either: scratch-tile path.
-    if (K->IsFallback)
-      return MicroKernel{Mr, Nr, K->Fn, "exo fallback (compiling)",
-                         /*IsFallback=*/true};
-    std::optional<MicroKernel> Out =
-        MicroKernel{Mr, Nr, K->Fn, "exo generated"};
-    ShapeCache.emplace(std::make_pair(Mr, Nr), Out);
-    return Out;
-  }
-
   auto K = ukr::KernelService::global().get(Cfg);
   std::optional<MicroKernel> Out;
   if (K && (*K)->Fn)

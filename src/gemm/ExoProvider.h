@@ -46,15 +46,6 @@ public:
   /// like the monolithic baselines.
   void setSpecializeEdges(bool On) { SpecializeEdges = On; }
 
-  /// Kernels always come from KernelService::global(): by default through
-  /// its blocking get(); in async mode through its non-blocking tryGet(),
-  /// so a first call over a cold shape never stalls on the compiler — it
-  /// runs the portable reference micro-kernel while the specialized one
-  /// compiles in the background, and picks the specialized one up on a
-  /// later call. Serving-path mode: first-request latency stays flat at
-  /// the cost of slower warm-up iterations.
-  void setAsync(bool On) { Async = On; }
-
   /// Picks the micro-kernel shape for an (m, n) problem — the paper's
   /// "matching the size of the micro-kernel to the problem" (§IV-B uses
   /// 8x4 / 8x8 for different square sizes). The heuristic scores each
@@ -73,7 +64,6 @@ private:
   const exo::IsaLib *Isa;
   bool UnrollCompute;
   bool SpecializeEdges = true;
-  bool Async = false;
   /// Per-provider memo of resolved shapes: the macro-kernel asks for the
   /// same edge kernel once per tile, and the global registry lookup (name
   /// formatting + mutex) would otherwise dominate small tiles. Guarded by

@@ -73,10 +73,9 @@ void detail::resolveEdgeKernels(
   // team must never call into the provider (whose kernel cache may invoke
   // the JIT), and a fixed kernel per width keeps one GEMM call bitwise
   // invariant under the thread count. A width whose specialized kernel is
-  // unavailable (partial edge family, or an async provider still
-  // compiling) stays nullopt and takes the zero-padded scratch path.
+  // unavailable (a partial edge family, or a failed build) stays nullopt
+  // and takes the zero-padded scratch path.
   Storage.assign(static_cast<size_t>(G.Nr), std::nullopt);
-  G.MissingEdge = false;
   if (G.PackMode == EdgePack::Tight) {
     std::vector<bool> Probed(G.Nr, false);
     for (int64_t Jc = 0; Jc < N; Jc += G.Nc) {
@@ -87,8 +86,6 @@ void detail::resolveEdgeKernels(
       std::optional<MicroKernel> E = Provider.edge(G.Mr, W);
       if (E && E->Fn)
         Storage[W] = *E;
-      else
-        G.MissingEdge = true;
     }
   }
   G.EdgeKernels = Storage.data();

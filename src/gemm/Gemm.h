@@ -90,7 +90,6 @@ struct GemmGeometry {
   /// argument) which must outlive execution; unset unless PackMode is
   /// Tight.
   const std::optional<MicroKernel> *EdgeKernels = nullptr;
-  bool MissingEdge = false; ///< some Tight-mode strip width has no edge kernel
 };
 
 /// Pack buffers and per-thread scratch for one geometry, in bytes sized by
@@ -121,7 +120,7 @@ void factorizeTeam(GemmGeometry &G);
 
 /// Resolves the kernel for every partial strip width occurring in an N-wide
 /// problem into \p Storage (resized to Nr) and points G.EdgeKernels at it;
-/// sets G.MissingEdge when some width lacks a runnable specialized kernel.
+/// a width without a runnable specialized kernel stays nullopt.
 /// Must run on a thread allowed to call into the provider (may JIT).
 void resolveEdgeKernels(KernelProvider &Provider, GemmGeometry &G, int64_t N,
                         std::vector<std::optional<MicroKernel>> &Storage);

@@ -34,9 +34,8 @@ struct MicroKernel {
   int64_t NR = 0;
   KernelFn Fn = nullptr;
   const char *Name = "";
-  /// True when Fn is the portable stand-in an async provider hands out
-  /// while the specialized kernel compiles; the Engine marks plans built
-  /// over fallbacks provisional and re-resolves them once warm.
+  /// Marks Fn as a portable stand-in rather than the kernel asked for. No
+  /// in-tree provider sets it; it stays for callers that check it.
   bool IsFallback = false;
 };
 

@@ -42,10 +42,11 @@ inline constexpr uint32_t WireMagic = 0x31444D47;
 /// v2: batched GEMM (a second request/reply packet pair).
 /// v3: the single-GEMM request's pad byte carries the dtype (DTy).
 /// v4: one GemmRequest for every GEMM: dtype, strides and batch count.
-inline constexpr uint16_t WireVersion = 4;
+/// v5: StatsReply drops the kernel-fallback counter.
+inline constexpr uint16_t WireVersion = 5;
 
 /// Ring slot size. Every packet (header + payload) must fit one slot;
-/// StatsReply is the widest packet and sizes it.
+/// GemmRequest and StatsReply are the widest packets.
 inline constexpr uint32_t SlotBytes = 256;
 
 /// Doorbell bytes on the control socket after the handshake.
@@ -190,10 +191,9 @@ struct StatsReplyMsg {
   uint64_t PlanStickyErrors = 0;
   uint64_t UkrDiskHits = 0;   ///< JIT artifacts loaded from the disk cache
   uint64_t UkrCompiles = 0;   ///< compiler invocations
-  uint64_t UkrFallbacks = 0;
   uint64_t UptimeNs = 0;
 };
-static_assert(sizeof(StatsReplyMsg) == 144);
+static_assert(sizeof(StatsReplyMsg) == 136);
 static_assert(sizeof(StatsReplyMsg) <= SlotBytes);
 static_assert(std::is_trivially_copyable_v<StatsReplyMsg>);
 

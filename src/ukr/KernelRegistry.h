@@ -52,9 +52,6 @@ struct Kernel {
   MicroKernelAxpbyF32 FnAxpby = nullptr;
   /// Set instead of Fn for widened int8 configurations.
   MicroKernelI8I32 FnI8 = nullptr;
-  /// True for the portable reference stand-in KernelService::tryGet hands
-  /// out while the specialized kernel is still compiling.
-  bool IsFallback = false;
 
   int64_t mr() const { return Cfg.MR; }
   int64_t nr() const { return Cfg.NR; }

@@ -6,9 +6,7 @@
 #include "exo/support/Str.h"
 #include "obs/Obs.h"
 
-#include <array>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -18,50 +16,6 @@
 
 using namespace exo;
 using namespace ukr;
-
-//===----------------------------------------------------------------------===//
-// The portable reference fallback family
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr int MaxFallbackMr = 24;
-constexpr int MaxFallbackNr = 16;
-
-/// The reference micro-kernel semantics (UkrSpec's naive loop nest) with
-/// the shape baked in at C++ compile time, so a plain function pointer can
-/// serve any tile while the specialized kernel is still in the oven.
-template <int MR, int NR>
-void refUkr(int64_t Kc, int64_t Ldc, const float *Ac, const float *Bc,
-            float *C) {
-  for (int64_t K = 0; K < Kc; ++K)
-    for (int J = 0; J < NR; ++J)
-      for (int I = 0; I < MR; ++I)
-        C[J * Ldc + I] += Ac[K * MR + I] * Bc[K * NR + J];
-}
-
-template <int MR, size_t... Ns>
-constexpr std::array<MicroKernelF32, sizeof...(Ns)>
-fallbackRow(std::index_sequence<Ns...>) {
-  return {{&refUkr<MR, static_cast<int>(Ns) + 1>...}};
-}
-
-template <size_t... Ms>
-constexpr std::array<std::array<MicroKernelF32, MaxFallbackNr>, sizeof...(Ms)>
-fallbackTable(std::index_sequence<Ms...>) {
-  return {{fallbackRow<static_cast<int>(Ms) + 1>(
-      std::make_index_sequence<MaxFallbackNr>{})...}};
-}
-
-} // namespace
-
-MicroKernelF32 ukr::fallbackUkr(int64_t MR, int64_t NR) {
-  static constexpr auto Table =
-      fallbackTable(std::make_index_sequence<MaxFallbackMr>{});
-  if (MR < 1 || MR > MaxFallbackMr || NR < 1 || NR > MaxFallbackNr)
-    return nullptr;
-  return Table[MR - 1][NR - 1];
-}
 
 //===----------------------------------------------------------------------===//
 // KernelService
@@ -75,7 +29,6 @@ struct KernelService::Impl {
     std::string Err;
   };
 
-  Options Opts;
   mutable std::mutex Mu;
   std::condition_variable Cv;
   std::map<std::string, Entry> Entries;
@@ -87,10 +40,6 @@ struct KernelService::Impl {
   // against this baseline (taken at construction / resetStats).
   CacheStats St;
   JitStats JitBase;
-
-  /// Fallback Kernel objects handed out by tryGet, keyed by shape so the
-  /// returned pointer is stable for the service's lifetime.
-  std::map<std::pair<int64_t, int64_t>, Kernel> Fallbacks;
 
   uint64_t inFlightLocked() const {
     uint64_t N = 0;
@@ -149,16 +98,9 @@ struct KernelService::Impl {
 KernelService::KernelService() : KernelService(Options{}) {}
 
 KernelService::KernelService(const Options &Opts) : I(new Impl) {
-  I->Opts = Opts;
   if (!Opts.CacheDir.empty())
     JitDiskCache::setGlobalRoot(Opts.CacheDir);
-  unsigned N = Opts.Workers;
-  if (N == 0) {
-    if (const char *V = std::getenv("EXO_KERNEL_WORKERS"))
-      N = static_cast<unsigned>(std::atoi(V));
-    if (N == 0)
-      N = 2;
-  }
+  const unsigned N = Opts.Workers ? Opts.Workers : 2;
   I->JitBase = jitStats();
   for (unsigned W = 0; W < N; ++W)
     I->Workers.emplace_back([this] { I->workerLoop(); });
@@ -178,39 +120,6 @@ KernelService::~KernelService() {
 KernelService &KernelService::global() {
   static KernelService S;
   return S;
-}
-
-const Kernel *KernelService::tryGet(const UkrConfig &Cfg) {
-  std::string Key = Cfg.kernelName();
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  auto It = I->Entries.find(Key);
-  if (It != I->Entries.end() &&
-      It->second.S == Impl::Entry::State::Ready) {
-    ++I->St.Hits;
-    obs::mark("ukr.cache.hit");
-    return &It->second.K;
-  }
-  ++I->St.Misses;
-  obs::mark("ukr.cache.miss");
-  if (It == I->Entries.end())
-    I->enqueueLocked(Cfg, Key);
-  // Hand out the reference stand-in (only meaningful for plain f32
-  // kernels; axpby/non-f32 callers must use the blocking path).
-  if (Cfg.Ty != ScalarKind::F32 || Cfg.GeneralAlphaBeta)
-    return nullptr;
-  MicroKernelF32 Fn = fallbackUkr(Cfg.MR, Cfg.NR);
-  if (!Fn)
-    return nullptr;
-  ++I->St.Fallbacks;
-  obs::mark("ukr.cache.fallback");
-  auto [FIt, Inserted] = I->Fallbacks.try_emplace({Cfg.MR, Cfg.NR});
-  if (Inserted) {
-    FIt->second.Cfg = Cfg;
-    FIt->second.Style = FmaStyle::Scalar;
-    FIt->second.Fn = Fn;
-    FIt->second.IsFallback = true;
-  }
-  return &FIt->second;
 }
 
 Expected<const Kernel *> KernelService::get(const UkrConfig &Cfg) {
@@ -333,13 +242,12 @@ CacheStats ukr::globalCacheStats() {
 
 void ukr::printCacheStats(const CacheStats &St, std::FILE *Out) {
   std::fprintf(Out,
-               "kernel-cache: hits=%llu misses=%llu fallbacks=%llu "
-               "builds=%llu failures=%llu in-flight=%llu\n"
+               "kernel-cache: hits=%llu misses=%llu builds=%llu "
+               "failures=%llu in-flight=%llu\n"
                "jit: disk-hits=%llu compiles=%llu compile-ms=%.1f "
                "corrupt-meta=%llu (cache dir: %s%s)\n",
                static_cast<unsigned long long>(St.Hits),
                static_cast<unsigned long long>(St.Misses),
-               static_cast<unsigned long long>(St.Fallbacks),
                static_cast<unsigned long long>(St.Builds),
                static_cast<unsigned long long>(St.Failures),
                static_cast<unsigned long long>(St.InFlight),

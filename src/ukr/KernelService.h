@@ -1,4 +1,4 @@
-//===- KernelService.h - Async kernel compilation off the hot path --------===//
+//===- KernelService.h - The process's kernel cache and build pool --------===//
 //
 // Part of the exo-ukr project. MIT license; see LICENSE.
 //
@@ -7,26 +7,23 @@
 /// \file
 /// The kernel-cache service, and through global() the process's one cache
 /// of generated kernels: each config is generated and built once, by a
-/// worker pool. The blocking get() serves the synchronous GEMM path; the
-/// non-blocking tryGet() hands callers a portable reference stand-in, so
-/// the first GEMM over a new shape never stalls on a `cc -O3 -shared`
-/// invocation. Built kernels flow through the two-level
-/// JIT cache (in-process map + the persistent disk cache of DiskCache.h),
-/// so a service constructed over a warm cache directory serves every kernel
-/// from disk with zero compiler invocations — the AOT warmup path of
-/// `ukr_cachectl warm`.
+/// worker pool. The blocking get() is how a GEMM gets a kernel; prefetch()
+/// and warm() queue builds ahead of it. Built kernels flow through the
+/// two-level JIT cache (in-process map + the persistent disk cache of
+/// DiskCache.h), so a service constructed over a warm cache directory
+/// serves every kernel from disk with zero compiler invocations — the AOT
+/// warmup path of `ukr_cachectl warm`.
 ///
 /// Observability: every service keeps a CacheStats ledger (hits, misses,
-/// fallback invocations, builds, in-flight) and folds in the JIT-layer
-/// deltas (disk hits, compiles, compile wall time) accumulated since its
-/// construction; benches dump the global service's snapshot.
+/// builds, failures, in-flight) and folds in the JIT-layer deltas (disk
+/// hits, compiles, compile wall time) accumulated since its construction;
+/// benches dump the global service's snapshot.
 ///
 /// Concurrency: every counter mutation and map access happens under the
 /// service's single mutex, and the JIT-layer counters it folds in are
-/// likewise mutex-guarded (Jit.cpp) — audited for the threaded
-/// macro-kernel serving path, where many GEMM teams hit tryGet()
-/// concurrently. Kernel pointers handed out are stable for the service's
-/// lifetime.
+/// likewise mutex-guarded (Jit.cpp) — audited for concurrent get() and
+/// prefetch() callers racing on the same configs. Kernel pointers handed
+/// out are stable for the service's lifetime.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +41,6 @@ namespace ukr {
 struct CacheStats {
   uint64_t Hits = 0;      ///< requests served a ready specialized kernel
   uint64_t Misses = 0;    ///< requests that found no ready kernel
-  uint64_t Fallbacks = 0; ///< tryGet calls answered with the reference ukr
   uint64_t Builds = 0;    ///< kernel builds executed by this service
   uint64_t Failures = 0;  ///< builds that ended in an error
   uint64_t InFlight = 0;  ///< configs currently queued or building
@@ -57,18 +53,11 @@ struct CacheStats {
   uint64_t CorruptMeta = 0;
 };
 
-/// The portable reference micro-kernel for an MR x NR f32 tile (a plain
-/// triple loop over the packed panels), or nullptr when the shape is
-/// outside the instantiated table (MR <= 24, NR <= 16 — covering every
-/// ExoProvider::pickShape candidate and its edge family). This is what
-/// tryGet() returns while the specialized kernel compiles.
-MicroKernelF32 fallbackUkr(int64_t MR, int64_t NR);
-
 /// See file comment.
 class KernelService {
 public:
   struct Options {
-    /// Background compile workers (default: EXO_KERNEL_WORKERS or 2).
+    /// Background compile workers (0 means 2).
     unsigned Workers = 0;
     /// When non-empty, repoints the global disk cache at this directory
     /// before the service starts (tests, cachectl --dir).
@@ -82,16 +71,9 @@ public:
   KernelService(const KernelService &) = delete;
   KernelService &operator=(const KernelService &) = delete;
 
-  /// The process-wide service: ExoProvider (sync and async), Engine::warm,
-  /// the fuzzer and the ablation benches share its one entry per config.
+  /// The process-wide service: ExoProvider, Engine::warm, the fuzzer and
+  /// the ablation benches share its one entry per config.
   static KernelService &global();
-
-  /// Non-blocking: the specialized kernel when it is ready, otherwise
-  /// enqueues the build (once per config) and returns the portable
-  /// reference stand-in (Kernel::IsFallback set), or nullptr when no
-  /// fallback exists for the config. Never invokes the compiler on the
-  /// calling thread.
-  const Kernel *tryGet(const UkrConfig &Cfg);
 
   /// Blocking: waits for (or performs, via the workers) the build and
   /// returns the specialized kernel.

@@ -1,4 +1,4 @@
-//===- KernelServiceTest.cpp - Async kernel-cache service -----------------===//
+//===- KernelServiceTest.cpp - Kernel-cache service -----------------------===//
 
 #include "ukr/KernelService.h"
 
@@ -57,21 +57,18 @@ void checkNumerics(MicroKernelF32 Fn, int64_t MR, int64_t NR) {
     ASSERT_NEAR(C[I], Want[I], 1e-4f) << MR << "x" << NR << " @" << I;
 }
 
+/// get() on a config \p S has ready: one more hit, and no miss or build.
+void expectReadyHit(KernelService &S, const UkrConfig &Cfg) {
+  const CacheStats Before = S.stats();
+  auto K = S.get(Cfg);
+  ASSERT_TRUE(static_cast<bool>(K)) << K.message();
+  const CacheStats After = S.stats();
+  EXPECT_EQ(After.Hits, Before.Hits + 1) << Cfg.kernelName();
+  EXPECT_EQ(After.Misses, Before.Misses) << Cfg.kernelName();
+  EXPECT_EQ(After.Builds, Before.Builds) << Cfg.kernelName();
+}
+
 } // namespace
-
-TEST(FallbackUkrTest, CoversTheCandidateFamilyAndNoMore) {
-  EXPECT_NE(fallbackUkr(8, 12), nullptr);
-  EXPECT_NE(fallbackUkr(1, 1), nullptr);
-  EXPECT_NE(fallbackUkr(24, 16), nullptr);
-  EXPECT_EQ(fallbackUkr(25, 1), nullptr);
-  EXPECT_EQ(fallbackUkr(1, 17), nullptr);
-  EXPECT_EQ(fallbackUkr(0, 4), nullptr);
-}
-
-TEST(FallbackUkrTest, ReferenceNumerics) {
-  for (auto [MR, NR] : {std::pair<int64_t, int64_t>{8, 12}, {3, 5}, {1, 12}})
-    checkNumerics(fallbackUkr(MR, NR), MR, NR);
-}
 
 TEST(StandardShapeFamilyTest, TilePlusEdgesNoDuplicates) {
   std::vector<UkrConfig> Family = standardShapeFamily(8, 12);
@@ -85,51 +82,8 @@ TEST(StandardShapeFamilyTest, TilePlusEdgesNoDuplicates) {
     EXPECT_GE(Cfg.NR, 1);
     EXPECT_LE(Cfg.NR, 12);
     HasFullTile |= Cfg.MR == 8 && Cfg.NR == 12;
-    // Every family member must have a fallback stand-in for tryGet.
-    EXPECT_NE(fallbackUkr(Cfg.MR, Cfg.NR), nullptr);
   }
   EXPECT_TRUE(HasFullTile);
-}
-
-TEST(KernelServiceTest, AsyncFirstTouchFallsBackThenSpecializes) {
-  if (!jitAvailable())
-    GTEST_SKIP();
-  KernelService::Options Opts;
-  Opts.Workers = 2;
-  Opts.CacheDir = makeTempDir();
-  KernelService S(Opts);
-
-  UkrConfig Cfg = configFor(4, 6);
-  // Cold service: the very first tryGet can never have a ready kernel, so
-  // it must answer with the portable stand-in immediately (never the
-  // compiler on this thread).
-  const Kernel *F = S.tryGet(Cfg);
-  ASSERT_NE(F, nullptr);
-  EXPECT_TRUE(F->IsFallback);
-  ASSERT_NE(F->Fn, nullptr);
-  EXPECT_EQ(F->Fn, fallbackUkr(4, 6));
-  checkNumerics(F->Fn, 4, 6);
-
-  // Blocking get resolves to the specialized kernel...
-  auto K = S.get(Cfg);
-  ASSERT_TRUE(static_cast<bool>(K)) << K.message();
-  EXPECT_FALSE((*K)->IsFallback);
-  ASSERT_NE((*K)->Fn, nullptr);
-  EXPECT_NE((*K)->Fn, F->Fn);
-  checkNumerics((*K)->Fn, 4, 6);
-
-  // ...and from then on tryGet serves it too.
-  const Kernel *R = S.tryGet(Cfg);
-  ASSERT_NE(R, nullptr);
-  EXPECT_FALSE(R->IsFallback);
-  EXPECT_EQ(R->Fn, (*K)->Fn);
-
-  CacheStats St = S.stats();
-  EXPECT_GE(St.Fallbacks, 1u);
-  EXPECT_GE(St.Hits, 1u);
-  EXPECT_EQ(St.Builds, 1u);
-  EXPECT_EQ(St.Failures, 0u);
-  EXPECT_EQ(St.InFlight, 0u);
 }
 
 TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
@@ -157,14 +111,9 @@ TEST(KernelServiceTest, EightThreadHammerBuildsOncePerConfig) {
       gemm::ExoProvider Prov(8, 12);
       for (size_t I = 0; I < Family.size(); ++I) {
         const UkrConfig &Cfg = Family[I];
-        // Non-blocking path: either the stand-in or the real kernel,
-        // never a null answer for the standard family.
-        const Kernel *Quick = S.tryGet(Cfg);
-        if (!Quick || !Quick->Fn) {
-          ++Errors[T];
-          continue;
-        }
-        // Blocking path: everyone must converge on one build.
+        // Racing enqueues: every thread queues the build without waiting,
+        // then blocks on it, and everyone must converge on one build.
+        S.prefetch(Cfg);
         auto K = S.get(Cfg);
         if (!K || !(*K)->Fn) {
           ++Errors[T];
@@ -218,13 +167,12 @@ TEST(KernelServiceTest, EnginePlanAndWarmShareOneBuild) {
   ASSERT_NE(Choice->Src, gemm::PlanSource::Fallback);
   const UkrConfig Main =
       shapeConfig(Choice->MR, Choice->NR, nullptr, Choice->UnrollCompute);
-  const Kernel *Ready = KernelService::global().tryGet(Main);
-  ASSERT_NE(Ready, nullptr);
-  EXPECT_FALSE(Ready->IsFallback) << Main.kernelName();
+  KernelService &S = KernelService::global();
+  expectReadyHit(S, Main);
 
-  const uint64_t Builds = KernelService::global().stats().Builds;
+  const uint64_t Builds = S.stats().Builds;
   ASSERT_FALSE(E.warm(gemm::Trans::None, gemm::Trans::None, M, N, K));
-  EXPECT_EQ(KernelService::global().stats().Builds, Builds);
+  EXPECT_EQ(S.stats().Builds, Builds);
 }
 
 TEST(KernelServiceTest, SecondServiceOverWarmDirSkipsTheCompiler) {
@@ -316,9 +264,6 @@ TEST(KernelServiceTest, WarmResolvesTheWholeFamily) {
   EXPECT_FALSE(static_cast<bool>(Err)) << Err.message();
   EXPECT_EQ(S.size(), Family.size());
   EXPECT_EQ(S.stats().InFlight, 0u);
-  for (const UkrConfig &Cfg : Family) {
-    const Kernel *K = S.tryGet(Cfg);
-    ASSERT_NE(K, nullptr) << Cfg.kernelName();
-    EXPECT_FALSE(K->IsFallback) << Cfg.kernelName();
-  }
+  for (const UkrConfig &Cfg : Family)
+    expectReadyHit(S, Cfg);
 }

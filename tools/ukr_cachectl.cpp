@@ -242,7 +242,6 @@ int cmdStats(bool JsonOut) {
     Plan.set("hits", static_cast<int64_t>(ES.Hits));
     Plan.set("misses", static_cast<int64_t>(ES.Misses));
     Plan.set("builds", static_cast<int64_t>(ES.Builds));
-    Plan.set("rebuilds", static_cast<int64_t>(ES.Rebuilds));
     Plan.set("evictions", static_cast<int64_t>(ES.Evictions));
     Plan.set("degenerate", static_cast<int64_t>(ES.Degenerate));
     Plan.set("sticky_errors", static_cast<int64_t>(ES.StickyErrors));
@@ -259,7 +258,6 @@ int cmdStats(bool JsonOut) {
     benchutil::Json Jit = benchutil::Json::object();
     Jit.set("hits", static_cast<int64_t>(US.Hits));
     Jit.set("misses", static_cast<int64_t>(US.Misses));
-    Jit.set("fallbacks", static_cast<int64_t>(US.Fallbacks));
     Jit.set("builds", static_cast<int64_t>(US.Builds));
     Jit.set("failures", static_cast<int64_t>(US.Failures));
     Jit.set("disk_hits", static_cast<int64_t>(US.DiskHits));
@@ -295,7 +293,7 @@ int cmdStats(bool JsonOut) {
     Governor.set("full_width", static_cast<int64_t>(GS.FullWidth));
     Governor.set("width_sum", static_cast<int64_t>(GS.WidthSum));
     benchutil::Json Root = benchutil::Json::object();
-    Root.set("schema", "ukr_cachectl.stats/v1");
+    Root.set("schema", "ukr_cachectl.stats/v2");
     Root.set("plan_cache", std::move(Plan));
     Root.set("jit_cache", std::move(Jit));
     Root.set("disk_cache", std::move(Disk));
@@ -305,21 +303,18 @@ int cmdStats(bool JsonOut) {
     return 0;
   }
 
-  std::printf("plan cache:  %llu hit / %llu miss, %llu built (%llu rebuilt), "
-              "%llu evicted, %llu degenerate, %llu sticky error(s)\n",
+  std::printf("plan cache:  %llu hit / %llu miss, %llu built, %llu evicted, "
+              "%llu degenerate, %llu sticky error(s)\n",
               static_cast<unsigned long long>(ES.Hits),
               static_cast<unsigned long long>(ES.Misses),
               static_cast<unsigned long long>(ES.Builds),
-              static_cast<unsigned long long>(ES.Rebuilds),
               static_cast<unsigned long long>(ES.Evictions),
               static_cast<unsigned long long>(ES.Degenerate),
               static_cast<unsigned long long>(ES.StickyErrors));
-  std::printf("jit cache:   %llu hit / %llu miss, %llu fallback(s), %llu "
-              "build(s) (%llu failed), %llu disk hit(s), %llu compile(s) "
-              "(%.1f ms)\n",
+  std::printf("jit cache:   %llu hit / %llu miss, %llu build(s) (%llu "
+              "failed), %llu disk hit(s), %llu compile(s) (%.1f ms)\n",
               static_cast<unsigned long long>(US.Hits),
               static_cast<unsigned long long>(US.Misses),
-              static_cast<unsigned long long>(US.Fallbacks),
               static_cast<unsigned long long>(US.Builds),
               static_cast<unsigned long long>(US.Failures),
               static_cast<unsigned long long>(US.DiskHits),
