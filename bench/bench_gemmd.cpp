@@ -11,9 +11,12 @@
 //
 // plus one "local" baseline row: the same shape through an in-process
 // Engine::sgemm on one thread — the ceiling the IPC round trip (staging
-// copies + doorbells + scheduling) is measured against.
+// copies + doorbells + scheduling) is measured against. The main shape
+// (256^3; 512^3 with --big) fills the "gemmd" and "local" series; a 64^3
+// run, where the round trip rather than the GEMM sets the rate, fills
+// "gemmd_64" and "local_64".
 //
-// The first remote call is verified bitwise against the local Engine
+// Each shape's first remote call is verified bitwise against the local Engine
 // before anything is timed (the gemmd correctness contract; the real
 // gate lives in daemon_test).
 //
@@ -93,38 +96,25 @@ LoadPoint runLoad(const std::string &Socket, int Clients, int64_t S,
   return P;
 }
 
-} // namespace
-
-int main(int Argc, char **Argv) {
-  fig::Context Ctx("gemmd", Argc, Argv);
+/// One shape's rows: the remote result is checked bitwise against the
+/// local Engine first, then the local ceiling and one row per client
+/// count. \p Suffix tells the shape's series apart ("" for the main one).
+bool runSeries(fig::Context &Ctx, benchutil::Table &T, Engine &Local,
+               const std::string &Socket, int64_t S,
+               const std::vector<int> &ClientCounts,
+               const std::string &Suffix) {
   benchutil::BenchOptions &Opt = Ctx.Opt;
-  std::printf("gemmd saturation: req/s and aggregate GFLOPS vs concurrent "
-              "clients (one shared daemon engine)\n");
-
-  const int64_t S = Opt.Smoke ? 64 : Opt.Big ? 512 : 256;
-  std::vector<int> ClientCounts =
-      Opt.Smoke ? std::vector<int>{1, 2}
-                : Opt.Big ? std::vector<int>{1, 2, 4, 8}
-                          : std::vector<int>{1, 2, 4};
   const double Flops = 2.0 * S * S * S;
-
-  gemmd::ServerOptions SO;
-  SO.SocketPath = uniqueSocketPath();
-  gemmd::Server Server(SO);
-  if (exo::Error E = Server.start()) {
-    std::fprintf(stderr, "gemmd server: %s\n", E.message().c_str());
-    return 1;
-  }
+  const std::string Shape = std::to_string(S) + "^3";
 
   // Correctness first: the remote result must equal the local Engine's
   // bitwise before any number is reported.
-  Engine Local;
   {
     std::vector<float> A(S * S), B(S * S), CR(S * S, 1.f), CL(S * S, 1.f);
     benchutil::fillRandom(A.data(), A.size(), 11);
     benchutil::fillRandom(B.data(), B.size(), 22);
     Client::Options CO;
-    CO.SocketPath = SO.SocketPath;
+    CO.SocketPath = Socket;
     Client Probe(CO);
     exo::Error E1 =
         Probe.sgemm(S, S, S, 1.f, A.data(), S, B.data(), S, 1.f, CR.data(), S);
@@ -133,19 +123,15 @@ int main(int Argc, char **Argv) {
     if (E1 || E2) {
       std::fprintf(stderr, "gemm failed: %s\n",
                    (E1 ? E1 : E2).message().c_str());
-      return 1;
+      return false;
     }
     if (std::memcmp(CR.data(), CL.data(), CR.size() * sizeof(float)) != 0) {
       std::fprintf(stderr, "WRONG RESULT: remote differs from local Engine "
                            "at %lld\n",
                    static_cast<long long>(S));
-      return 1;
+      return false;
     }
   }
-
-  benchutil::Table T("gemmd_saturation",
-                     {"clients", "req_per_s", "agg_gflops", "ms_per_req"},
-                     Opt.Csv);
 
   // The local ceiling: one thread, no transport.
   benchutil::Measurement MLocal;
@@ -161,13 +147,13 @@ int main(int Argc, char **Argv) {
         Opt.Seconds);
   }
   double LocalReqPerS = 1.0 / MLocal.SecondsPerCall;
-  T.addRow("local", {LocalReqPerS,
-                     benchutil::gflops(Flops, MLocal.SecondsPerCall),
-                     MLocal.SecondsPerCall * 1e3});
+  T.addRow(Shape + " local", {LocalReqPerS,
+                              benchutil::gflops(Flops, MLocal.SecondsPerCall),
+                              MLocal.SecondsPerCall * 1e3});
   {
     benchutil::ReportRow Row;
     Row.Label = "local";
-    Row.Series = "local";
+    Row.Series = "local" + Suffix;
     Row.Metric = "req_per_s";
     Row.Better = "higher";
     Row.Value = LocalReqPerS;
@@ -182,15 +168,16 @@ int main(int Argc, char **Argv) {
   }
 
   for (int Clients : ClientCounts) {
-    LoadPoint P = runLoad(SO.SocketPath, Clients, S, Opt.Seconds);
+    LoadPoint P = runLoad(Socket, Clients, S, Opt.Seconds);
     double AggGflops = benchutil::gflops(Flops * P.Requests, P.Seconds);
     double MsPerReq =
         P.Requests ? P.Seconds / P.Requests * 1e3 * Clients : 0.0;
-    T.addRow(std::to_string(Clients), {P.reqPerS(), AggGflops, MsPerReq});
+    T.addRow(Shape + " x" + std::to_string(Clients),
+             {P.reqPerS(), AggGflops, MsPerReq});
 
     benchutil::ReportRow Row;
     Row.Label = "clients" + std::to_string(Clients);
-    Row.Series = "gemmd";
+    Row.Series = "gemmd" + Suffix;
     Row.Metric = "req_per_s";
     Row.Better = "higher";
     Row.Value = P.reqPerS();
@@ -202,6 +189,41 @@ int main(int Argc, char **Argv) {
     Row.Extra["agg_gflops"] = AggGflops;
     Ctx.Rep.addRow(std::move(Row));
   }
+  return true;
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) {
+  fig::Context Ctx("gemmd", Argc, Argv);
+  benchutil::BenchOptions &Opt = Ctx.Opt;
+  std::printf("gemmd saturation: req/s and aggregate GFLOPS vs concurrent "
+              "clients (one shared daemon engine)\n");
+
+  const int64_t S = Opt.Smoke ? 64 : Opt.Big ? 512 : 256;
+  std::vector<int> ClientCounts =
+      Opt.Smoke ? std::vector<int>{1, 2}
+                : Opt.Big ? std::vector<int>{1, 2, 4, 8}
+                          : std::vector<int>{1, 2, 4};
+
+  gemmd::ServerOptions SO;
+  SO.SocketPath = uniqueSocketPath();
+  gemmd::Server Server(SO);
+  if (exo::Error E = Server.start()) {
+    std::fprintf(stderr, "gemmd server: %s\n", E.message().c_str());
+    return 1;
+  }
+
+  Engine Local;
+  benchutil::Table T("gemmd_saturation",
+                     {"shape clients", "req_per_s", "agg_gflops",
+                      "ms_per_req"},
+                     Opt.Csv);
+  // The main shape, then 64^3: a request small enough that the round
+  // trip (staging, doorbells, wake-ups), not the GEMM, sets its rate.
+  if (!runSeries(Ctx, T, Local, SO.SocketPath, S, ClientCounts, "") ||
+      !runSeries(Ctx, T, Local, SO.SocketPath, 64, ClientCounts, "_64"))
+    return 1;
   T.print();
 
   gemmd::ServerStats St = Server.stats();

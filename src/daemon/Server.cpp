@@ -41,9 +41,9 @@ uint64_t nowNs() {
 }
 
 /// One admitted client session. The poller owns Fd (and is the only
-/// closer); executors reach the response ring and doorbell only through
-/// WriteMu, where Dead is checked — so a reaped session can never see a
-/// write to a recycled fd.
+/// closer); request runners (the poller itself or an executor) reach the
+/// response ring and doorbell only through WriteMu, where Dead is checked
+/// — so a reaped session can never see a write to a recycled fd.
 struct Session {
   uint32_t Id = 0;
   int Fd = -1;
@@ -134,6 +134,7 @@ struct Server::Impl {
   }
 
   void pollLoop();
+  bool dispatchQueued();
   void executorLoop();
   void handshake(ipc::Socket Conn);
   void drainSession(const std::shared_ptr<Session> &S);
@@ -164,11 +165,13 @@ bool Server::Impl::sendReply(const std::shared_ptr<Session> &S,
       if (S->Dead.load(std::memory_order_relaxed) || S->Fd < 0)
         return false;
       if (S->Resp.push(Packet, Bytes)) {
+        // A client spinning on its ring needs no doorbell (Ring.h). A
+        // failed doorbell means the peer is gone; the poller will see the
+        // hangup and reap. Losing the byte is fine — the client polls its
+        // ring on every doorbell it does receive.
         uint8_t Bell = ipc::DoorbellReply;
-        // A failed doorbell means the peer is gone; the poller will see
-        // the hangup and reap. Losing the byte is fine — the client
-        // polls its ring on every doorbell it does receive.
-        (void)!::send(S->Fd, &Bell, 1, MSG_NOSIGNAL);
+        if (S->Resp.needsDoorbell())
+          (void)!::send(S->Fd, &Bell, 1, MSG_NOSIGNAL);
         return true;
       }
     }
@@ -315,9 +318,8 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
           Admitted = true;
         }
       }
-      if (Admitted) {
-        QCv.notify_one();
-      } else {
+      // Admitted work runs once every ring is drained (dispatchQueued).
+      if (!Admitted) {
         obs::mark("gemmd.busy");
         S->Busy.fetch_add(1, std::memory_order_relaxed);
         BusyTotal.fetch_add(1, std::memory_order_relaxed);
@@ -356,8 +358,11 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
 void Server::Impl::pollLoop() {
   std::vector<pollfd> Pfds;
   std::vector<std::shared_ptr<Session>> Polled;
+  // After running a request, look for new doorbells and deaths without
+  // sleeping before running the next one.
+  int TimeoutMs = -1;
   for (;;) {
-    // Close out sessions executors marked dead (full ring / flood).
+    // Close out sessions a reply marked dead (full ring / flood).
     {
       std::vector<std::shared_ptr<Session>> ToReap;
       {
@@ -381,7 +386,7 @@ void Server::Impl::pollLoop() {
         Polled.push_back(KV.second);
       }
     }
-    int Rc = ::poll(Pfds.data(), Pfds.size(), -1);
+    int Rc = ::poll(Pfds.data(), Pfds.size(), TimeoutMs);
     if (Rc < 0) {
       if (errno == EINTR)
         continue;
@@ -428,11 +433,34 @@ void Server::Impl::pollLoop() {
         reapSession(S, "client hangup");
       }
     }
+    TimeoutMs = dispatchQueued() ? 0 : -1;
+  }
+  // Answer everything already admitted before stop() closes the sessions.
+  while (dispatchQueued()) {
   }
 }
 
+/// The poller is executor #0: it runs the head request itself and leaves
+/// one notify per request still queued for the other executors — so with
+/// none (Workers == 1) no thread is woken on the request path at all.
+/// Returns whether it ran a request.
+bool Server::Impl::dispatchQueued() {
+  Work W;
+  {
+    std::lock_guard<std::mutex> Lock(QMu);
+    if (Queue.empty())
+      return false;
+    W = std::move(Queue.front());
+    Queue.pop_front();
+    for (size_t I = 0; I != Queue.size(); ++I)
+      QCv.notify_one();
+  }
+  handleGemm(W);
+  return true;
+}
+
 //===----------------------------------------------------------------------===//
-// Executors: validate, run the engine, reply
+// Request runners (poller and executors): validate, run the engine, reply
 //===----------------------------------------------------------------------===//
 
 void Server::Impl::handleGemm(const Work &W) {
@@ -619,7 +647,7 @@ Error Server::start() {
   I->Stopping = false;
   I->Running = true;
   I->Poller = std::thread([this] { I->pollLoop(); });
-  for (unsigned W = 0; W != I->Opts.Workers; ++W)
+  for (unsigned W = 1; W < I->Opts.Workers; ++W)
     I->Executors.emplace_back([this] { I->executorLoop(); });
   return Error::success();
 }
@@ -633,9 +661,10 @@ void Server::stop() {
   }
   I->QCv.notify_all();
   I->wake();
+  // The poller and the executors drain what was already admitted, reply,
+  // then exit.
   if (I->Poller.joinable())
     I->Poller.join();
-  // Executors drain what the poller already admitted, reply, then exit.
   for (std::thread &T : I->Executors)
     if (T.joinable())
       T.join();

@@ -29,11 +29,16 @@
 ///      all served over the wire (StatsRequest) and as JSON; gemmd.* obs
 ///      spans mark the request path.
 ///
-/// Threading: one poller thread owns the listen socket, the session table
-/// and all doorbell fds; Options::Workers executor threads own the
-/// bounded queue and run the Engine. Replies go back through the
-/// session's response ring under a per-session write lock. stop() is
-/// graceful: accepted work drains, sessions then close.
+/// Threading: Options::Workers threads in all. The poller owns the listen
+/// socket, the session table and all doorbell fds; it drains the request
+/// rings into the bounded queue, runs the head request itself, wakes the
+/// other Workers - 1 executor threads for whatever is still queued, and
+/// re-polls without sleeping — so at the default Workers == 1 a request
+/// crosses no thread hand-off inside the server.
+/// Replies go back through the session's response ring under a
+/// per-session write lock; a client spinning on that ring gets no
+/// doorbell (ipc/Ring.h). stop() is graceful: accepted work drains,
+/// sessions then close.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,9 +61,11 @@ struct ServerOptions {
   /// Concurrent sessions admitted; 0 resolves EXO_GEMMD_MAX_CLIENTS,
   /// else 64.
   int MaxClients = 0;
-  /// Executor threads running Engine calls; 0 resolves
-  /// EXO_GEMMD_WORKERS, else 1 (the Engine's own team parallelism is the
-  /// intended scaling axis; raise for many tiny concurrent requests).
+  /// Threads running Engine calls, the poller included (so at most this
+  /// many GEMMs run at once); 0 resolves EXO_GEMMD_WORKERS, else 1 (the
+  /// Engine's own team parallelism is the intended scaling axis; raise for
+  /// many tiny concurrent requests). With 1, control packets (Ping, stats)
+  /// and new sessions wait at most for the request being run.
   unsigned Workers = 0;
   /// Bounded request-queue depth; 0 resolves EXO_GEMMD_QUEUE_MAX, else 64.
   /// Past it, requests get an immediate Busy reply.

@@ -9,6 +9,7 @@
 #include "exo/support/Env.h"
 #include "obs/Obs.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,26 @@ int resolveTimeoutMs(int Configured) {
   return static_cast<int>(
       exo::envInt("EXO_GEMMD_TIMEOUT_MS", std::getenv("EXO_GEMMD_TIMEOUT_MS"),
                   /*Default=*/-1, /*Min=*/-1, /*Max=*/1 << 30));
+}
+
+/// How long the client spins on the response ring before sleeping on the
+/// doorbell: longer than most small requests take on the server. After a
+/// reply whose server time exceeded it, the next call does not spin: its
+/// reply would likely miss the spin, and the spinning core is one the
+/// server's GEMM team could be using.
+constexpr uint64_t SpinNs = 250'000;
+
+uint64_t nowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
 }
 
 /// Compacts a column-major Rows x Cols operand with leading dimension
@@ -151,7 +172,19 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
     dropSessionLocked();
     return E;
   }
+  // Spin on the response ring with the ring's Spinning word set, so the
+  // server skips the doorbell; clearing the word and checking the ring
+  // once more (the pop loop below) before sleeping on the socket cannot
+  // lose a reply (Ring.h).
+  if (LastServerNs < SpinNs) {
+    RespRing.setSpinning(true);
+    const uint64_t Deadline = nowNs() + SpinNs;
+    while (RespRing.empty() && nowNs() < Deadline)
+      cpuRelax();
+    RespRing.setSpinning(false);
+  }
   // Wait for reply doorbells; tolerate coalescing and stale packets.
+  bool Blocked = false;
   for (;;) {
     alignas(8) unsigned char Slot[ipc::SlotBytes];
     while (RespRing.pop(Slot)) {
@@ -167,6 +200,10 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
         return Error::success();
       }
       // Stale reply for an abandoned request; skip.
+    }
+    if (!Blocked) {
+      obs::mark("gemmd.client.block");
+      Blocked = true;
     }
     uint8_t Bell;
     if (Error E = Sock.recvAllTimed(&Bell, 1, Opts.TimeoutMs)) {
@@ -300,6 +337,7 @@ Error Client::gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
   ipc::GemmReplyMsg Reply;
   std::memcpy(&Reply, ReplyBuf, sizeof(Reply));
   LastFlags = Reply.Flags;
+  LastServerNs = Reply.ServerNs;
   switch (static_cast<ipc::ReqStatus>(Reply.Status)) {
   case ipc::ReqStatus::Ok:
     break;

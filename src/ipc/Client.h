@@ -10,7 +10,8 @@
 /// `sgemmStridedBatched`, but instead of
 /// planning and executing locally it stages the operands into the
 /// session's shared-memory arena, posts one GemmRequest packet on the
-/// request ring, rings the doorbell, and blocks until the server's reply —
+/// request ring, rings the doorbell, and waits for the server's reply (a
+/// short spin on the response ring, then a sleep on the socket) —
 /// so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
 /// ONE thread pool inside the daemon instead of each paying the
 /// cold-start cost (docs/GEMMD.md). Like the Engine's, every door is a
@@ -166,6 +167,7 @@ private:
   bool Connected = false;
   uint32_t Seq = 0;
   uint32_t LastFlags = 0;
+  uint64_t LastServerNs = 0; ///< previous GemmReply's ServerNs (spin or not)
   uint64_t RequestsOk = 0;
 };
 

@@ -12,6 +12,16 @@
 /// A doorbell byte on the control socket tells the other side to drain;
 /// the rings themselves never block and never syscall.
 ///
+/// Doorbell skipping (an eventcount): a consumer about to spin on a ring
+/// sets the header's Spinning word, and a producer that sees it set
+/// after publishing skips the doorbell. Both sides put a seq_cst fence
+/// between their store (Head, or Spinning cleared) and their load of the
+/// other's word, so after the consumer clears Spinning and checks the
+/// ring once more, either it sees the packet or the producer saw the
+/// word clear and rang — a packet can be late, never lost. The word is
+/// consumer-written, so the producer trusts nothing in it beyond "ring or
+/// not": a scribbled word costs only that consumer its own doorbells.
+///
 /// Memory model: head/tail are lock-free std::atomic<uint32_t> (address-
 /// free, so they work across process boundaries). The producer fills the
 /// slot, then publishes with a release store to Head; the consumer
@@ -42,10 +52,14 @@ struct RingHeader {
   std::atomic<uint32_t> Tail; ///< next slot the consumer will read
   uint32_t Slots;             ///< power of two
   uint32_t SlotBytes2;        ///< == SlotBytes (layout cross-check)
+  /// Nonzero while the consumer spins on the ring instead of sleeping on
+  /// the doorbell (see the file comment); untrusted by the producer.
+  std::atomic<uint32_t> Spinning;
+  uint32_t Reserved[3];
 };
 static_assert(std::atomic<uint32_t>::is_always_lock_free,
               "shm rings need address-free atomics");
-static_assert(sizeof(RingHeader) == 16);
+static_assert(sizeof(RingHeader) == 32);
 
 /// Bytes one ring occupies for \p Slots slots.
 inline constexpr uint64_t ringBytes(uint32_t Slots) {
@@ -71,6 +85,7 @@ public:
     attach(Base, Slots);
     H->Head.store(0, std::memory_order_relaxed);
     H->Tail.store(0, std::memory_order_relaxed);
+    H->Spinning.store(0, std::memory_order_relaxed);
     H->Slots = Slots;
     H->SlotBytes2 = SlotBytes;
   }
@@ -116,6 +131,22 @@ public:
   bool empty() const {
     return H->Tail.load(std::memory_order_relaxed) ==
            H->Head.load(std::memory_order_acquire);
+  }
+
+  /// Consumer: announces (true) or withdraws (false) a waiter spinning on
+  /// this ring. After withdrawing, check the ring once more before
+  /// sleeping on the doorbell: a packet published before the producer saw
+  /// the word clear is there.
+  void setSpinning(bool On) {
+    H->Spinning.store(On ? 1 : 0, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+
+  /// Producer, after a successful push(): false when the consumer is
+  /// spinning on the ring and will see the packet without a doorbell.
+  bool needsDoorbell() const {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return H->Spinning.load(std::memory_order_relaxed) == 0;
   }
 
 private:

@@ -43,7 +43,9 @@ inline constexpr uint32_t WireMagic = 0x31444D47;
 /// v3: the single-GEMM request's pad byte carries the dtype (DTy).
 /// v4: one GemmRequest for every GEMM: dtype, strides and batch count.
 /// v5: StatsReply drops the kernel-fallback counter.
-inline constexpr uint16_t WireVersion = 5;
+/// v6: the ring header grows a Spinning word; a reply pushed while the
+///     client spins on the response ring skips its doorbell (Ring.h).
+inline constexpr uint16_t WireVersion = 6;
 
 /// Ring slot size. Every packet (header + payload) must fit one slot;
 /// GemmRequest and StatsReply are the widest packets.
@@ -52,7 +54,8 @@ inline constexpr uint32_t SlotBytes = 256;
 /// Doorbell bytes on the control socket after the handshake.
 enum Doorbell : uint8_t {
   DoorbellRequest = 'q', ///< client -> server: request ring has packets
-  DoorbellReply = 'r',   ///< server -> client: response ring has packets
+  DoorbellReply = 'r',   ///< server -> client: response ring has packets,
+                         ///< unless the client announced it is spinning
 };
 
 /// HelloAck::Status values.

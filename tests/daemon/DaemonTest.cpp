@@ -14,7 +14,10 @@
 //     header, or an oversized header costs exactly that client its
 //     session while every other stream keeps serving,
 //   - admission control answers Busy instead of queueing unboundedly,
-//   - handshake rejections (bad version, --max-clients) are clean.
+//   - handshake rejections (bad version, --max-clients) are clean,
+//   - the response ring's Spinning word skips exactly the doorbells of
+//     the session that set it, and stop() answers every admitted request
+//     whether the poller runs it or an executor does.
 //
 // Out-of-process clients are fork+exec'd real binaries
 // (gemmd_client_helper), so SIGKILL kills a genuine separate process.
@@ -30,6 +33,7 @@
 #include "ipc/Ring.h"
 #include "ipc/Shm.h"
 #include "ipc/Socket.h"
+#include "obs/Obs.h"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +42,10 @@
 #include <csignal>
 #include <cstring>
 #include <dirent.h>
+#include <poll.h>
 #include <random>
+#include <set>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -183,6 +190,31 @@ struct RawSession {
         return E;
     }
   }
+
+  /// Pops the next reply by watching the ring alone — what a spinning
+  /// client does — never reading a doorbell.
+  Error ringReply(void *Slot, int TimeoutMs = 60000) {
+    auto Until = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(TimeoutMs);
+    while (!Resp.pop(Slot)) {
+      if (std::chrono::steady_clock::now() > Until)
+        return errorf("raw session: no reply in the ring");
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return Error::success();
+  }
+
+  /// True when a doorbell byte (or EOF) is readable within \p Ms.
+  bool doorbellWithin(int Ms) {
+    pollfd P{Sock.fd(), POLLIN, 0};
+    return ::poll(&P, 1, Ms) == 1;
+  }
+
+  /// The response ring's Spinning word, written raw (any value).
+  std::atomic<uint32_t> &spinningWord() {
+    return reinterpret_cast<ipc::RingHeader *>(Shm.at(Layout.RespRingOff))
+        ->Spinning;
+  }
 };
 
 /// fork+execs gemmd_client_helper; returns the child pid.
@@ -256,6 +288,35 @@ TEST(GemmdDifferential, OutOfProcessClientVerifies) {
   ASSERT_EQ(Pid, ::waitpid(Pid, &Status, 0));
   ASSERT_TRUE(WIFEXITED(Status));
   EXPECT_EQ(0, WEXITSTATUS(Status)) << "helper found a divergence";
+}
+
+TEST(GemmdDifferential, ConcurrentClientsOnExecutorsMatchLocalBitwise) {
+  // The poller plus three executors: with four clients in flight the
+  // queue holds more than one request, so the executors run some of them.
+  gemmd::ServerOptions O;
+  O.Workers = 4;
+  ServerFixture F(O);
+  constexpr unsigned Clients = 4, Rounds = 6;
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Clients; ++T)
+    Threads.emplace_back([&F, T] {
+      gemm::Client Remote(F.clientOpts());
+      gemm::Engine Local;
+      for (unsigned R = 0; R != Rounds; ++R) {
+        const int64_t M = 24 + 8 * T + R, N = 40 - 4 * T + R, K = 16 + 3 * R;
+        expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                                 R % 2 ? gemm::Trans::Transpose
+                                       : gemm::Trans::None,
+                                 M, N, K, R % 3 ? 0.5f : 0.0f,
+                                 1000 * T + 10 * R);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  uint64_t Ok = 0;
+  for (const gemmd::ClientStat &C : F.Srv->stats().PerClient)
+    Ok += C.Ok;
+  EXPECT_EQ(Clients * Rounds, Ok);
 }
 
 //===----------------------------------------------------------------------===//
@@ -561,10 +622,10 @@ struct HostileRow {
 /// `Bad` reply with the request's own Seq. Bad geometry is a client bug,
 /// not a protocol violation: the session must survive and still serve a
 /// single f32, a single i8, an f32 batch and a bf16 batch.
-void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
-  ServerFixture F;
+void expectBadAndSessionSurvivesOn(const std::string &Path,
+                                   std::initializer_list<HostileRow> Rows) {
   RawSession S;
-  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
+  ASSERT_FALSE(S.connect(Path));
   ASSERT_TRUE(S.admitted());
 
   alignas(8) unsigned char Slot[ipc::SlotBytes];
@@ -597,6 +658,12 @@ void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
     Roundtrip(Q);
     EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
   }
+}
+
+/// The same, on a fresh server of its own.
+void expectBadAndSessionSurvives(std::initializer_list<HostileRow> Rows) {
+  ServerFixture F;
+  expectBadAndSessionSurvivesOn(F.Opts.SocketPath, Rows);
 }
 
 TEST(GemmdValidation, HostileRequestsGetBadAndSessionSurvives) {
@@ -710,6 +777,12 @@ TEST(GemmdAdmission, BadVersionHelloRejected) {
                          [](ipc::HelloMsg &H) { H.Version = 999; }));
   EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadVersion),
             S.Ack.Status);
+  // The previous wire version, whose ring header has no Spinning word.
+  RawSession V5;
+  ASSERT_FALSE(V5.connect(F.Opts.SocketPath,
+                          [](ipc::HelloMsg &H) { H.Version = 5; }));
+  EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadVersion),
+            V5.Ack.Status);
 }
 
 TEST(GemmdAdmission, MaxClientsEnforced) {
@@ -736,8 +809,206 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
 }
 
 //===----------------------------------------------------------------------===//
+// Doorbell skipping: the response ring's Spinning word (ipc/Ring.h)
+//===----------------------------------------------------------------------===//
+
+TEST(GemmdEventcount, SpinningWordSetSkipsTheDoorbell) {
+  ServerFixture F;
+  RawSession S;
+  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(S.admitted());
+  S.Resp.setSpinning(true);
+  ipc::GemmRequestMsg Q = wellFormedRequest(1);
+  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+  alignas(8) unsigned char Slot[ipc::SlotBytes];
+  ASSERT_FALSE(S.ringReply(Slot));
+  ipc::GemmReplyMsg Rep;
+  std::memcpy(&Rep, Slot, sizeof(Rep));
+  EXPECT_EQ(1u, Rep.H.Seq);
+  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
+  // A doorbell, had there been one, follows the push within
+  // microseconds.
+  EXPECT_FALSE(S.doorbellWithin(200)) << "a doorbell rang for a spinner";
+}
+
+TEST(GemmdEventcount, SpinningWordClearRingsTheDoorbell) {
+  ServerFixture F;
+  RawSession S;
+  ASSERT_FALSE(S.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(S.admitted());
+  // Set, then withdrawn: the server must ring again.
+  S.Resp.setSpinning(true);
+  S.Resp.setSpinning(false);
+  ipc::GemmRequestMsg Q = wellFormedRequest(1);
+  ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+  uint8_t Bell = 0;
+  ASSERT_FALSE(S.Sock.recvAllTimed(&Bell, 1, 60000));
+  EXPECT_EQ(ipc::DoorbellReply, Bell);
+  alignas(8) unsigned char Slot[ipc::SlotBytes];
+  ASSERT_TRUE(S.Resp.pop(Slot)) << "doorbell rang before the reply landed";
+  ipc::GemmReplyMsg Rep;
+  std::memcpy(&Rep, Slot, sizeof(Rep));
+  EXPECT_EQ(1u, Rep.H.Seq);
+  EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
+}
+
+TEST(GemmdEventcount, ClientMarksEachSleepOnTheDoorbell) {
+  // A 512^3 request runs for milliseconds, longer than the client's
+  // spin, so each call goes to sleep on the doorbell exactly once.
+  ServerFixture F;
+  gemm::Client C(F.clientOpts());
+  ASSERT_FALSE(C.ping());
+  constexpr int64_t S = 512;
+  std::vector<float> A(S * S, 1.0f), Out(S * S);
+  const bool WasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  obs::clear();
+  for (int I = 0; I != 2; ++I)
+    ASSERT_FALSE(C.sgemm(S, S, S, 1.0f, A.data(), S, A.data(), S, 0.0f,
+                         Out.data(), S));
+  const uint64_t Blocks = obs::stageTotals()["gemmd.client.block"].Count;
+  obs::setEnabled(WasEnabled);
+  obs::clear();
+  EXPECT_EQ(2u, Blocks);
+}
+
+TEST(GemmdEventcount, StuckOrScribbledWordCostsOnlyItsOwnDoorbells) {
+  ServerFixture F;
+  // One session leaves the word stuck at 1, another scribbles it; neither
+  // ever clears it.
+  RawSession Stuck, Scribbled;
+  ASSERT_FALSE(Stuck.connect(F.Opts.SocketPath));
+  ASSERT_FALSE(Scribbled.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(Stuck.admitted());
+  ASSERT_TRUE(Scribbled.admitted());
+  Stuck.spinningWord().store(1);
+  Scribbled.spinningWord().store(0xA5A5A5A5u);
+  uint32_t Seq = 1;
+  auto ServedWithoutDoorbell = [&](RawSession &S) {
+    ipc::GemmRequestMsg Q = wellFormedRequest(++Seq);
+    ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+    alignas(8) unsigned char Slot[ipc::SlotBytes];
+    ASSERT_FALSE(S.ringReply(Slot));
+    ipc::GemmReplyMsg Rep;
+    std::memcpy(&Rep, Slot, sizeof(Rep));
+    EXPECT_EQ(Q.H.Seq, Rep.H.Seq);
+    EXPECT_EQ(static_cast<int32_t>(ipc::ReqStatus::Ok), Rep.Status);
+    EXPECT_FALSE(S.doorbellWithin(50));
+  };
+  ServedWithoutDoorbell(Stuck);
+  ServedWithoutDoorbell(Scribbled);
+
+  // Every other session keeps its doorbells and its results.
+  gemm::Client Healthy(F.clientOpts());
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Healthy, Local, gemm::Trans::None,
+                           gemm::Trans::None, 24, 20, 16, 0.5f, 91);
+  expectBadAndSessionSurvivesOn(
+      F.Opts.SocketPath,
+      {{"Lda < rows", [](ipc::GemmRequestMsg &Q) { Q.Lda = 7; }},
+       {"DTy 7", [](ipc::GemmRequestMsg &Q) { Q.DTy = 7; }}});
+
+  // The misbehaving sessions are still served, still without doorbells.
+  ServedWithoutDoorbell(Stuck);
+  ServedWithoutDoorbell(Scribbled);
+  for (const gemmd::ClientStat &C : F.Srv->stats().PerClient)
+    if (C.Id == Stuck.Ack.ClientId || C.Id == Scribbled.Ack.ClientId) {
+      EXPECT_TRUE(C.Active) << "session " << C.Id << " reaped: "
+                            << (C.ReapReason ? C.ReapReason : "");
+    }
+}
+
+//===----------------------------------------------------------------------===//
 // Lifecycle hygiene
 //===----------------------------------------------------------------------===//
+
+/// Posts a burst of requests, stops the server once it has admitted them
+/// all, and expects exactly one reply per request before the session
+/// closes — whichever of the \p Workers request runners took each one.
+void expectStopAnswersEveryAdmittedRequestOnce(unsigned Workers) {
+  gemmd::ServerOptions O;
+  O.Workers = Workers;
+  ServerFixture F(O);
+  constexpr uint32_t Posted = 8;
+  constexpr int64_t Dim = 512;
+  constexpr uint64_t MatBytes = Dim * Dim * sizeof(float);
+  // A and B shared, one C per request (the warm-up's first): requests
+  // running on different executors must not write the same C.
+  RawSession S;
+  ASSERT_FALSE(S.connect(F.Opts.SocketPath, nullptr, 16 << 20));
+  ASSERT_TRUE(S.admitted());
+  auto Request = [&](uint32_t Seq, uint32_t CIndex) {
+    ipc::GemmRequestMsg Q;
+    Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
+    Q.H.Seq = Seq;
+    Q.H.Bytes = sizeof(Q);
+    Q.M = Q.N = Q.K = Dim;
+    Q.Lda = Q.Ldb = Q.Ldc = Dim;
+    Q.OffB = MatBytes;
+    Q.OffC = (2 + CIndex) * MatBytes;
+    return Q;
+  };
+  // Warm the shape first, so the poller is not stuck in a plan build
+  // while the burst below lands.
+  alignas(8) unsigned char Slot[ipc::SlotBytes];
+  ipc::GemmRequestMsg Warm = Request(100, 0);
+  ASSERT_FALSE(S.post(&Warm, sizeof(Warm)));
+  ASSERT_FALSE(S.nextReply(Slot));
+  for (uint32_t I = 1; I <= Posted; ++I) {
+    ipc::GemmRequestMsg Q = Request(I, I);
+    ASSERT_FALSE(S.post(&Q, sizeof(Q)));
+  }
+  // Stop once the poller has admitted the burst, some of it likely still
+  // queued.
+  auto Ledger = [&] {
+    for (const gemmd::ClientStat &C : F.Srv->stats().PerClient)
+      if (C.Id == S.Ack.ClientId)
+        return C;
+    return gemmd::ClientStat{};
+  };
+  for (int Try = 0; Try != 600000 && Ledger().Requests < Posted + 1; ++Try)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  F.Srv->stop();
+
+  const gemmd::ClientStat After = Ledger();
+  EXPECT_FALSE(After.Active);
+  EXPECT_STREQ("server shutdown", After.ReapReason);
+  std::set<uint32_t> Seen;
+  uint64_t Ok = 1; // the warm-up
+  while (S.Resp.pop(Slot)) {
+    ipc::GemmReplyMsg Rep;
+    std::memcpy(&Rep, Slot, sizeof(Rep));
+    EXPECT_TRUE(Seen.insert(Rep.H.Seq).second)
+        << "request " << Rep.H.Seq << " answered twice";
+    EXPECT_GE(Rep.H.Seq, 1u);
+    EXPECT_LE(Rep.H.Seq, Posted);
+    Ok += Rep.Status == static_cast<int32_t>(ipc::ReqStatus::Ok);
+  }
+  // Exactly one reply per admitted request, all of them there before the
+  // session is closed.
+  EXPECT_EQ(Posted + 1, After.Requests);
+  EXPECT_EQ(Posted, Seen.size());
+  EXPECT_EQ(After.Ok, Ok);
+  EXPECT_EQ(Posted + 1, Ok);
+  // What is left on the socket is doorbells, then the close: EOF, or a
+  // reset when the server closed with our request doorbells unread.
+  uint8_t Bells[64];
+  ssize_t R;
+  while ((R = ::recv(S.Sock.fd(), Bells, sizeof(Bells), 0)) > 0) {
+  }
+  EXPECT_TRUE(R == 0 || errno == ECONNRESET)
+      << "session still open after stop(): " << std::strerror(errno);
+}
+
+TEST(GemmdLifecycle, StopAnswersEveryAdmittedRequestOnceBeforeEof) {
+  // One worker: the poller runs every request itself.
+  expectStopAnswersEveryAdmittedRequestOnce(1);
+}
+
+TEST(GemmdLifecycle, StopWithExecutorsAnswersEveryAdmittedRequestOnce) {
+  // The poller plus three executors share the burst.
+  expectStopAnswersEveryAdmittedRequestOnce(4);
+}
 
 //===----------------------------------------------------------------------===//
 // The precision dimension over the wire (docs/PRECISION.md)

@@ -10,6 +10,10 @@
 // anything under a supervisor want. On shutdown the server drains accepted
 // work, replies, closes every session and dumps its final stats.
 //
+// --workers N counts every thread that runs requests, the socket poller
+// included: N - 1 executors beside it, so at most N GEMMs run at once
+// (default 1: the poller runs each request itself).
+//
 // Knobs: every flag has an EXO_GEMMD_* environment twin (docs/KNOBS.md);
 // flags win.
 //
@@ -35,7 +39,9 @@ void onSignal(int) { StopRequested.store(true, std::memory_order_relaxed); }
 void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [--socket PATH] [--max-clients N] [--workers N] "
-               "[--queue-max N] [--foreground]\n",
+               "[--queue-max N] [--foreground]\n"
+               "  --workers N  threads running requests, the poller "
+               "included (default 1)\n",
                Argv0);
 }
 
