@@ -25,6 +25,10 @@
 ///     would need value-based reasoning (fission across an accumulation
 ///     loop, allocation lifting) rely on this dynamic check, mirroring how
 ///     the original system discharges them with effect analysis.
+///     Every rewrite is checked; the only saving is that the Before run of
+///     a check is taken from the previous passing check when Before is that
+///     check's After (the identical proc) on the identical sampled instance
+///     (see Validate.h).
 ///
 //===----------------------------------------------------------------------===//
 

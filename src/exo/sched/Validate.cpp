@@ -4,6 +4,7 @@
 
 #include "exo/interp/Interp.h"
 #include "exo/ir/Affine.h"
+#include "obs/Obs.h"
 
 #include <random>
 
@@ -179,10 +180,55 @@ bool sampleInstance(const Proc &P, std::mt19937 &Rng, Instance &Out) {
   return false;
 }
 
+/// The calling thread's last passing check. After is held by value, so the
+/// node addresses sameProc compares stay alive and cannot be handed to a
+/// later proc; each trial keeps its sampled instance with the inputs in
+/// Tensor::A and After's outputs in Tensor::B. No trials: no record.
+struct PassRecord {
+  Proc After;
+  unsigned Seed = 0;
+  std::vector<Instance> Trials;
+};
+
+thread_local PassRecord LastPass;
+thread_local uint64_t Interpretations = 0;
+
+/// Same proc, not merely an equal one: procs are immutable trees, so equal
+/// parameter lists plus the same precondition and body nodes mean the same
+/// program.
+bool sameProc(const Proc &P, const Proc &Q) {
+  if (P.params().size() != Q.params().size())
+    return false;
+  for (size_t I = 0; I != P.params().size(); ++I) {
+    const Param &A = P.params()[I], &B = Q.params()[I];
+    if (A.Name != B.Name || A.PKind != B.PKind || A.Ty != B.Ty ||
+        A.Shape != B.Shape || A.Mem != B.Mem || A.Mutable != B.Mutable ||
+        A.LeadStrideVar != B.LeadStrideVar)
+      return false;
+  }
+  return P.preconds() == Q.preconds() && P.body() == Q.body();
+}
+
+/// \p Fresh (not yet interpreted) has exactly \p Rec's sizes and inputs.
+bool sameInputs(const Instance &Fresh, const Instance &Rec) {
+  if (Fresh.Scalars != Rec.Scalars ||
+      Fresh.Tensors.size() != Rec.Tensors.size())
+    return false;
+  for (auto F = Fresh.Tensors.begin(), R = Rec.Tensors.begin();
+       F != Fresh.Tensors.end(); ++F, ++R)
+    if (F->first != R->first || F->second.Shape != R->second.Shape ||
+        F->second.A != R->second.A)
+      return false;
+  return true;
+}
+
 } // namespace
+
+uint64_t exo::validationInterpretations() { return Interpretations; }
 
 Error exo::checkProcsEquivalent(const Proc &P0, const Proc &P1, int Trials,
                                 unsigned Seed) {
+  EXO_OBS_SPAN("sched.validate");
   if (P0.params().size() != P1.params().size())
     return errorf("signature arity changed (%zu vs %zu)", P0.params().size(),
                   P1.params().size());
@@ -191,20 +237,41 @@ Error exo::checkProcsEquivalent(const Proc &P0, const Proc &P1, int Trials,
         P0.params()[I].PKind != P1.params()[I].PKind)
       return errorf("signature changed at parameter %zu", I);
 
+  // A schedule chains rewrites, so this check's Before is usually the last
+  // passing check's After: on the same instance its outputs are already
+  // known. After is always interpreted and compared.
+  const bool Chained = !LastPass.Trials.empty() && LastPass.Seed == Seed &&
+                       LastPass.Trials.size() == static_cast<size_t>(Trials) &&
+                       sameProc(P0, LastPass.After);
+  bool Reused = false;
+  std::vector<Instance> Passed;
   std::mt19937 Rng(Seed);
   for (int T = 0; T != Trials; ++T) {
     Instance Inst;
     if (!sampleInstance(P0, Rng, Inst))
       return errorf("could not sample an instantiation of '%s'",
                     P0.name().c_str());
+    Instance Inputs = Inst;
 
-    std::map<std::string, TensorArg> ArgsA, ArgsB;
-    for (auto &[Name, Ten] : Inst.Tensors) {
-      ArgsA[Name] = TensorArg{Ten.A.data(), Ten.Shape, -1};
-      ArgsB[Name] = TensorArg{Ten.B.data(), Ten.Shape, -1};
+    const Instance *Rec = Chained ? &LastPass.Trials[T] : nullptr;
+    if (Rec && sameInputs(Inst, *Rec)) {
+      if (!Reused)
+        obs::mark("sched.validate.reuse");
+      Reused = true;
+      for (auto &[Name, Ten] : Inst.Tensors)
+        Ten.A = Rec->Tensors.at(Name).B;
+    } else {
+      std::map<std::string, TensorArg> ArgsA;
+      for (auto &[Name, Ten] : Inst.Tensors)
+        ArgsA[Name] = TensorArg{Ten.A.data(), Ten.Shape, -1};
+      ++Interpretations;
+      if (Error Err = interpret(P0, Inst.Scalars, ArgsA))
+        return errorf("baseline proc failed: %s", Err.message().c_str());
     }
-    if (Error Err = interpret(P0, Inst.Scalars, ArgsA))
-      return errorf("baseline proc failed: %s", Err.message().c_str());
+    std::map<std::string, TensorArg> ArgsB;
+    for (auto &[Name, Ten] : Inst.Tensors)
+      ArgsB[Name] = TensorArg{Ten.B.data(), Ten.Shape, -1};
+    ++Interpretations;
     if (Error Err = interpret(P1, Inst.Scalars, ArgsB))
       return errorf("rewritten proc failed: %s", Err.message().c_str());
 
@@ -218,7 +285,13 @@ Error exo::checkProcsEquivalent(const Proc &P0, const Proc &P1, int Trials,
                         "(%g vs %g), trial %d",
                         Pa.Name.c_str(), I, Ten.A[I], Ten.B[I], T);
     }
+    for (auto &[Name, Ten] : Inputs.Tensors)
+      Ten.B = std::move(Inst.Tensors.at(Name).B);
+    Passed.push_back(std::move(Inputs));
   }
+  LastPass.After = P1;
+  LastPass.Seed = Seed;
+  LastPass.Trials = std::move(Passed);
   return Error::success();
 }
 

@@ -80,8 +80,8 @@ struct EngineConfig {
   int64_t Threads = 0;
   bool SpecializeEdges = true;
   bool UnrollCompute = false;
-  /// Ablation overrides; unset uses the analytical model / edge probe
-  /// (preferredEdgePack; f32 plans only).
+  /// Ablation overrides; unset uses the analytical model / the provider's
+  /// edge support (preferredEdgePack; f32 plans only).
   std::optional<BlockSizes> Blocks;
   std::optional<EdgePack> PackMode;
   /// Plan-cache entry cap; -1 defers to EXO_GEMM_PLAN_CACHE_CAP (default

@@ -35,6 +35,7 @@ public:
 
   MicroKernel main() override;
   std::optional<MicroKernel> edge(int64_t MrEff, int64_t NrEff) override;
+  bool specializesEdges() override { return SpecializeEdges; }
   const char *name() const override { return "exo"; }
 
   /// Builds (or fetches) the kernel for an arbitrary shape; exposed for the

@@ -14,11 +14,10 @@ using namespace exo;
 using namespace gemm;
 
 EdgePack gemm::preferredEdgePack(KernelProvider &P) {
-  // The probe only picks the *preferred* mode; a provider whose edge family
+  // This only picks the *preferred* mode; a provider whose edge family
   // turns out to be partial at run time degrades per strip to a zero-padded
   // panel and the scratch tile instead of failing (see F32Panels).
-  return P.edge(P.main().MR, 1).has_value() ? EdgePack::Tight
-                                            : EdgePack::ZeroPad;
+  return P.specializesEdges() ? EdgePack::Tight : EdgePack::ZeroPad;
 }
 
 detail::GemmGeometry detail::deriveGeometry(const MicroKernel &Main,

@@ -32,8 +32,9 @@
 namespace gemm {
 
 /// The f32 packing mode implied by \p P's edge support: Tight when it
-/// serves an mr x 1 edge kernel, ZeroPad (monolithic kernel through the
-/// scratch tile) otherwise. Tight mode tolerates a *partial* edge family:
+/// specializes edge kernels (KernelProvider::specializesEdges, which
+/// builds none), ZeroPad (monolithic kernel through the scratch tile)
+/// otherwise. Tight mode tolerates a *partial* edge family:
 /// a strip width without a specialized kernel degrades to the monolithic
 /// kernel over a zero-padded panel.
 EdgePack preferredEdgePack(KernelProvider &P);

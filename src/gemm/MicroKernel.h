@@ -51,6 +51,12 @@ public:
   /// macro-kernel to the scratch-tile fallback.
   virtual std::optional<MicroKernel> edge(int64_t MrEff, int64_t NrEff) = 0;
 
+  /// Whether edge() serves specialized kernels; picks the f32 packing mode
+  /// (preferredEdgePack). The in-tree providers answer without building a
+  /// kernel; the default asks edge(main().MR, 1), for a provider that
+  /// cannot tell otherwise.
+  virtual bool specializesEdges() { return edge(main().MR, 1).has_value(); }
+
   virtual const char *name() const = 0;
 };
 
@@ -64,6 +70,7 @@ public:
   std::optional<MicroKernel> edge(int64_t, int64_t) override {
     return std::nullopt;
   }
+  bool specializesEdges() override { return false; }
   const char *name() const override { return ProviderName; }
 
 private:

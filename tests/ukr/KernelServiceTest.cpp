@@ -9,6 +9,7 @@
 #include "gemm/Engine.h"
 #include "gemm/ExoProvider.h"
 #include "ukr/KernelRegistry.h"
+#include "ukr/UkrSchedule.h"
 
 #include <gtest/gtest.h>
 
@@ -266,4 +267,50 @@ TEST(KernelServiceTest, WarmResolvesTheWholeFamily) {
   EXPECT_EQ(S.stats().InFlight, 0u);
   for (const UkrConfig &Cfg : Family)
     expectReadyHit(S, Cfg);
+}
+
+TEST(KernelServiceTest, ConcurrentGenerationMatchesSerial) {
+  // Every build validates its rewrites against a per-thread record of the
+  // last passing check (exo/sched/Validate.h); workers generating
+  // different configs at once must emit what one thread does serially.
+  std::vector<UkrConfig> Configs = standardShapeFamily(8, 12);
+  for (size_t I = 0, N = Configs.size(); I != N; ++I) {
+    UkrConfig Axpby = Configs[I];
+    Axpby.GeneralAlphaBeta = true;
+    Configs.push_back(Axpby);
+  }
+  std::vector<std::string> Serial;
+  for (const UkrConfig &Cfg : Configs) {
+    auto R = generateUkernel(Cfg);
+    ASSERT_TRUE(static_cast<bool>(R)) << Cfg.kernelName() << ": "
+                                      << R.message();
+    Serial.push_back(R->CSource);
+  }
+
+  KernelService::Options Opts;
+  Opts.Workers = 4;
+  Opts.CacheDir = makeTempDir();
+  KernelService S(Opts);
+  constexpr size_t NumThreads = 4;
+  // Preallocated per config; each thread writes only its own slots.
+  std::vector<std::string> Built(Configs.size()), Errors(Configs.size());
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t I = T; I < Configs.size(); I += NumThreads) {
+        auto K = S.get(Configs[I]);
+        if (K)
+          Built[I] = (*K)->CSource;
+        else
+          Errors[I] = K.message();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    EXPECT_EQ(Errors[I], "") << Configs[I].kernelName();
+    EXPECT_EQ(Built[I], Serial[I]) << Configs[I].kernelName();
+  }
+  EXPECT_EQ(S.stats().Builds, Configs.size());
 }
