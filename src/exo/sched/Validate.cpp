@@ -193,20 +193,49 @@ struct PassRecord {
 thread_local PassRecord LastPass;
 thread_local uint64_t Interpretations = 0;
 
-/// Same proc, not merely an equal one: procs are immutable trees, so equal
-/// parameter lists plus the same precondition and body nodes mean the same
-/// program.
+/// The same statements up to memory annotations: every node is shared
+/// with \p B, except loops rebuilt around the same bounds and allocations
+/// rebuilt with only another memory space (set_memory rebuilds both, and
+/// the interpreter never reads a buffer's space).
+bool sameBodyUpToMemory(const std::vector<StmtPtr> &A,
+                        const std::vector<StmtPtr> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I != A.size(); ++I) {
+    if (A[I] == B[I])
+      continue;
+    if (const auto *FA = dyn_castS<ForStmt>(A[I])) {
+      const auto *FB = dyn_castS<ForStmt>(B[I]);
+      if (!FB || FA->loopVar() != FB->loopVar() || FA->lo() != FB->lo() ||
+          FA->hi() != FB->hi() || !sameBodyUpToMemory(FA->body(), FB->body()))
+        return false;
+      continue;
+    }
+    const auto *AA = dyn_castS<AllocStmt>(A[I]);
+    const auto *AB = dyn_castS<AllocStmt>(B[I]);
+    if (!AA || !AB || AA->name() != AB->name() ||
+        AA->elemType() != AB->elemType() || AA->shape() != AB->shape())
+      return false;
+  }
+  return true;
+}
+
+/// The same program, not merely an equal one: procs are immutable trees, so
+/// equal parameter lists plus the same precondition and body nodes (up to
+/// memory annotations, which the interpreter ignores) mean the same
+/// interpretation.
 bool sameProc(const Proc &P, const Proc &Q) {
   if (P.params().size() != Q.params().size())
     return false;
   for (size_t I = 0; I != P.params().size(); ++I) {
     const Param &A = P.params()[I], &B = Q.params()[I];
     if (A.Name != B.Name || A.PKind != B.PKind || A.Ty != B.Ty ||
-        A.Shape != B.Shape || A.Mem != B.Mem || A.Mutable != B.Mutable ||
+        A.Shape != B.Shape || A.Mutable != B.Mutable ||
         A.LeadStrideVar != B.LeadStrideVar)
       return false;
   }
-  return P.preconds() == Q.preconds() && P.body() == Q.body();
+  return P.preconds() == Q.preconds() &&
+         sameBodyUpToMemory(P.body(), Q.body());
 }
 
 /// \p Fresh (not yet interpreted) has exactly \p Rec's sizes and inputs.

@@ -160,12 +160,9 @@ struct F32Panels {
       Kern->Fn(Kc, Cl.Ldc, Ap, Bp, CTile);
       return;
     }
-    const int64_t Mr = G.Mr, Ldc = Cl.Ldc;
-    std::fill(Scratch, Scratch + Mr * G.Nr, 0.0f);
-    Kern->Fn(Kc, Mr, Ap, Bp, Scratch);
-    for (int64_t J = 0; J < NrEff; ++J)
-      for (int64_t I = 0; I < MrEff; ++I)
-        CTile[I + J * Ldc] += Scratch[J * Mr + I];
+    std::fill(Scratch, Scratch + G.Mr * G.Nr, 0.0f);
+    Kern->Fn(Kc, G.Mr, Ap, Bp, Scratch);
+    addTile(DType::F32, Scratch, G.Mr, MrEff, NrEff, CTile, Cl.Ldc);
   }
 };
 
@@ -212,14 +209,9 @@ template <DType Ty> struct HalfPanels {
     // contribution, and the C update (read storage, accumulate in f32,
     // round to storage) happens exactly once per Kc block — the documented
     // rounding contract.
-    const int64_t Mr = G.Mr, Ldc = Cl.Ldc;
-    std::fill(Scratch, Scratch + Mr * G.Nr, 0.0f);
-    G.Main.Fn(Kc, Mr, Ap, Bp, Scratch);
-    for (int64_t J = 0; J < NrEff; ++J)
-      for (int64_t I = 0; I < MrEff; ++I) {
-        uint16_t &H = CTile[I + J * Ldc];
-        H = store(load(H) + Scratch[J * Mr + I]);
-      }
+    std::fill(Scratch, Scratch + G.Mr * G.Nr, 0.0f);
+    G.Main.Fn(Kc, G.Mr, Ap, Bp, Scratch);
+    addTile(Ty, Scratch, G.Mr, MrEff, NrEff, CTile, Cl.Ldc);
   }
 };
 

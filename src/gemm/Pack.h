@@ -1,4 +1,4 @@
-//===- Pack.h - GotoBLAS packing routines ---------------------------------===//
+//===- Pack.h - GotoBLAS packing and tile write-back ----------------------===//
 //
 // Part of the exo-ukr project. MIT license; see LICENSE.
 //
@@ -29,14 +29,27 @@
 /// packPanels switches once per call to a compile-time panel width for
 /// every width the planner's tile candidates use ({4, 6, 8, 12, 16, 24}),
 /// and picks one of two loop orders by which stride is unit (PanelPath):
-/// Copy moves W contiguous elements per k when WS == 1; Transpose reads
-/// four k values of four panel rows when KS == 1 and transposes them in
-/// registers (portable vector extensions, no target flags), with a scalar
-/// tail for kc mod 4. Any other width or stride pair, every partial edge
-/// panel, and every f16 panel (its software decode is an out-of-line call
-/// per element, so there is nothing to batch) run the runtime-width loop.
-/// Alpha is always multiplied in, even when it is 1, so NaN payloads and
-/// signed zeros come out the same on every path.
+/// Copy moves the W contiguous elements of each k as whole vectors when
+/// WS == 1; Transpose reads a vector of k values from each of a vector's
+/// worth of panel rows when KS == 1 and transposes the block in registers,
+/// the kc tail loaded masked. The short edge panel takes the same loop
+/// with a lane mask, laid out Tight or ZeroPad. Any other width or stride
+/// pair runs the strided element loop. Alpha is always multiplied in, even
+/// when it is 1, so NaN payloads and signed zeros come out the same on
+/// every path.
+///
+/// The tile write-back is the same kind of loop: addTile adds the valid
+/// window of an f32 scratch tile into C, rounding back to storage for the
+/// halves (the once-per-Kc-block rounding of docs/PRECISION.md).
+///
+/// Both loops are written once (PanelLoops.inc) and compiled twice: for
+/// AVX-512 (avx512f/bw/vl: 16-lane vectors, masked loads and stores for
+/// partial rows, 16 x 16 transposes, vcvtph2ps / vcvtps2ph for f16) and
+/// for the baseline target (4-lane vectors, f16 decoded by a branch-free
+/// bit formula and encoded by f32ToF16). The host's build is picked once
+/// per process from CPUID (detail::hostLoops). Both produce the same bits
+/// as the scalar element loops on every input, which the tests check
+/// through detail::portableLoops and detail::avx512Loops side by side.
 ///
 /// The i8 K-grouped pack is the VNNI/sdot layout. Panels group the k
 /// dimension in quads (I8KGroup): element (g, i, kk) of an A panel sits at
@@ -69,11 +82,11 @@ void packA(const float *A, int64_t Lda, int64_t Mc, int64_t Kc, int64_t Mr,
 void packB(const float *B, int64_t Ldb, int64_t Kc, int64_t Nc, int64_t Nr,
            float Alpha, EdgePack Mode, float *Buf);
 
-/// The loop packPanels runs for dtype \p Ty, panel width \p W and strides
-/// (WS, KS); see file comment. Exposed so tests can confirm every path is
-/// drawn.
+/// The loop packPanels runs for panel width \p W and strides (WS, KS),
+/// the same for every dtype; see file comment. Exposed so tests can
+/// confirm every path is drawn.
 enum class PanelPath : uint8_t { Copy, Transpose, Runtime };
-PanelPath panelPath(DType Ty, int64_t W, int64_t WS, int64_t KS);
+PanelPath panelPath(int64_t W, int64_t WS, int64_t KS);
 
 /// The one float-panel packer (see file comment): element (w, k) of the
 /// logical Len x Kc block sits at Src[w*WS + k*KS], in \p Ty's storage
@@ -82,6 +95,40 @@ PanelPath panelPath(DType Ty, int64_t W, int64_t WS, int64_t KS);
 void packPanels(DType Ty, const void *Src, int64_t WS, int64_t KS,
                 int64_t Len, int64_t Kc, int64_t W, float Alpha,
                 EdgePack Mode, float *Buf);
+
+/// C(i, j) = store(load(C(i, j)) + Scratch[j*Mr + i]) for i < MrEff and
+/// j < NrEff, C in \p Ty's storage with leading dimension \p Ldc (F32,
+/// F16 or BF16; store rounds to nearest even).
+void addTile(DType Ty, const float *Scratch, int64_t Mr, int64_t MrEff,
+             int64_t NrEff, void *C, int64_t Ldc);
+
+namespace detail {
+
+/// One instruction set's build of the loops above (see file comment).
+/// Widen and Narrow are the lane conversions those loops use, over N
+/// elements: f16ToF32 / bf16ToF32 and f32ToF16 / f32ToBf16, bit for bit.
+struct ElementLoops {
+  void (*Pack)(DType Ty, const void *Src, int64_t WS, int64_t KS,
+               int64_t Len, int64_t Kc, int64_t W, float Alpha,
+               EdgePack Mode, float *Buf);
+  void (*AddTile)(DType Ty, const float *Scratch, int64_t Mr, int64_t MrEff,
+                  int64_t NrEff, void *C, int64_t Ldc);
+  void (*Widen)(DType Ty, const uint16_t *Src, int64_t N, float *Dst);
+  void (*Narrow)(DType Ty, const float *Src, int64_t N, uint16_t *Dst);
+};
+
+/// The baseline-target build, usable on every host.
+const ElementLoops &portableLoops();
+
+/// The AVX-512 build, or nullptr when the host lacks avx512f, avx512bw or
+/// avx512vl.
+const ElementLoops *avx512Loops();
+
+/// The build packPanels and addTile run: AVX-512 when usable, else
+/// portable, chosen on the first call.
+const ElementLoops &hostLoops();
+
+} // namespace detail
 
 /// K-grouped int8 packs (see file comment). Caller sizes Buf as
 /// ceil(mc/mr) * ceil(kc/4)*4 * mr bytes (resp. nc/nr). No alpha: integer

@@ -32,6 +32,12 @@ Proc reordered(const Proc &P, const char *Pair = "j i") {
   return Q ? Q.take() : P;
 }
 
+/// A register file holding f32, for set_memory.
+const MemSpace *testRegisters() {
+  return MemSpace::makeRegisterFile("ValidateTestRegs",
+                                    {{ScalarKind::F32, {"float", 1}}});
+}
+
 /// A check's outcome and the interpreter runs it made on this thread.
 struct Checked {
   Error Err;
@@ -182,4 +188,44 @@ TEST(ValidateTest, ChainOfRewritesInterpretsEachProcOnce) {
   Expected<Proc> P3 = unrollLoop(*P2, "for itt in _: _");
   ASSERT_TRUE(static_cast<bool>(P3)) << P3.message();
   EXPECT_EQ(validationInterpretations() - Before, 4u * Trials);
+  // set_memory is not validated and rebuilds the loops around the buffer
+  // it re-homes. The interpreter never reads a memory space, so the check
+  // after it still takes its Before from the record: one proc per trial
+  // for each of the two checks.
+  Expected<Proc> P4 = stageMem(*P3, "C[_] += _", "C", "C_reg");
+  ASSERT_TRUE(static_cast<bool>(P4)) << P4.message();
+  Expected<Proc> P5 = setMemory(*P4, "C_reg", testRegisters());
+  ASSERT_TRUE(static_cast<bool>(P5)) << P5.message();
+  Expected<Proc> P6 = unrollLoop(*P5, "for jtt in _: _");
+  ASSERT_TRUE(static_cast<bool>(P6)) << P6.message();
+  EXPECT_EQ(validationInterpretations() - Before, 6u * Trials);
+}
+
+TEST(ValidateTest, BodyChangedAfterSetMemoryIsInterpreted) {
+  const SchedOptions &Opts = defaultSchedOptions();
+  const int Trials = Opts.ValidationTrials;
+  Expected<Proc> S = stageMem(reordered(makeMicroGemm()), "C[_] += _", "C",
+                              "C_reg"); // record: After = S
+  ASSERT_TRUE(static_cast<bool>(S)) << S.message();
+  Expected<Proc> M = setMemory(*S, "C_reg", testRegisters());
+  ASSERT_TRUE(static_cast<bool>(M)) << M.message();
+  // M's reduction into C_reg made a plain assignment: more than a memory
+  // annotation changed, so Bad runs itself and the check catches it.
+  auto A = findStmt(*M, "C_reg[_] += _");
+  ASSERT_TRUE(static_cast<bool>(A));
+  const auto *R = castS<AssignStmt>(stmtAt(*M, *A));
+  Proc Bad = spliceAt(
+      *M, *A, {AssignStmt::make(R->buffer(), R->indices(), R->rhs(), false)});
+  Checked C = check(Bad, *M, Trials, Opts.Seed);
+  EXPECT_EQ(C.Interps, 2u);
+  ASSERT_TRUE(C.Err);
+  EXPECT_NE(C.Err.message().find("diverge"), std::string::npos)
+      << C.Err.message();
+  // The positive control: M itself, memory-only apart from the record,
+  // takes its Before from it.
+  ASSERT_FALSE(checkProcsEquivalent(reordered(makeMicroGemm()), *S, Trials,
+                                    Opts.Seed));
+  C = check(*M, *M, Trials, Opts.Seed);
+  EXPECT_EQ(C.Interps, 1u * Trials);
+  EXPECT_FALSE(C.Err) << C.Err.message();
 }
