@@ -194,8 +194,9 @@ static void fillReplyError(ipc::GemmReplyMsg &R, ipc::ReqStatus St,
 
 void Server::Impl::handshake(ipc::Socket Conn) {
   ipc::HelloMsg Hello;
+  ipc::Socket RegionFd; // closed on every return; a mapping outlives it
   // A connected-but-silent peer must not wedge the accept loop.
-  if (Error E = Conn.recvAllTimed(&Hello, sizeof(Hello), 5000))
+  if (Error E = Conn.recvAllTimed(&Hello, sizeof(Hello), 5000, &RegionFd))
     return; // nothing to answer — the peer is gone or stuck
   ipc::HelloAck Ack;
   auto Reject = [&](ipc::HelloStatus St, const char *Why) {
@@ -213,13 +214,15 @@ void Server::Impl::handshake(ipc::Socket Conn) {
     if (Sessions.size() >= static_cast<size_t>(Opts.MaxClients))
       return Reject(ipc::HelloStatus::Full, "server at --max-clients");
   }
-  Hello.ShmName[sizeof(Hello.ShmName) - 1] = 0;
+  if (!RegionFd.valid())
+    return Reject(ipc::HelloStatus::BadRegion,
+                  "the Hello must pass exactly one region fd");
   Expected<ipc::SessionLayout> L =
       ipc::SessionLayout::derive(Hello.ShmBytes, Hello.RingSlots);
   if (!L)
     return Reject(ipc::HelloStatus::BadRegion, L.message().c_str());
   Expected<ipc::ShmRegion> R =
-      ipc::ShmRegion::open(Hello.ShmName, Hello.ShmBytes);
+      ipc::ShmRegion::open(RegionFd.fd(), Hello.ShmBytes);
   if (!R)
     return Reject(ipc::HelloStatus::BadRegion, R.message().c_str());
 

@@ -10,8 +10,8 @@
 /// every client process, so the expensive last-mile work (planning, JIT
 /// compiling, pool spin-up) is paid once per machine instead of once per
 /// process. Transport is the src/ipc layer: a Unix-domain rendezvous
-/// socket for handshake + doorbells, per-client shared-memory regions for
-/// tensors and packet rings (docs/GEMMD.md).
+/// socket for handshake + doorbells, per-client sealed memfd regions
+/// (passed with the Hello) for tensors and packet rings (docs/GEMMD.md).
 ///
 /// Contracts, in priority order:
 ///
@@ -19,8 +19,8 @@
 ///      writing garbage into its rings costs exactly that client its
 ///      session; every other stream keeps completing with correct
 ///      results, and the server never blocks on a dead peer. (The control
-///      socket's EOF is the death signal; shm stays valid server-side
-///      because mappings outlive the client.)
+///      socket's EOF is the death signal; the region stays valid because
+///      mappings outlive the client and its seal forbids shrinking.)
 ///   2. ADMISSION CONTROL. A bounded request queue; when full, requests
 ///      are answered Busy immediately instead of queuing unboundedly.
 ///      --max-clients bounds sessions the same way.

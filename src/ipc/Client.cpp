@@ -10,7 +10,6 @@
 #include "obs/Obs.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -80,8 +79,6 @@ Client::Client(const Options &O) : Opts(O) {
 
 Client::~Client() = default;
 
-bool Client::connected() const { return Connected; }
-
 void Client::disconnect() {
   std::lock_guard<std::mutex> Lock(Mu);
   dropSessionLocked();
@@ -132,13 +129,11 @@ Error Client::ensureConnectedLocked() {
   ipc::HelloMsg Hello;
   Hello.ShmBytes = Opts.ShmBytes;
   Hello.RingSlots = Slots;
-  Hello.NameLen = static_cast<uint32_t>(Shm.name().size());
-  std::snprintf(Hello.ShmName, sizeof(Hello.ShmName), "%s",
-                Shm.name().c_str());
-  if (Error E = Sock.sendAll(&Hello, sizeof(Hello))) {
+  if (Error E = Sock.sendAll(&Hello, sizeof(Hello), Shm.fd())) {
     dropSessionLocked();
     return E;
   }
+  Shm.closeFd(); // the server has its own copy now
   ipc::HelloAck Ack;
   if (Error E = Sock.recvAllTimed(&Ack, sizeof(Ack), Opts.TimeoutMs)) {
     dropSessionLocked();
@@ -153,9 +148,6 @@ Error Client::ensureConnectedLocked() {
     dropSessionLocked();
     return E;
   }
-  // The server holds a mapping now; drop the name so a crash on either
-  // side can never leak a /dev/shm entry.
-  Shm.unlinkName();
   Connected = true;
   return Error::success();
 }
@@ -358,7 +350,6 @@ Error Client::gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
                     static_cast<size_t>(M) * OutB);
     }
   }
-  ++RequestsOk;
   return Error::success();
 }
 

@@ -68,10 +68,9 @@ public:
   Client(const Client &) = delete;
   Client &operator=(const Client &) = delete;
 
-  /// Establishes the session now (handshake + shm mapping). sgemm calls
+  /// Establishes the session now (handshake + region mapping). sgemm calls
   /// do this lazily; connect() exists so callers can fail fast.
   exo::Error connect();
-  bool connected() const;
   /// Tears the session down; the next call reconnects.
   void disconnect();
 
@@ -149,8 +148,6 @@ public:
   /// ReplyFlags of the last completed remote GEMM (plan hit / plan built /
   /// jit compiled), 0 before any call.
   uint32_t lastFlags() const { return LastFlags; }
-  /// Remote GEMM requests completed Ok over this Client's lifetime.
-  uint64_t requestsOk() const { return RequestsOk; }
 
 private:
   exo::Error ensureConnectedLocked();
@@ -168,7 +165,6 @@ private:
   uint32_t Seq = 0;
   uint32_t LastFlags = 0;
   uint64_t LastServerNs = 0; ///< previous GemmReply's ServerNs (spin or not)
-  uint64_t RequestsOk = 0;
 };
 
 } // namespace gemm

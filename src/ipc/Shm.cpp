@@ -1,4 +1,4 @@
-//===- Shm.cpp - POSIX shared-memory tensor regions for gemmd -------------===//
+//===- Shm.cpp - Sealed memfd tensor regions for gemmd --------------------===//
 //
 // Part of the exo-ukr project. MIT license; see LICENSE.
 //
@@ -7,13 +7,12 @@
 #include "ipc/Shm.h"
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#include <utility>
 
 using namespace exo;
 
@@ -43,109 +42,71 @@ Expected<SessionLayout> SessionLayout::derive(uint64_t TotalBytes,
   return L;
 }
 
-ShmRegion::~ShmRegion() { reset(); }
-
-ShmRegion::ShmRegion(ShmRegion &&O) noexcept
-    : Base(O.Base), Bytes(O.Bytes), Name(std::move(O.Name)), Owner(O.Owner) {
-  O.Base = nullptr;
-  O.Bytes = 0;
-  O.Name.clear();
-  O.Owner = false;
+ShmRegion::~ShmRegion() {
+  if (Base)
+    ::munmap(Base, Bytes);
+  closeFd();
 }
 
+ShmRegion::ShmRegion(ShmRegion &&O) noexcept { *this = std::move(O); }
+
+// Swaps: whatever this held is released when O is destroyed.
 ShmRegion &ShmRegion::operator=(ShmRegion &&O) noexcept {
-  if (this != &O) {
-    reset();
-    Base = O.Base;
-    Bytes = O.Bytes;
-    Name = std::move(O.Name);
-    Owner = O.Owner;
-    O.Base = nullptr;
-    O.Bytes = 0;
-    O.Name.clear();
-    O.Owner = false;
-  }
+  std::swap(Base, O.Base);
+  std::swap(Bytes, O.Bytes);
+  std::swap(Fd, O.Fd);
   return *this;
 }
 
-void ShmRegion::reset() {
-  if (Base)
-    ::munmap(Base, Bytes);
-  unlinkName();
-  Base = nullptr;
-  Bytes = 0;
-}
-
-void ShmRegion::unlinkName() {
-  if (Owner && !Name.empty())
-    ::shm_unlink(Name.c_str());
-  Name.clear();
-  Owner = false;
+void ShmRegion::closeFd() {
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
 }
 
 Expected<ShmRegion> ShmRegion::create(uint64_t Bytes) {
   if (Bytes == 0)
     return errorf("gemmd shm: zero-byte region");
-  // Collision-proof name: pid + monotonic clock + a per-process counter
-  // (two Clients in one process may create regions in the same tick).
-  static std::atomic<uint32_t> Counter{0};
-  uint64_t Now = static_cast<uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-  char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "/exo-gemmd-%ld-%llx-%u",
-                static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(Now),
-                Counter.fetch_add(1, std::memory_order_relaxed));
-  int Fd = ::shm_open(Buf, O_CREAT | O_EXCL | O_RDWR, 0600);
+  int Fd = ::memfd_create("exo-gemmd", MFD_CLOEXEC | MFD_ALLOW_SEALING);
   if (Fd < 0)
-    return errorf("gemmd shm: shm_open(%s) failed: %s", Buf,
-                  std::strerror(errno));
-  ShmRegion R;
-  R.Name = Buf;
-  R.Owner = true;
-  if (::ftruncate(Fd, static_cast<off_t>(Bytes)) != 0) {
+    return errorf("gemmd shm: memfd_create failed: %s", std::strerror(errno));
+  if (::ftruncate(Fd, static_cast<off_t>(Bytes)) != 0 ||
+      ::fcntl(Fd, F_ADD_SEALS, F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL) !=
+          0) {
     int E = errno;
     ::close(Fd);
-    return errorf("gemmd shm: ftruncate to %llu bytes failed: %s",
+    return errorf("gemmd shm: sizing and sealing %llu bytes failed: %s",
                   static_cast<unsigned long long>(Bytes), std::strerror(E));
   }
-  void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE, MAP_SHARED, Fd, 0);
-  ::close(Fd);
-  if (P == MAP_FAILED)
-    return errorf("gemmd shm: mmap of %llu bytes failed: %s",
-                  static_cast<unsigned long long>(Bytes),
-                  std::strerror(errno));
-  R.Base = P;
-  R.Bytes = Bytes;
+  Expected<ShmRegion> R = open(Fd, Bytes);
+  if (R)
+    R->Fd = Fd;
+  else
+    ::close(Fd);
   return R;
 }
 
-Expected<ShmRegion> ShmRegion::open(const std::string &Name,
-                                    uint64_t ExpectBytes) {
-  if (Name.empty() || Name[0] != '/' || Name.find('/', 1) != std::string::npos)
-    return errorf("gemmd shm: '%s' is not a valid shm name", Name.c_str());
-  int Fd = ::shm_open(Name.c_str(), O_RDWR, 0);
-  if (Fd < 0)
-    return errorf("gemmd shm: shm_open(%s) failed: %s", Name.c_str(),
-                  std::strerror(errno));
+Expected<ShmRegion> ShmRegion::open(int Fd, uint64_t ExpectBytes) {
+  // Without the shrink seal the client could truncate the file under our
+  // mapping, and the next access would SIGBUS the whole server. The seal
+  // is checked first: only then does the size read below stay true.
+  int Seals = ::fcntl(Fd, F_GET_SEALS);
+  if (Seals < 0 || !(Seals & F_SEAL_SHRINK))
+    return errorf("gemmd shm: region fd is not sealed against shrinking");
   struct stat St;
-  if (::fstat(Fd, &St) != 0 ||
-      static_cast<uint64_t>(St.st_size) != ExpectBytes) {
-    ::close(Fd);
-    return errorf("gemmd shm: %s is %lld bytes, client announced %llu",
-                  Name.c_str(), static_cast<long long>(St.st_size),
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode) ||
+      static_cast<uint64_t>(St.st_size) != ExpectBytes)
+    return errorf("gemmd shm: region fd is not a %llu-byte file",
                   static_cast<unsigned long long>(ExpectBytes));
-  }
   void *P = ::mmap(nullptr, ExpectBytes, PROT_READ | PROT_WRITE, MAP_SHARED,
                    Fd, 0);
-  ::close(Fd);
   if (P == MAP_FAILED)
-    return errorf("gemmd shm: mmap of %s failed: %s", Name.c_str(),
+    return errorf("gemmd shm: mmap of %llu bytes failed: %s",
+                  static_cast<unsigned long long>(ExpectBytes),
                   std::strerror(errno));
   ShmRegion R;
   R.Base = P;
   R.Bytes = ExpectBytes;
-  // The server never owns the name; the client unlinks after the ack.
   return R;
 }
 

@@ -1,20 +1,20 @@
-//===- Shm.h - POSIX shared-memory tensor regions for gemmd ---------------===//
+//===- Shm.h - Sealed memfd tensor regions for gemmd ----------------------===//
 //
 // Part of the exo-ukr project. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One gemmd session owns one POSIX shared-memory region, created by the
+/// One gemmd session owns one shared-memory region, created by the
 /// client, mapped by both sides, and laid out as:
 ///
 ///   [ ShmSessionHeader | request ring | response ring | tensor arena ]
 ///
-/// The client names the region over the control socket (HelloMsg); the
-/// server maps it, acks, and the client immediately shm_unlink()s the
-/// name — from then on the region lives exactly as long as a mapping
-/// does, so a SIGKILLed client can never leak a name into /dev/shm and
-/// the server's mapping stays valid for any request already in flight.
+/// The region is an anonymous memfd, so no name can leak into /dev/shm
+/// however either side dies. The client seals its size and passes the fd
+/// with the HelloMsg (SCM_RIGHTS); the server maps it only if it carries
+/// the shrink seal, so no client can truncate it under the server's
+/// mapping (a SIGBUS). The region lives exactly as long as a mapping does.
 ///
 /// ShmRegion is the RAII mapping (create-or-open + mmap); SessionLayout
 /// derives the ring/arena offsets from (bytes, slots) on both sides
@@ -28,8 +28,6 @@
 #include "exo/support/Error.h"
 #include "ipc/Ring.h"
 #include "ipc/Wire.h"
-
-#include <string>
 
 namespace ipc {
 
@@ -67,7 +65,7 @@ struct SessionLayout {
                                              uint32_t Slots);
 };
 
-/// RAII POSIX shm mapping. Movable, not copyable.
+/// RAII memfd mapping. Movable, not copyable.
 class ShmRegion {
 public:
   ShmRegion() = default;
@@ -77,34 +75,30 @@ public:
   ShmRegion(const ShmRegion &) = delete;
   ShmRegion &operator=(const ShmRegion &) = delete;
 
-  /// Client side: creates a fresh region (O_CREAT|O_EXCL under a
-  /// collision-proof generated name), sizes it and maps it.
+  /// Client side: creates a fresh memfd, sizes it, seals its size and
+  /// maps it. The region keeps the fd (fd()) until closeFd().
   static exo::Expected<ShmRegion> create(uint64_t Bytes);
 
-  /// Server side: maps an existing region by name and verifies its size
-  /// is exactly \p ExpectBytes.
-  static exo::Expected<ShmRegion> open(const std::string &Name,
-                                       uint64_t ExpectBytes);
+  /// Server side: maps the region behind a passed \p Fd (not taken over)
+  /// after checking it is a regular file of exactly \p ExpectBytes
+  /// carrying the shrink seal.
+  static exo::Expected<ShmRegion> open(int Fd, uint64_t ExpectBytes);
 
-  /// Removes the name from the namespace; the mapping (and any other
-  /// process's) stays valid. Idempotent.
-  void unlinkName();
+  /// The creator's memfd, to pass to the server; -1 once closed.
+  int fd() const { return Fd; }
+  /// Closes the fd; the mapping stays valid. Idempotent.
+  void closeFd();
 
   void *base() const { return Base; }
-  uint64_t size() const { return Bytes; }
-  const std::string &name() const { return Name; }
-  bool valid() const { return Base != nullptr; }
 
   unsigned char *at(uint64_t Off) const {
     return static_cast<unsigned char *>(Base) + Off;
   }
 
 private:
-  void reset();
   void *Base = nullptr;
   uint64_t Bytes = 0;
-  std::string Name; ///< empty once unlinked (or on the server side)
-  bool Owner = false;
+  int Fd = -1;
 };
 
 } // namespace ipc

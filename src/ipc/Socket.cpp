@@ -99,25 +99,44 @@ Expected<Socket> Socket::accept() {
   return Socket(C);
 }
 
-Error Socket::sendAll(const void *Buf, size_t N) {
+Error Socket::sendAll(const void *Buf, size_t N, int PassFd) {
   const char *P = static_cast<const char *>(Buf);
+  alignas(cmsghdr) char Ctl[CMSG_SPACE(sizeof(int))];
   while (N) {
-    ssize_t W = ::send(Fd, P, N, MSG_NOSIGNAL);
+    iovec Iov{const_cast<char *>(P), N};
+    msghdr Msg{};
+    Msg.msg_iov = &Iov;
+    Msg.msg_iovlen = 1;
+    if (PassFd >= 0) {
+      Msg.msg_control = Ctl;
+      Msg.msg_controllen = sizeof(Ctl);
+      cmsghdr *C = CMSG_FIRSTHDR(&Msg);
+      C->cmsg_level = SOL_SOCKET;
+      C->cmsg_type = SCM_RIGHTS;
+      C->cmsg_len = CMSG_LEN(sizeof(int));
+      std::memcpy(CMSG_DATA(C), &PassFd, sizeof(int));
+    }
+    ssize_t W = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
     if (W < 0) {
       if (errno == EINTR)
         continue;
       return errorf("gemmd socket: send failed: %s", std::strerror(errno));
     }
+    PassFd = -1; // the fd went with the first byte written
     P += W;
     N -= static_cast<size_t>(W);
   }
   return Error::success();
 }
 
-Error Socket::recvAll(void *Buf, size_t N) { return recvAllTimed(Buf, N, -1); }
-
-Error Socket::recvAllTimed(void *Buf, size_t N, int TimeoutMs) {
+Error Socket::recvAllTimed(void *Buf, size_t N, int TimeoutMs,
+                           Socket *PassedFd) {
   char *P = static_cast<char *>(Buf);
+  // Room for a few fds, so a sender passing too many is read (and its fds
+  // closed) rather than truncated.
+  alignas(cmsghdr) char Ctl[CMSG_SPACE(4 * sizeof(int))];
+  Socket Got;
+  int Passed = 0;
   while (N) {
     if (TimeoutMs >= 0) {
       pollfd Pfd{Fd, POLLIN, 0};
@@ -131,7 +150,13 @@ Error Socket::recvAllTimed(void *Buf, size_t N, int TimeoutMs) {
       if (Rc < 0)
         return errorf("gemmd socket: poll failed: %s", std::strerror(errno));
     }
-    ssize_t R = ::recv(Fd, P, N, 0);
+    iovec Iov{P, N};
+    msghdr Msg{};
+    Msg.msg_iov = &Iov;
+    Msg.msg_iovlen = 1;
+    Msg.msg_control = Ctl;
+    Msg.msg_controllen = sizeof(Ctl);
+    ssize_t R = ::recvmsg(Fd, &Msg, MSG_CMSG_CLOEXEC);
     if (R == 0)
       return errorf("gemmd: server closed the connection");
     if (R < 0) {
@@ -139,9 +164,26 @@ Error Socket::recvAllTimed(void *Buf, size_t N, int TimeoutMs) {
         continue;
       return errorf("gemmd socket: recv failed: %s", std::strerror(errno));
     }
+    for (cmsghdr *C = CMSG_FIRSTHDR(&Msg); C; C = CMSG_NXTHDR(&Msg, C)) {
+      if (C->cmsg_level != SOL_SOCKET || C->cmsg_type != SCM_RIGHTS)
+        continue;
+      size_t Count = (C->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+      for (size_t I = 0; I != Count; ++I) {
+        int F;
+        std::memcpy(&F, CMSG_DATA(C) + I * sizeof(int), sizeof(int));
+        if (++Passed == 1 && PassedFd)
+          Got = Socket(F);
+        else
+          ::close(F);
+      }
+    }
+    if (Msg.msg_flags & MSG_CTRUNC)
+      return errorf("gemmd socket: ancillary data truncated");
     P += R;
     N -= static_cast<size_t>(R);
   }
+  if (PassedFd && Passed == 1)
+    *PassedFd = std::move(Got);
   return Error::success();
 }
 

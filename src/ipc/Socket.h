@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The thin control channel of a gemmd session: a Unix-domain stream
-/// socket that carries exactly one HelloMsg/HelloAck handshake and then
+/// socket that carries exactly one HelloMsg/HelloAck handshake (the Hello
+/// passes the session's memfd along as SCM_RIGHTS ancillary data) and then
 /// only doorbell bytes (Wire.h). Its real job is lifetime, not data —
 /// the server learns a client died (SIGKILL, crash, exit) from POLLHUP/
 /// EOF on this fd, which is what makes client reaping race-free: the
@@ -54,16 +55,18 @@ public:
   /// caller if desired); fails on transient errors with errno text.
   exo::Expected<Socket> accept();
 
-  /// Writes exactly \p N bytes (EINTR-safe, SIGPIPE-free). Fails when the
+  /// Writes exactly \p N bytes (EINTR-safe, SIGPIPE-free), passing
+  /// \p PassFd along with the first byte unless it is -1. Fails when the
   /// peer is gone.
-  exo::Error sendAll(const void *Buf, size_t N);
-
-  /// Reads exactly \p N bytes. Fails on EOF or error.
-  exo::Error recvAll(void *Buf, size_t N);
+  exo::Error sendAll(const void *Buf, size_t N, int PassFd = -1);
 
   /// Reads exactly \p N bytes, waiting at most \p TimeoutMs (-1 = forever).
   /// Distinguishes timeout ("gemmd: timed out ...") from peer loss.
-  exo::Error recvAllTimed(void *Buf, size_t N, int TimeoutMs);
+  /// \p PassedFd, when given, receives the one fd passed with those bytes;
+  /// it stays invalid if none or more than one came. Every other passed fd
+  /// is closed, and ancillary data too large to read fails the read.
+  exo::Error recvAllTimed(void *Buf, size_t N, int TimeoutMs,
+                          Socket *PassedFd = nullptr);
 
   /// Sends a single doorbell byte; a lost peer is reported, not fatal.
   exo::Error ring(uint8_t Bell) { return sendAll(&Bell, 1); }

@@ -10,8 +10,9 @@
 /// carry them:
 ///
 ///   1. The Unix-domain control socket carries exactly one HelloMsg /
-///      HelloAck exchange per connection (the shm region does not exist
-///      server-side yet), then degrades to a doorbell byte stream.
+///      HelloAck exchange per connection, the HelloMsg passing the
+///      client's sealed memfd region along (SCM_RIGHTS), then degrades to
+///      a doorbell byte stream.
 ///   2. Everything after the handshake travels as fixed-size packets
 ///      through the two SPSC rings inside the client's shared-memory
 ///      region (Ring.h); tensor payloads live in the region's arena and
@@ -45,7 +46,9 @@ inline constexpr uint32_t WireMagic = 0x31444D47;
 /// v5: StatsReply drops the kernel-fallback counter.
 /// v6: the ring header grows a Spinning word; a reply pushed while the
 ///     client spins on the response ring skips its doorbell (Ring.h).
-inline constexpr uint16_t WireVersion = 6;
+/// v7: HelloMsg drops the shm name; the region is a sealed memfd passed
+///     with the HelloMsg over the control socket.
+inline constexpr uint16_t WireVersion = 7;
 
 /// Ring slot size. Every packet (header + payload) must fit one slot;
 /// GemmRequest and StatsReply are the widest packets.
@@ -63,7 +66,8 @@ enum class HelloStatus : uint16_t {
   Ok = 0,
   BadVersion = 1,  ///< protocol version mismatch
   Full = 2,        ///< server at --max-clients
-  BadRegion = 3,   ///< shm name unmappable or header invalid
+  BadRegion = 3,   ///< region fd missing, extra, unsealed or mis-sized,
+                   ///< or its header invalid
   ShuttingDown = 4,
 };
 
@@ -82,17 +86,17 @@ enum ReplyFlags : uint32_t {
   ReplyJitCompiled = 1u << 2, ///< this request invoked the C compiler
 };
 
-/// First (and only) message a client sends over the fresh socket.
+/// First (and only) message a client sends over the fresh socket; the
+/// region's memfd travels with it as the one SCM_RIGHTS fd.
 struct HelloMsg {
   uint32_t Magic = WireMagic;
   uint16_t Version = WireVersion;
   uint16_t Reserved = 0;
   uint64_t ShmBytes = 0;  ///< total region size the client created
   uint32_t RingSlots = 0; ///< slots per ring (power of two)
-  uint32_t NameLen = 0;   ///< strlen of ShmName
-  char ShmName[104] = {}; ///< NUL-terminated POSIX shm name ("/exo-...")
+  uint32_t Reserved2 = 0;
 };
-static_assert(sizeof(HelloMsg) == 128, "HelloMsg is part of the wire ABI");
+static_assert(sizeof(HelloMsg) == 24, "HelloMsg is part of the wire ABI");
 static_assert(std::is_trivially_copyable_v<HelloMsg>);
 
 /// The server's socket-level answer; on Ok the session is live and all

@@ -14,7 +14,9 @@
 //     header, or an oversized header costs exactly that client its
 //     session while every other stream keeps serving,
 //   - admission control answers Busy instead of queueing unboundedly,
-//   - handshake rejections (bad version, --max-clients) are clean,
+//   - handshake rejections (bad version, --max-clients, a region fd that
+//     is missing, extra, unsealed or mis-sized) are clean and leak no fd,
+//     and a session region never has a /dev/shm name to leak,
 //   - the response ring's Spinning word skips exactly the doorbells of
 //     the session that set it, and stop() answers every admitted request
 //     whether the poller runs it or an executor does.
@@ -42,9 +44,11 @@
 #include <csignal>
 #include <cstring>
 #include <dirent.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <random>
 #include <set>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
@@ -120,6 +124,31 @@ void expectRemoteMatchesLocal(gemm::Client &Remote, gemm::Engine &Local,
       << "remote result diverged for " << M << "x" << N << "x" << K;
 }
 
+/// What a RawSession's Hello passes along as SCM_RIGHTS fds. Only Sealed
+/// (the session's own sealed memfd, what gemm::Client sends) is valid.
+enum class HelloFds { Sealed, None, Two, Pipe, WrongSize, Unsealed };
+
+/// Sends \p Hello with two fds in one SCM_RIGHTS message, which
+/// Socket::sendAll cannot.
+Error sendWithTwoFds(int Sock, const ipc::HelloMsg &Hello, int A, int B) {
+  iovec Iov{const_cast<ipc::HelloMsg *>(&Hello), sizeof(Hello)};
+  alignas(cmsghdr) char Ctl[CMSG_SPACE(2 * sizeof(int))] = {};
+  msghdr Msg{};
+  Msg.msg_iov = &Iov;
+  Msg.msg_iovlen = 1;
+  Msg.msg_control = Ctl;
+  Msg.msg_controllen = sizeof(Ctl);
+  cmsghdr *C = CMSG_FIRSTHDR(&Msg);
+  C->cmsg_level = SOL_SOCKET;
+  C->cmsg_type = SCM_RIGHTS;
+  C->cmsg_len = CMSG_LEN(2 * sizeof(int));
+  const int Fds[2] = {A, B};
+  std::memcpy(CMSG_DATA(C), Fds, sizeof(Fds));
+  if (::sendmsg(Sock, &Msg, MSG_NOSIGNAL) != sizeof(Hello))
+    return errorf("raw session: sendmsg failed: %s", std::strerror(errno));
+  return Error::success();
+}
+
 /// A hand-rolled session speaking the raw wire protocol — what a buggy or
 /// malicious client "looks like" to the server.
 struct RawSession {
@@ -128,6 +157,7 @@ struct RawSession {
   ipc::Socket Sock;
   ipc::RingView Req, Resp;
   ipc::HelloAck Ack;
+  HelloFds Fds = HelloFds::Sealed; ///< set before connect()
 
   /// Connects and handshakes; \p Mutate can corrupt the HelloMsg first.
   Error connect(const std::string &Path,
@@ -156,17 +186,63 @@ struct RawSession {
     ipc::HelloMsg Hello;
     Hello.ShmBytes = Bytes;
     Hello.RingSlots = Slots;
-    Hello.NameLen = static_cast<uint32_t>(Shm.name().size());
-    std::snprintf(Hello.ShmName, sizeof(Hello.ShmName), "%s",
-                  Shm.name().c_str());
     if (Mutate)
       Mutate(Hello);
-    if (Error E = Sock.sendAll(&Hello, sizeof(Hello)))
+    if (Error E = sendHello(Hello))
       return E;
-    if (Error E = Sock.recvAllTimed(&Ack, sizeof(Ack), 60000))
+    return Sock.recvAllTimed(&Ack, sizeof(Ack), 60000);
+  }
+
+  /// Sends \p Hello with the fds Fds names.
+  Error sendHello(const ipc::HelloMsg &Hello) {
+    switch (Fds) {
+    case HelloFds::Sealed:
+      return Sock.sendAll(&Hello, sizeof(Hello), Shm.fd());
+    case HelloFds::None:
+      return Sock.sendAll(&Hello, sizeof(Hello));
+    case HelloFds::Two:
+      return sendWithTwoFds(Sock.fd(), Hello, Shm.fd(), Shm.fd());
+    case HelloFds::Pipe: {
+      int P[2];
+      if (::pipe2(P, O_CLOEXEC) != 0)
+        return errorf("raw session: pipe2 failed");
+      Error E = Sock.sendAll(&Hello, sizeof(Hello), P[0]);
+      ::close(P[0]);
+      ::close(P[1]);
       return E;
-    Shm.unlinkName();
-    return Error::success();
+    }
+    case HelloFds::WrongSize: {
+      Expected<ipc::ShmRegion> Other =
+          ipc::ShmRegion::create(Layout.TotalBytes * 2);
+      if (!Other)
+        return Other.takeError();
+      return Sock.sendAll(&Hello, sizeof(Hello), Other->fd());
+    }
+    case HelloFds::Unsealed: {
+      // The same formatted region, minus the seals.
+      const off_t Size = static_cast<off_t>(Layout.TotalBytes);
+      int U = ::memfd_create("unsealed", MFD_CLOEXEC);
+      if (U < 0 || ::ftruncate(U, Size) != 0 ||
+          ::pwrite(U, Shm.base(), Layout.ArenaOff, 0) !=
+              static_cast<ssize_t>(Layout.ArenaOff)) {
+        if (U >= 0)
+          ::close(U);
+        return errorf("raw session: unsealed memfd failed");
+      }
+      Error E = Sock.sendAll(&Hello, sizeof(Hello), U);
+      ::close(U);
+      return E;
+    }
+    }
+    return errorf("raw session: unknown HelloFds");
+  }
+
+  /// True once the server has closed its end (after a rejection, it has
+  /// then also closed every fd the Hello passed).
+  bool closedByServer(int TimeoutMs = 60000) {
+    pollfd P{Sock.fd(), POLLIN, 0};
+    char Byte;
+    return ::poll(&P, 1, TimeoutMs) == 1 && ::recv(Sock.fd(), &Byte, 1, 0) == 0;
   }
 
   bool admitted() const {
@@ -231,6 +307,33 @@ pid_t spawnHelper(const std::string &Socket, int Iters, int Seed,
     _exit(127); // exec failed
   }
   return Pid;
+}
+
+/// The /dev/shm entries a named region of one of \p Pids would leave
+/// (the pre-memfd scheme named them exo-gemmd-<pid>-<clock>-<n>).
+std::vector<std::string> shmEntriesOf(std::initializer_list<pid_t> Pids) {
+  std::vector<std::string> Found;
+  if (DIR *D = ::opendir("/dev/shm")) {
+    while (dirent *E = ::readdir(D))
+      for (pid_t P : Pids) {
+        std::string Prefix = "exo-gemmd-" + std::to_string(P) + "-";
+        if (std::strncmp(E->d_name, Prefix.c_str(), Prefix.size()) == 0)
+          Found.push_back(E->d_name);
+      }
+    ::closedir(D);
+  }
+  return Found;
+}
+
+/// Open fds of this process, the in-process server's included.
+size_t openFdCount() {
+  size_t N = 0;
+  if (DIR *D = ::opendir("/proc/self/fd")) {
+    while (::readdir(D))
+      ++N;
+    ::closedir(D);
+  }
+  return N;
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,6 +598,43 @@ TEST(GemmdFaultIsolation, SigkilledClientMidRequestSparesOthers) {
   ipc::StatsReplyMsg St;
   ASSERT_FALSE(After.serverStats(St));
   EXPECT_GE(St.Reaped, 1u);
+}
+
+TEST(GemmdFaultIsolation, HostileShrinkCannotSigbusTheServer) {
+  ServerFixture F;
+  // An unsealed region could be truncated under the server's mapping, so
+  // the server refuses it.
+  RawSession Unsealed;
+  Unsealed.Fds = HelloFds::Unsealed;
+  ASSERT_FALSE(Unsealed.connect(F.Opts.SocketPath));
+  EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadRegion),
+            Unsealed.Ack.Status);
+
+  // An admitted region cannot be shrunk, even by the client that made it...
+  RawSession Admitted;
+  ASSERT_FALSE(Admitted.connect(F.Opts.SocketPath));
+  ASSERT_TRUE(Admitted.admitted());
+  errno = 0;
+  EXPECT_EQ(-1, ::ftruncate(Admitted.Shm.fd(), 0));
+  EXPECT_EQ(EPERM, errno);
+
+  // ...so that session and every other one keep being served.
+  ipc::PacketHeader Ping;
+  Ping.Type = static_cast<uint16_t>(ipc::PacketType::Ping);
+  Ping.Seq = 1;
+  Ping.Bytes = sizeof(Ping);
+  ASSERT_FALSE(Admitted.post(&Ping, sizeof(Ping)));
+  alignas(8) unsigned char Slot[ipc::SlotBytes] = {};
+  ASSERT_FALSE(Admitted.nextReply(Slot));
+  ipc::PacketHeader Pong;
+  std::memcpy(&Pong, Slot, sizeof(Pong));
+  EXPECT_EQ(static_cast<uint16_t>(ipc::PacketType::PingReply), Pong.Type);
+  gemm::Client Other(F.clientOpts());
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Other, Local, gemm::Trans::None,
+                           gemm::Trans::None, 64, 48, 32, 0.5f, 66);
+  expectRemoteMatchesLocal(Other, Local, gemm::Trans::Transpose,
+                           gemm::Trans::None, 33, 29, 17, 0.0f, 67);
 }
 
 TEST(GemmdFaultIsolation, MalformedHeaderReapsOnlyThatClient) {
@@ -783,6 +923,14 @@ TEST(GemmdAdmission, BadVersionHelloRejected) {
                           [](ipc::HelloMsg &H) { H.Version = 5; }));
   EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadVersion),
             V5.Ack.Status);
+  // The version that named its region: its Hello passes no fd, and the
+  // version check still answers first.
+  RawSession V6;
+  V6.Fds = HelloFds::None;
+  ASSERT_FALSE(V6.connect(F.Opts.SocketPath,
+                          [](ipc::HelloMsg &H) { H.Version = 6; }));
+  EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadVersion),
+            V6.Ack.Status);
 }
 
 TEST(GemmdAdmission, MaxClientsEnforced) {
@@ -807,6 +955,43 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
   }
   EXPECT_TRUE(Admitted);
 }
+
+/// A Hello whose fds are not exactly one sealed memfd of ShmBytes.
+class GemmdMalformedHello : public ::testing::TestWithParam<HelloFds> {};
+
+TEST_P(GemmdMalformedHello, GetsBadRegionAndLeaksNoFd) {
+  ServerFixture F;
+  const size_t Before = openFdCount();
+  for (int I = 0; I != 20; ++I) {
+    RawSession S;
+    S.Fds = GetParam();
+    ASSERT_FALSE(S.connect(F.Opts.SocketPath));
+    EXPECT_EQ(static_cast<uint16_t>(ipc::HelloStatus::BadRegion),
+              S.Ack.Status)
+        << S.Ack.Err;
+    ASSERT_TRUE(S.closedByServer());
+  }
+  EXPECT_EQ(Before, openFdCount());
+  gemm::Client Fresh(F.clientOpts());
+  EXPECT_FALSE(Fresh.ping());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fds, GemmdMalformedHello,
+    ::testing::Values(HelloFds::None, HelloFds::Two, HelloFds::Pipe,
+                      HelloFds::WrongSize),
+    [](const ::testing::TestParamInfo<HelloFds> &Info) {
+      switch (Info.param) {
+      case HelloFds::None:
+        return "NoFd";
+      case HelloFds::Two:
+        return "TwoFds";
+      case HelloFds::Pipe:
+        return "PipeFd";
+      default:
+        return "WrongSizeMemfd";
+      }
+    });
 
 //===----------------------------------------------------------------------===//
 // Doorbell skipping: the response ring's Spinning word (ipc/Ring.h)
@@ -1143,19 +1328,33 @@ TEST(GemmdLifecycle, StopClosesSessionsAndUnlinksSocket) {
 }
 
 TEST(GemmdLifecycle, NoSharedMemoryNamesLeak) {
-  {
-    ServerFixture F;
-    gemm::Client C(F.clientOpts());
-    ASSERT_FALSE(C.ping());
-    // Session live, name already unlinked: nothing to leak even if both
-    // sides died right now.
-    if (DIR *D = ::opendir("/dev/shm")) {
-      while (dirent *E = ::readdir(D))
-        EXPECT_EQ(nullptr, std::strstr(E->d_name, "exo-gemmd"))
-            << "leaked shm name " << E->d_name;
-      ::closedir(D);
-    }
+  ServerFixture F;
+  gemm::Client C(F.clientOpts());
+  ASSERT_FALSE(C.ping());
+  pid_t Helper = spawnHelper(F.Opts.SocketPath, 2, 104, 0);
+  ASSERT_GT(Helper, 0);
+  int Status = 0;
+  ASSERT_EQ(Helper, ::waitpid(Helper, &Status, 0));
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(0, WEXITSTATUS(Status));
+  // One session live, one gone: neither ever had a name to leak. Only
+  // this test's own processes count; other tests may run beside it.
+  EXPECT_EQ(std::vector<std::string>{}, shmEntriesOf({::getpid(), Helper}));
+}
+
+TEST(GemmdLifecycle, KilledAfterRegionBeforeHelloLeavesNothing) {
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    ::execl(GEMMD_HELPER, GEMMD_HELPER, "--die-after-region",
+            static_cast<char *>(nullptr));
+    _exit(127); // exec failed
   }
+  ASSERT_GT(Pid, 0);
+  int Status = 0;
+  ASSERT_EQ(Pid, ::waitpid(Pid, &Status, 0));
+  ASSERT_TRUE(WIFSIGNALED(Status));
+  EXPECT_EQ(SIGKILL, WTERMSIG(Status));
+  EXPECT_EQ(std::vector<std::string>{}, shmEntriesOf({Pid}));
 }
 
 } // namespace

@@ -6,10 +6,13 @@
 // Engine::sgemm with the same configuration:
 //
 //   gemmd_client_helper --socket PATH --iters N [--seed S] [--sleep-ms N]
+//   gemmd_client_helper --die-after-region
 //
 // Exit codes: 0 all iterations verified, 2 a result mismatched, 3 a
 // remote call failed. The SIGKILL cases kill this process mid-loop; the
-// survivors' exit 0 is the fault-isolation proof.
+// survivors' exit 0 is the fault-isolation proof. --die-after-region
+// creates a session region and SIGKILLs itself before connecting: the
+// window in which a named region used to leak.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +20,7 @@
 #include "ipc/Client.h"
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +49,12 @@ int main(int Argc, char **Argv) {
       Seed = static_cast<unsigned>(std::atoi(V));
     else if (const char *V = Value("--sleep-ms"))
       SleepMs = std::atoi(V);
-    else
+    else if (std::strcmp(Argv[I], "--die-after-region") == 0) {
+      exo::Expected<ipc::ShmRegion> R = ipc::ShmRegion::create(1 << 20);
+      if (!R)
+        return 3;
+      std::raise(SIGKILL);
+    } else
       std::exit(3);
   }
 
