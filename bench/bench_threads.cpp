@@ -12,13 +12,7 @@
 // the >1 rows are oversubscribed and merely prove correctness).
 //
 //   bench_threads [--size S] [--threads "1,2,4,8"] [--all-counts]
-//                 [--store-curve] [--seconds T] [--csv] [--json [PATH]]
-//                 [--trace PATH]
-//
-// --store-curve publishes the measured (threads, speedup) points as this
-// machine's strong-scaling curve in the prior database
-// (PriorDb::storeCurve), which seeds the governor's per-shape width model
-// (Governor.h, docs/CONCURRENCY.md).
+//                 [--seconds T] [--csv] [--json [PATH]] [--trace PATH]
 //
 // Pin the sweep for stable numbers: `taskset -c 0-7 bench_threads`.
 //
@@ -27,7 +21,6 @@
 #include "FigCommon.h"
 
 #include "exo/support/Str.h"
-#include "gemm/PriorDb.h"
 
 #include <cstring>
 #include <thread>
@@ -41,14 +34,11 @@ int main(int Argc, char **Argv) {
     Size = 96;
   std::vector<int64_t> Counts = {1, 2, 4, 8};
   bool AllCounts = false;
-  bool StoreCurve = false;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--size") && I + 1 < Argc)
       Size = std::atoll(Argv[++I]);
     else if (!std::strcmp(Argv[I], "--all-counts"))
       AllCounts = true;
-    else if (!std::strcmp(Argv[I], "--store-curve"))
-      StoreCurve = true;
     else if (!std::strcmp(Argv[I], "--threads") && I + 1 < Argc) {
       Counts.clear();
       for (const std::string &Tok : exo::split(Argv[++I], ','))
@@ -113,7 +103,6 @@ int main(int Argc, char **Argv) {
                      Opt.Csv);
   const double Flops = 2.0 * M * N * K;
   double Base = 0;
-  std::vector<GovernorCurvePoint> Curve;
   for (int64_t Threads : Counts) {
     Engine E(EngineFor(Threads));
     // Plan once outside the timed region; the reps run the cached plan.
@@ -143,16 +132,7 @@ int main(int Argc, char **Argv) {
     Row.Extra["speedup"] = G / Base;
     Row.Extra["efficiency"] = G / Base / static_cast<double>(Threads);
     Ctx.Rep.addRow(std::move(Row));
-    Curve.push_back({Threads, G / Base});
   }
   T.print();
-  if (StoreCurve) {
-    if (exo::Error Err = PriorDb::global().storeCurve(Curve)) {
-      std::fprintf(stderr, "store-curve: %s\n", Err.message().c_str());
-      return 1;
-    }
-    std::printf("store-curve: %zu point(s) published to %s\n", Curve.size(),
-                PriorDb::global().root().c_str());
-  }
   return Ctx.finish();
 }

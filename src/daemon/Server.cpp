@@ -13,6 +13,7 @@
 #include "obs/Obs.h"
 #include "ukr/KernelService.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -77,6 +78,15 @@ struct Work {
   ipc::GemmRequestMsg Req;
 };
 
+/// An accepted connection whose Hello has not arrived yet.
+struct PendingConn {
+  ipc::Socket Conn;
+  uint64_t DeadlineNs = 0;
+};
+
+/// How long an accepted connection may stay silent before its Hello.
+constexpr uint64_t HelloTimeoutNs = 5'000'000'000;
+
 } // namespace
 
 struct Server::Impl {
@@ -97,27 +107,17 @@ struct Server::Impl {
   mutable std::mutex SessMu;
   std::map<int, std::shared_ptr<Session>> Sessions; ///< by fd
   std::vector<ClientStat> Closed; ///< ledgers of departed sessions
+  /// Connections waiting for their Hello, oldest first; at most
+  /// MaxClients. Poller-only, so unlocked.
+  std::deque<PendingConn> Pending;
 
   std::atomic<uint64_t> TotalClients{0}, Reaped{0}, ReqTotal{0}, OkTotal{0},
       ErrTotal{0}, BusyTotal{0};
   std::atomic<uint32_t> NextId{1};
   uint64_t StartNs = 0;
 
-  /// The daemon's Engine defaults governed dispatch ON (Governor.h): its
-  /// executors are exactly the N-concurrent-callers case the governor
-  /// exists for — without it, one large request and a flood of small ones
-  /// each claim a full fixed-width team and oversubscribe the machine. An
-  /// explicit EngineConfig::Governor or any EXO_GEMM_GOVERNOR setting
-  /// (including 0) still wins; library Engines keep the paper's fixed-team
-  /// default. See docs/CONCURRENCY.md.
-  static gemm::EngineConfig daemonEngineConfig(gemm::EngineConfig C) {
-    if (C.Governor < 0 && !std::getenv("EXO_GEMM_GOVERNOR"))
-      C.Governor = 1;
-    return C;
-  }
-
   explicit Impl(const ServerOptions &O)
-      : Opts(O), Eng(daemonEngineConfig(O.Engine)) {
+      : Opts(O), Eng(O.Engine) {
     if (Opts.SocketPath.empty())
       Opts.SocketPath = ipc::defaultSocketPath();
     if (Opts.MaxClients <= 0)
@@ -195,9 +195,12 @@ static void fillReplyError(ipc::GemmReplyMsg &R, ipc::ReqStatus St,
 void Server::Impl::handshake(ipc::Socket Conn) {
   ipc::HelloMsg Hello;
   ipc::Socket RegionFd; // closed on every return; a mapping outlives it
-  // A connected-but-silent peer must not wedge the accept loop.
-  if (Error E = Conn.recvAllTimed(&Hello, sizeof(Hello), 5000, &RegionFd))
-    return; // nothing to answer — the peer is gone or stuck
+  // The poller calls this once the connection turns readable, and the
+  // client sends its Hello in one sendmsg, so the whole Hello is already
+  // here: read it without waiting. Anything less (a short Hello, EOF)
+  // closes the connection; no peer can hold the poller.
+  if (Error E = Conn.recvAllTimed(&Hello, sizeof(Hello), 0, &RegionFd))
+    return; // nothing to answer — the peer is gone or misbehaving
   ipc::HelloAck Ack;
   auto Reject = [&](ipc::HelloStatus St, const char *Why) {
     Ack.Status = static_cast<uint16_t>(St);
@@ -378,10 +381,24 @@ void Server::Impl::pollLoop() {
         reapSession(S, "executor marked dead");
     }
 
+    // Close connections still silent past their Hello deadline.
+    const uint64_t Now = nowNs();
+    while (!Pending.empty() && Pending.front().DeadlineNs <= Now)
+      Pending.pop_front();
+    int PollMs = TimeoutMs;
+    if (!Pending.empty()) {
+      const int Left = static_cast<int>(
+          (Pending.front().DeadlineNs - Now + 999'999) / 1'000'000);
+      PollMs = PollMs < 0 ? Left : std::min(PollMs, Left);
+    }
+
     Pfds.clear();
     Polled.clear();
     Pfds.push_back(pollfd{Listen.fd(), POLLIN, 0});
     Pfds.push_back(pollfd{WakeR, POLLIN, 0});
+    const size_t NPending = Pending.size();
+    for (const PendingConn &P : Pending)
+      Pfds.push_back(pollfd{P.Conn.fd(), POLLIN, 0});
     {
       std::lock_guard<std::mutex> Lock(SessMu);
       for (auto &KV : Sessions) {
@@ -389,7 +406,7 @@ void Server::Impl::pollLoop() {
         Polled.push_back(KV.second);
       }
     }
-    int Rc = ::poll(Pfds.data(), Pfds.size(), TimeoutMs);
+    int Rc = ::poll(Pfds.data(), Pfds.size(), PollMs);
     if (Rc < 0) {
       if (errno == EINTR)
         continue;
@@ -405,12 +422,21 @@ void Server::Impl::pollLoop() {
       while (::read(WakeR, Buf, sizeof(Buf)) > 0) {
       }
     }
+    for (size_t I = 0; I < NPending; ++I)
+      if (Pfds[2 + I].revents)
+        handshake(std::move(Pending[I].Conn));
+    std::erase_if(Pending,
+                  [](const PendingConn &P) { return !P.Conn.valid(); });
     if (Pfds[0].revents & POLLIN) {
-      if (Expected<ipc::Socket> Conn = Listen.accept())
-        handshake(Conn.take());
+      if (Expected<ipc::Socket> Conn = Listen.accept()) {
+        // Past MaxClients waiting connections, the oldest makes room.
+        if (Pending.size() >= static_cast<size_t>(Opts.MaxClients))
+          Pending.pop_front();
+        Pending.push_back({Conn.take(), nowNs() + HelloTimeoutNs});
+      }
     }
-    for (size_t I = 2; I < Pfds.size(); ++I) {
-      const std::shared_ptr<Session> &S = Polled[I - 2];
+    for (size_t I = 2 + NPending; I < Pfds.size(); ++I) {
+      const std::shared_ptr<Session> &S = Polled[I - 2 - NPending];
       if (Pfds[I].revents & (POLLERR | POLLNVAL)) {
         reapSession(S, "socket error");
         continue;
@@ -438,6 +464,7 @@ void Server::Impl::pollLoop() {
     }
     TimeoutMs = dispatchQueued() ? 0 : -1;
   }
+  Pending.clear();
   // Answer everything already admitted before stop() closes the sessions.
   while (dispatchQueued()) {
   }

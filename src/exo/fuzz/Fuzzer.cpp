@@ -65,16 +65,15 @@ struct ScheduleFuzzer::Impl {
     // Weighted dtype draw (§III-D): most recipes stay f32 — the JIT and
     // cross oracles only run there — but every campaign also exercises the
     // typed instruction libraries: the Neon f16/bf16 half schedules and the
-    // K-grouped i8 -> i32 dot paths (Neon sdot-style / AVX-512 VNNI),
-    // gated to libraries that actually carry those spaces so the default
-    // campaign keeps its zero-rejection invariant.
+    // K-grouped i8 -> i32 dot path (Neon sdot-style), gated to libraries
+    // that actually carry those spaces so the default campaign keeps its
+    // zero-rejection invariant.
     const uint64_t TyDraw = Rng() % 8;
     if (TyDraw == 0 && (S.Isa == "neon" || S.Isa == "none"))
       S.Ty = "f16";
     else if (TyDraw == 1 && (S.Isa == "neon" || S.Isa == "none"))
       S.Ty = "bf16";
-    else if (TyDraw == 2 &&
-             (S.Isa == "neon" || S.Isa == "avx512" || S.Isa == "none")) {
+    else if (TyDraw == 2 && (S.Isa == "neon" || S.Isa == "none")) {
       S.Ty = "i8";
       S.WidenAcc = true; // i8 accumulates i32, the dot-unit convention
     } else {

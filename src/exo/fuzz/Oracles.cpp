@@ -200,7 +200,6 @@ Error checkDriver(const FuzzSample &S, std::mt19937_64 &Rng) {
   Cfg.Series = gemm::EngineSeries::Custom;
   Cfg.Provider = P;
   Cfg.PackMode = gemm::EdgePack::ZeroPad;
-  Cfg.Governor = 0; // pin the team sizes under test
 
   std::vector<float> C1;
   for (int64_t T : {int64_t(1), int64_t(3)}) {

@@ -4,9 +4,6 @@
 // libraries use broadcast-style FMA (`_mm256_fmadd_ps` with a broadcast of
 // one B element from memory) — the idiomatic x86 GEMM inner op, and the
 // adaptation the paper describes for ISAs without a lane-indexed FMA.
-// AVX-512 additionally exposes the VNNI-style signed int8 dot product
-// (`_mm512_dpbssd_epi32`, AVX-VNNI-INT8): 64 i8 inputs in quads
-// accumulating into 16 i32 lanes, the same K-grouped shape as Neon's sdot.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,42 +84,10 @@ class Avx512Isa final : public AvxIsaBase {
 public:
   Avx512Isa()
       : AvxIsaBase("avx512", "AVX512", "__m512", 16, "_mm512",
-                   "-mavx512f") {
-    // One zmm holds 64 i8 inputs (16 accumulator lanes x quads) or 16 i32
-    // accumulators; both views share the __m512i register type.
-    I8Space = MemSpace::makeRegisterFile(
-        "AVX512B", {{ScalarKind::I8, {"__m512i", 64}}});
-    I32Space = MemSpace::makeRegisterFile(
-        "AVX512I", {{ScalarKind::I32, {"__m512i", 16}}});
-    // dpbssd is pairwise per lane; the lane-indexed semantics broadcast
-    // rhs quad `l` to every lane first (the standard VNNI GEMM B shape).
-    DotI8 = makeDotInstr(
-        "avx512_dpbssd_16xi32_64xi8", ScalarKind::I8, ScalarKind::I32, 16, 4,
-        I8Space, I32Space,
-        "{dst_data} = _mm512_dpbssd_epi32({dst_data}, {lhs_data}, "
-        "_mm512_set1_epi32(((const int32_t *)&{rhs_data})[{l}]));");
-  }
+                   "-mavx512f") {}
   bool hostExecutable() const override {
     return __builtin_cpu_supports("avx512f");
   }
-  const MemSpace *space(ScalarKind Ty) const override {
-    if (Ty == ScalarKind::I8)
-      return I8Space;
-    if (Ty == ScalarKind::I32)
-      return I32Space;
-    return AvxIsaBase::space(Ty);
-  }
-  InstrPtr dotAccum(ScalarKind InTy) const override {
-    return InTy == ScalarKind::I8 ? DotI8 : nullptr;
-  }
-  const MemSpace *accSpace(ScalarKind InTy) const override {
-    return InTy == ScalarKind::I8 ? I32Space : nullptr;
-  }
-
-private:
-  const MemSpace *I8Space = nullptr;
-  const MemSpace *I32Space = nullptr;
-  InstrPtr DotI8;
 };
 
 } // namespace

@@ -18,8 +18,7 @@
 ///               Not executable on this repo's x86 test hardware; codegen
 ///               output is golden-tested textually instead.
 ///   - avx2:     Intel AVX2+FMA, f32 (8 lanes), broadcast-style FMA.
-///   - avx512:   Intel AVX-512, f32 (16 lanes), broadcast-style FMA, plus a
-///               VNNI-style i8 -> i32 dot-product-accumulate.
+///   - avx512:   Intel AVX-512, f32 (16 lanes), broadcast-style FMA.
 ///   - portable: GCC vector extensions, f32 (4 lanes), lane-style FMA with
 ///               the exact shape of the Neon schedule; executable anywhere.
 ///               No dot instructions — narrow types fall back to scalar
@@ -43,7 +42,7 @@ namespace exo {
 ScalarKind dotAccumKind(ScalarKind InTy);
 
 /// Elements of \p InTy consumed per accumulator lane by one dot step: 4 for
-/// i8 (sdot/vpdpbssd), 2 for f16/bf16 (bfdot pairs), 1 otherwise. This is
+/// i8 (sdot), 2 for f16/bf16 (bfdot pairs), 1 otherwise. This is
 /// also the K-group width of the matching packed-panel layout.
 unsigned dotGroupSize(ScalarKind InTy);
 

@@ -35,9 +35,12 @@ public:
     FmaBcstF32 = makeFmaBroadcastInstr("vec_fmadd_4xf32", ScalarKind::F32, 4,
                                        F32Space,
                                        "{dst_data} += {lhs_data} * {s_data};");
-    BcstF32 = makeBroadcastInstr("vec_dup_4xf32", ScalarKind::F32, 4,
-                                 F32Space,
-                                 "{dst_data} = (exo_v4f){0} + {s_data};");
+    // Broadcasts store lane by lane: exact for -0 and NaN payloads, and
+    // free of the literal braces the codegen would read as placeholders.
+    BcstF32 = makeBroadcastInstr(
+        "vec_dup_4xf32", ScalarKind::F32, 4, F32Space,
+        "{dst_data}[0] = {dst_data}[1] = {dst_data}[2] = {dst_data}[3] = "
+        "{s_data};");
 
     LoadF64 = makeLoadInstr("vec_ld_2xf64", ScalarKind::F64, 2, F64Space,
                             "{dst_data} = *(const exo_v2d *)&{src_data};");
@@ -51,7 +54,7 @@ public:
                                        "{dst_data} += {lhs_data} * {s_data};");
     BcstF64 = makeBroadcastInstr("vec_dup_2xf64", ScalarKind::F64, 2,
                                  F64Space,
-                                 "{dst_data} = (exo_v2d){0} + {s_data};");
+                                 "{dst_data}[0] = {dst_data}[1] = {s_data};");
 
     LoadI32 = makeLoadInstr("vec_ld_4xi32", ScalarKind::I32, 4, I32Space,
                             "{dst_data} = *(const exo_v4i *)&{src_data};");
@@ -63,9 +66,10 @@ public:
     FmaBcstI32 = makeFmaBroadcastInstr("vec_fmadd_4xi32", ScalarKind::I32, 4,
                                        I32Space,
                                        "{dst_data} += {lhs_data} * {s_data};");
-    BcstI32 = makeBroadcastInstr("vec_dup_4xi32", ScalarKind::I32, 4,
-                                 I32Space,
-                                 "{dst_data} = (exo_v4i){0} + {s_data};");
+    BcstI32 = makeBroadcastInstr(
+        "vec_dup_4xi32", ScalarKind::I32, 4, I32Space,
+        "{dst_data}[0] = {dst_data}[1] = {dst_data}[2] = {dst_data}[3] = "
+        "{s_data};");
   }
 
   std::string name() const override { return "portable"; }

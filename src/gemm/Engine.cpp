@@ -4,7 +4,6 @@
 
 #include "exo/support/Env.h"
 #include "gemm/ExoProvider.h"
-#include "gemm/Governor.h"
 #include "gemm/PriorDb.h"
 #include "gemm/Kernels.h"
 #include "gemm/ThreadPool.h"
@@ -134,40 +133,6 @@ struct Engine::Impl {
       BatchedCrossItem{0}, BatchedBShared{0};
   std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
       PriorRejected{0};
-  std::atomic<uint64_t> GovGrants{0}, GovShapeClamped{0}, GovOccClamped{0},
-      GovWidthSum{0};
-
-  /// Governed dispatch for this Engine: explicit config, else the
-  /// EXO_GEMM_GOVERNOR env default (read per call so tests can flip it).
-  bool governorOn() const {
-    return Cfg.Governor > 0 ||
-           (Cfg.Governor < 0 && Governor::enabledByEnv());
-  }
-
-  /// The canonical per-shape plan width — the team-size component of every
-  /// plan key. Fixed dispatch: the resolved thread count, as always. With
-  /// the governor on and no fixed width requested (resolves to 1), plans
-  /// are keyed and sized at the governor ceiling so grants can widen up to
-  /// it; an explicit width (EngineConfig::Threads or EXO_GEMM_THREADS)
-  /// stays the cap and the governor only ever narrows below it. Either
-  /// way the key is invariant across calls — grants never re-key.
-  int64_t plannedThreads() const {
-    const int64_t T = resolveGemmThreads(Cfg.Threads);
-    if (T > 1 || !governorOn())
-      return T;
-    return Governor::global().ceiling();
-  }
-
-  /// Folds one grant into the per-Engine counters.
-  void countGrant(const Governor::Grant &G) {
-    GovGrants.fetch_add(1, std::memory_order_relaxed);
-    GovWidthSum.fetch_add(static_cast<uint64_t>(G.width()),
-                          std::memory_order_relaxed);
-    if (G.shapeClamped())
-      GovShapeClamped.fetch_add(1, std::memory_order_relaxed);
-    if (G.occupancyClamped())
-      GovOccClamped.fetch_add(1, std::memory_order_relaxed);
-  }
 
   std::shared_ptr<ExoProvider> exoProviderFor(int64_t MR, int64_t NR,
                                               bool UnrollCompute) {
@@ -193,8 +158,6 @@ struct Engine::Impl {
   Expected<std::shared_ptr<ExecPlan>> build(const PlanKey &Key);
   std::shared_ptr<ExecPlan> lookupOrBuild(const PlanKey &Key, Error &Err);
   void evictLocked(const PlanKey *Keep = nullptr);
-  void execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
-               int64_t NCalls, detail::GemmWorkspace &WS);
   void quickReturn(DType Ty, const detail::GemmCall &Cl);
   Error run(DType Ty, const detail::GemmCall &Cl);
   Error runBatch(DType Ty, std::vector<detail::GemmCall> &Calls);
@@ -438,28 +401,6 @@ Engine &Engine::global() {
   return E;
 }
 
-void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall *Calls,
-                           int64_t NCalls, detail::GemmWorkspace &WS) {
-  // Governed dispatch: the process-wide governor grants this run of calls
-  // (one call, or a shared-B run of batch items) a team width in [1, plan
-  // width] from the run's total flops and live occupancy; results are
-  // bitwise identical at every width (Gemm.h), so this only changes
-  // scheduling. Nested calls skip the governor and take executeGemm's
-  // collapse path — a reservation cannot form from inside a pool job.
-  if (Plan.G.T > 1 && governorOn() && !ThreadPool::global().inParallel()) {
-    const detail::GemmCall &Cl = Calls[0];
-    Governor::Grant Grant;
-    Governor::global().acquireFlops(
-        2.0 * static_cast<double>(Cl.M) * static_cast<double>(Cl.N) *
-            static_cast<double>(Cl.K) * static_cast<double>(NCalls),
-        Plan.G.T, Grant);
-    countGrant(Grant);
-    detail::executeGemm(Plan.G, Calls, NCalls, WS, &Grant.reservation());
-  } else {
-    detail::executeGemm(Plan.G, Calls, NCalls, WS);
-  }
-}
-
 /// Degenerate calls skip the plan cache (beta == 0 overwrites in storage
 /// type; m == 0 or n == 0 touches nothing).
 void Engine::Impl::quickReturn(DType Ty, const detail::GemmCall &Cl) {
@@ -477,12 +418,13 @@ Error Engine::Impl::run(DType Ty, const detail::GemmCall &Cl) {
     return Error::success();
   }
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan = lookupOrBuild(
-      key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, plannedThreads()), Err);
+  const int64_t T = resolveGemmThreads(Cfg.Threads);
+  std::shared_ptr<ExecPlan> Plan =
+      lookupOrBuild(key(Ty, Cl.TA, Cl.TB, Cl.M, Cl.N, Cl.K, T), Err);
   if (!Plan)
     return Err;
   std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  execute(*Plan, &Cl, 1, *WS);
+  detail::executeGemm(Plan->G, &Cl, 1, *WS);
   Plan->release(std::move(WS));
   return Error::success();
 }
@@ -557,7 +499,7 @@ Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
                      return Shape(X) < Shape(Y);
                    });
 
-  const int64_t T = plannedThreads();
+  const int64_t T = resolveGemmThreads(Cfg.Threads);
   const bool InPool = ThreadPool::global().inParallel();
   struct Group {
     int64_t Begin, Len;
@@ -587,20 +529,17 @@ Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
   for (auto It = Live; It != Calls.end(); ++It)
     quickReturn(Ty, *It);
 
-  const bool Governed = governorOn() && !InPool;
   for (const auto &[Begin, GroupItems, Cross, Plan] : Groups) {
     const detail::GemmCall *GroupCalls = Calls.data() + Begin;
     BatchedGroups.fetch_add(1, std::memory_order_relaxed);
     if (!Cross) {
       // Intra-item slab parallelism: the lone-call execution body, one
-      // shared-B run at a time (governed per run, so each grant tracks
-      // occupancy as sibling callers come and go over a long batch),
-      // amortizing one workspace over the group.
+      // shared-B run at a time, amortizing one workspace over the group.
       std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
       const uint64_t Shared = forEachSharedBRun(
           GroupCalls, 0, GroupItems,
           [&](const detail::GemmCall *Run, int64_t Len) {
-            execute(*Plan, Run, Len, *WS);
+            detail::executeGemm(Plan->G, Run, Len, *WS);
           });
       BatchedBShared.fetch_add(Shared, std::memory_order_relaxed);
       Plan->release(std::move(WS));
@@ -612,23 +551,9 @@ Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
     // most BatchChunkMax items.
     BatchedCrossItem.fetch_add(static_cast<uint64_t>(GroupItems),
                                std::memory_order_relaxed);
-    const detail::GemmCall &Cl = GroupCalls[0];
     for (int64_t At = 0; At < GroupItems; At += BatchChunkMax) {
       const int64_t NItems = std::min(BatchChunkMax, GroupItems - At);
-      int64_t W = std::min<int64_t>(T, NItems);
-      // Governed: the chunk's aggregate flops (not one small item's) drive
-      // the width model — cross-item chunks are many small items, and it
-      // is their sum that justifies workers.
-      Governor::Grant Grant;
-      if (Governed && W > 1) {
-        Governor::global().acquireFlops(2.0 * static_cast<double>(Cl.M) *
-                                            static_cast<double>(Cl.N) *
-                                            static_cast<double>(Cl.K) *
-                                            static_cast<double>(NItems),
-                                        W, Grant);
-        countGrant(Grant);
-        W = Grant.width();
-      }
+      const int64_t W = std::min<int64_t>(T, NItems);
       std::vector<std::unique_ptr<detail::GemmWorkspace>> Owned(
           static_cast<size_t>(W));
       std::vector<detail::GemmWorkspace *> WSs(static_cast<size_t>(W));
@@ -638,11 +563,7 @@ Error Engine::Impl::runBatch(DType Ty, std::vector<detail::GemmCall> &Calls) {
       }
       BatchJob Job{&Plan->G, GroupCalls + At, NItems, W, WSs.data(),
                    &BatchedBShared};
-      if (Grant.reservation().Count > 0)
-        ThreadPool::global().runTeam(Grant.reservation(), &runBatchItems,
-                                     &Job);
-      else
-        ThreadPool::global().parallel(W, &runBatchItems, &Job);
+      ThreadPool::global().parallel(W, &runBatchItems, &Job);
       for (int64_t WI = 0; WI < W; ++WI)
         Plan->release(std::move(Owned[WI]));
     }
@@ -709,8 +630,9 @@ Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,
   if (M <= 0 || N <= 0 || K <= 0)
     return errorf("gemm engine: planFor needs positive dimensions");
   Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan = I->lookupOrBuild(
-      I->key(DType::F32, TA, TB, M, N, K, I->plannedThreads()), Err);
+  const int64_t T = resolveGemmThreads(I->Cfg.Threads);
+  std::shared_ptr<ExecPlan> Plan =
+      I->lookupOrBuild(I->key(DType::F32, TA, TB, M, N, K, T), Err);
   if (!Plan)
     return Err;
   return Plan->Choice;
@@ -724,8 +646,8 @@ Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
   // edge widths it dispatches) through KernelService::global(), the one
   // kernel cache, so it returns with every kernel built.
   Error Err = Error::success();
-  if (!I->lookupOrBuild(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()),
-                        Err))
+  const int64_t T = resolveGemmThreads(I->Cfg.Threads);
+  if (!I->lookupOrBuild(I->key(Ty, TA, TB, M, N, K, T), Err))
     return Err;
   return Error::success();
 }
@@ -764,10 +686,6 @@ EngineStats Engine::stats() const {
   S.PlansFromModel = I->PlansFromModel.load(std::memory_order_relaxed);
   S.PlansFromTuned = I->PlansFromTuned.load(std::memory_order_relaxed);
   S.PriorRejected = I->PriorRejected.load(std::memory_order_relaxed);
-  S.GovGrants = I->GovGrants.load(std::memory_order_relaxed);
-  S.GovShapeClamped = I->GovShapeClamped.load(std::memory_order_relaxed);
-  S.GovOccClamped = I->GovOccClamped.load(std::memory_order_relaxed);
-  S.GovWidthSum = I->GovWidthSum.load(std::memory_order_relaxed);
   {
     // A gauge, not a counter: the cache's live per-dtype contents, read
     // under the shared lock like planCount().
@@ -793,10 +711,6 @@ void Engine::resetStats() {
   I->PlansFromModel.store(0);
   I->PlansFromTuned.store(0);
   I->PriorRejected.store(0);
-  I->GovGrants.store(0);
-  I->GovShapeClamped.store(0);
-  I->GovOccClamped.store(0);
-  I->GovWidthSum.store(0);
 }
 
 const char *Engine::seriesName() const { return I->Name; }

@@ -21,7 +21,7 @@
 ///     batch core behind sgemmBatched, and ends in the one five-loop
 ///     detail::executeGemm. So sgemm and gemm(F32) agree bitwise, batch
 ///     items of every dtype equal lone calls bitwise, and every dtype is
-///     governed, pooled and thread-count invariant alike (EngineTest,
+///     pooled and thread-count invariant alike (EngineTest,
 ///     PrecisionTest, BatchedTest, GemmDriverTest).
 ///   - Degenerate calls (m/n/k == 0, alpha == 0) return before touching
 ///     the plan cache and never allocate or plan.
@@ -32,6 +32,9 @@
 /// Concurrency: one Engine may serve concurrent callers. Plan lookup takes
 /// a shared lock; a miss builds the plan exactly once per key (concurrent
 /// requesters for the same shape wait rather than duplicate the JIT work).
+/// Every call runs its plan's fixed team (resolveGemmThreads) through
+/// ThreadPool::parallel, so concurrent callers queue FIFO for workers
+/// instead of oversubscribing them.
 ///
 /// Planning: the planner picks the tile in two stages — the tuned prior
 /// database (PriorDb.h, behind the never-lose gate), then the analytical
@@ -91,14 +94,6 @@ struct EngineConfig {
   /// rooted at EXO_GEMM_PRIOR_DB) before the model.
   /// false is the ablation arm benches use to measure the model alone.
   bool TunedPriors = true;
-  /// Governed dispatch (Governor.h, docs/CONCURRENCY.md): the per-call
-  /// team width is granted by the process-wide governor — shape model plus
-  /// live pool occupancy — instead of being fixed at the resolved thread
-  /// count. Plans are keyed and sized at the fixed width; grants only
-  /// narrow the executing team, so results stay bitwise identical.
-  /// -1 defers to EXO_GEMM_GOVERNOR (default off — the paper's fixed-team
-  /// methodology; gemmd enables it for its shared Engine), 0 off, 1 on.
-  int Governor = -1;
 };
 
 /// Plan-cache counters (relaxed; exact under external synchronization).
@@ -122,11 +117,6 @@ struct EngineStats {
   /// Tuned records rejected during selection: inadmissible tile or a
   /// non-positive margin (the never-lose gate).
   uint64_t PriorRejected = 0;
-  // Governed dispatch (EngineConfig::Governor; zeros when off).
-  uint64_t GovGrants = 0;       ///< calls that went through the governor
-  uint64_t GovShapeClamped = 0; ///< grants narrowed by the shape model
-  uint64_t GovOccClamped = 0;   ///< grants narrowed by occupancy/budget
-  uint64_t GovWidthSum = 0;     ///< sum of granted widths (avg = /GovGrants)
   /// Live plan-cache entries per dtype, indexed by DType (the
   /// `ukr_cachectl stats --json` per-dtype breakdown). A gauge, not a
   /// counter: stats() counts the cache's current contents, so unlike the
@@ -195,8 +185,8 @@ public:
   /// overwrites in storage type, A/B are unread. A count of 1 is a lone
   /// call (allocation-free once warm); larger counts run the batch core
   /// behind sgemmBatched, so each item is bitwise equal to a lone call.
-  /// Every dtype flows through the same plan cache, pooled workspaces,
-  /// governor and five-loop executor; plans are keyed by dtype.
+  /// Every dtype flows through the same plan cache, pooled workspaces and
+  /// five-loop executor; plans are keyed by dtype.
   exo::Error gemmStridedBatched(DType Ty, Trans TA, Trans TB, int64_t M,
                                 int64_t N, int64_t K, double Alpha,
                                 const void *A, int64_t Lda, int64_t StrideA,

@@ -437,37 +437,23 @@ template <class Policy> void runTeamMember(void *Ctx, int64_t Tid) {
 
 template <class Policy>
 void runTeam(const detail::GemmGeometry &G, const detail::GemmCall *Calls,
-             int64_t NCalls, detail::GemmWorkspace &WS,
-             ThreadPool::Reservation *Res) {
+             int64_t NCalls, detail::GemmWorkspace &WS) {
   ThreadPool &Pool = ThreadPool::global();
-  if (!Res) {
-    // Nested call (this thread is already inside a pool job): a T-member
-    // team cannot form, and letting the pool degrade a T > 1 job inline
-    // would deadlock on the TeamBarrier (each Tid would wait for teammates
-    // that never run concurrently). Collapse to the single-member geometry
-    // instead — results are bitwise identical for every team size, so this
-    // only changes scheduling, never output.
-    if (G.T > 1 && Pool.inParallel()) {
-      const detail::GemmGeometry G1 = detail::reteamGeometry(G, 1);
-      TeamJob Job{&G1, Calls, NCalls, &WS, nullptr}; // T == 1: no Bar
-      runTeamMember<Policy>(&Job, 0);
-      return;
-    }
-    TeamBarrier Bar(G.T);
-    TeamJob Job{&G, Calls, NCalls, &WS, &Bar};
-    Pool.parallel(G.T, &runTeamMember<Policy>, &Job);
+  // Nested call (this thread is already inside a pool job): a T-member
+  // team cannot form, and letting the pool degrade a T > 1 job inline
+  // would deadlock on the TeamBarrier (each Tid would wait for teammates
+  // that never run concurrently). Collapse to the single-member geometry
+  // instead — results are bitwise identical for every team size, so this
+  // only changes scheduling, never output.
+  if (G.T > 1 && Pool.inParallel()) {
+    const detail::GemmGeometry G1 = detail::reteamGeometry(G, 1);
+    TeamJob Job{&G1, Calls, NCalls, &WS, nullptr}; // T == 1: no Bar
+    runTeamMember<Policy>(&Job, 0);
     return;
   }
-  // The granted team: the caller plus every reserved worker, re-teamed to
-  // that width. The governor caps its ask at the plan width, so the copy
-  // fits the workspace ensured for G (which holds G.T members); a wider
-  // reservation is handed back and the call runs on the caller alone.
-  if (1 + Res->Count > G.T)
-    Pool.release(*Res);
-  const detail::GemmGeometry G2 = detail::reteamGeometry(G, 1 + Res->Count);
-  TeamBarrier Bar(G2.T);
-  TeamJob Job{&G2, Calls, NCalls, &WS, &Bar};
-  Pool.runTeam(*Res, &runTeamMember<Policy>, &Job);
+  TeamBarrier Bar(G.T);
+  TeamJob Job{&G, Calls, NCalls, &WS, &Bar};
+  Pool.parallel(G.T, &runTeamMember<Policy>, &Job);
 }
 
 } // namespace
@@ -493,8 +479,7 @@ void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
 }
 
 void detail::executeGemm(const GemmGeometry &G, const GemmCall *Calls,
-                         int64_t NCalls, GemmWorkspace &WS,
-                         ThreadPool::Reservation *Res) {
+                         int64_t NCalls, GemmWorkspace &WS) {
   // Tracing (see docs/OBSERVABILITY.md): spans attribute time to the
   // packA / packB / micro-kernel / beta / barrier phases at block
   // granularity — coarse enough that an *enabled* trace stays cheap, and
@@ -502,7 +487,7 @@ void detail::executeGemm(const GemmGeometry &G, const GemmCall *Calls,
   // The spans only observe; results are bitwise identical either way.
   EXO_OBS_SPAN("gemm.call");
   withPanels(G.Ty, [&](auto Pol) {
-    runTeam<decltype(Pol)>(G, Calls, NCalls, WS, Res);
+    runTeam<decltype(Pol)>(G, Calls, NCalls, WS);
   });
 }
 

@@ -129,10 +129,10 @@ void resolveEdgeKernels(KernelProvider &Provider, GemmGeometry &G, int64_t N,
 /// Returns \p G re-factorized for a team of \p Width (1 <= Width <= G.T):
 /// same blocking, same kernels, recomputed T / Tic / Tjr via the divisor
 /// rule of deriveGeometry. Because results are bitwise invariant under the
-/// team size (Gemm.h file comment), executing a plan's geometry at any
-/// smaller width — which is what the governor does under contention —
-/// changes scheduling only, never output; and since Width <= G.T, a
-/// workspace ensured for G already fits the re-teamed copy.
+/// team size (Gemm.h file comment), executing a plan's geometry at a
+/// smaller width — which is what a nested call does when it collapses to
+/// one member — changes scheduling only, never output; and since
+/// Width <= G.T, a workspace ensured for G already fits the re-teamed copy.
 GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 
 /// The five-loop macro-kernel over a fully resolved geometry, for every
@@ -145,19 +145,13 @@ GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 /// equal to its calls issued one by one — provided no call's C overlaps
 /// any call's A or B (the batched aliasing rule, Engine.h). Performs no
 /// validation, no heap allocation, and never calls into the provider; the
-/// workspace must already satisfy WS.ensure(G). The team is:
-///   - Res == nullptr: G.T members from the global pool — or, when this
-///     thread is already inside a pool job (a batched cross-item worker, a
-///     user callback issuing a GEMM), a single member, since a nested team
-///     cannot form without deadlocking on its barrier;
-///   - Res != nullptr: a team granted by the governor — Tid 0 on the caller
-///     and one Tid per worker of *Res (consumed; see ThreadPool::runTeam),
-///     the geometry re-teamed to the granted width 1 + Res->Count. Must not
-///     be called from inside a pool job.
-/// Results are bitwise identical for every team size.
+/// workspace must already satisfy WS.ensure(G). The team is G.T members
+/// from the global pool — or, when this thread is already inside a pool
+/// job (a batched cross-item worker, a user callback issuing a GEMM), a
+/// single member, since a nested team cannot form without deadlocking on
+/// its barrier. Results are bitwise identical for every team size.
 void executeGemm(const GemmGeometry &G, const GemmCall *Calls,
-                 int64_t NCalls, GemmWorkspace &WS,
-                 ThreadPool::Reservation *Res = nullptr);
+                 int64_t NCalls, GemmWorkspace &WS);
 
 /// True when a call is answered by the quick return: nothing to multiply,
 /// so it never plans, allocates or reads A/B (BLAS semantics). Alpha counts

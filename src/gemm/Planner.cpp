@@ -204,51 +204,3 @@ std::vector<ukr::UkrConfig> gemm::planKernelFamily(int64_t M, int64_t N,
   }
   return Out;
 }
-
-int64_t gemm::governorWidthForShape(
-    int64_t M, int64_t N, int64_t K, int64_t MinWorkFlops, int64_t MaxWidth,
-    const std::vector<GovernorCurvePoint> *Curve) {
-  if (M <= 0 || N <= 0 || K <= 0)
-    return 1;
-  // Double arithmetic: 2mnk for large shapes would overflow int64.
-  const double Flops = 2.0 * static_cast<double>(M) *
-                       static_cast<double>(N) * static_cast<double>(K);
-  return governorWidthForWork(Flops, MinWorkFlops, MaxWidth, Curve);
-}
-
-int64_t gemm::governorWidthForWork(
-    double Flops, int64_t MinWorkFlops, int64_t MaxWidth,
-    const std::vector<GovernorCurvePoint> *Curve) {
-  if (MaxWidth <= 1 || !(Flops > 0))
-    return 1;
-  int64_t W = MaxWidth;
-  if (MinWorkFlops > 0) {
-    // Work floor: MinWorkFlops flops buy one team member each, so a
-    // problem at or below the floor stays sequential and the ramp to full
-    // width is linear in problem volume.
-    const double Ramp = Flops / static_cast<double>(MinWorkFlops);
-    if (Ramp < 1.0)
-      return 1;
-    W = std::min<int64_t>(W, static_cast<int64_t>(Ramp));
-    if (W <= 1)
-      return 1;
-  }
-  if (Curve && !Curve->empty()) {
-    // Measured scaling: walk the curve (sorted by width) and keep the
-    // widest measured point <= W that still parallelizes well — speedup
-    // at >= 50% efficiency AND strictly above the previous point (a flat
-    // or falling curve means the extra threads only add barrier time).
-    int64_t Best = 1;
-    double PrevSpeedup = 0;
-    for (const GovernorCurvePoint &P : *Curve) {
-      if (P.Width > W)
-        break;
-      if (P.Speedup >= 0.5 * static_cast<double>(P.Width) &&
-          P.Speedup > PrevSpeedup)
-        Best = std::max(Best, P.Width);
-      PrevSpeedup = std::max(PrevSpeedup, P.Speedup);
-    }
-    W = std::min(W, Best);
-  }
-  return std::max<int64_t>(1, W);
-}

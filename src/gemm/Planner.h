@@ -155,35 +155,6 @@ int64_t batchCrossoverBytes();
 bool batchPrefersCrossItem(int64_t M, int64_t N, int64_t K, int64_t Threads,
                            int64_t Items);
 
-/// The governor's per-shape width model (docs/CONCURRENCY.md): how many
-/// team members an (m, n, k) problem can productively use, before the
-/// live-occupancy clamp. Two inputs compose:
-///
-///   1. Work floor: a problem below \p MinWorkFlops total flops (2mnk)
-///      runs sequentially — its runtime is barrier/pack overhead, not
-///      FMAs — and wider problems get at most one extra thread per
-///      MinWorkFlops of work, so mid-sized shapes ramp up gradually.
-///   2. Measured scaling curve (optional): when \p Curve is non-null,
-///      widths whose measured marginal efficiency is poor are cut — the
-///      result is the largest admissible width whose curve speedup is
-///      within reach of linear (>= 50% parallel efficiency) and still
-///      improving over the next narrower measured point.
-///
-/// The result is clamped to [1, MaxWidth]. MinWorkFlops <= 0 disables the
-/// work floor (every shape may use MaxWidth; tests use this). Pure
-/// function of its arguments — the env knobs are resolved by the Governor,
-/// not here.
-int64_t governorWidthForShape(int64_t M, int64_t N, int64_t K,
-                              int64_t MinWorkFlops, int64_t MaxWidth,
-                              const std::vector<GovernorCurvePoint> *Curve);
-
-/// The same model for work already expressed as total flops — the batched
-/// cross-item path, where a chunk of small items shares one team and it
-/// is the chunk's aggregate work that justifies workers.
-int64_t governorWidthForWork(double Flops, int64_t MinWorkFlops,
-                             int64_t MaxWidth,
-                             const std::vector<GovernorCurvePoint> *Curve);
-
 } // namespace gemm
 
 #endif // GEMM_PLANNER_H

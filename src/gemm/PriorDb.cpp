@@ -546,119 +546,6 @@ size_t PriorDb::prune(bool DropForeign, int64_t MaxRecords) {
   return Removed;
 }
 
-namespace {
-uint64_t curveKey(uint64_t Machine) {
-  std::string S = strf("governor-curve\x1f%016llx",
-                       static_cast<unsigned long long>(Machine));
-  return fnv1a64(S);
-}
-} // namespace
-
-Error PriorDb::storeCurve(const std::vector<GovernorCurvePoint> &Points) {
-  if (!enabled())
-    return errorf("prior db disabled (root: %s)", Root.c_str());
-  if (Points.empty())
-    return errorf("prior db: empty governor curve");
-  bool HasWidthOne = false;
-  for (const GovernorCurvePoint &P : Points) {
-    if (P.Width <= 0 || !(P.Speedup > 0))
-      return errorf("prior db: curve point needs positive width and speedup");
-    HasWidthOne |= P.Width == 1;
-  }
-  if (!HasWidthOne)
-    return errorf("prior db: curve needs its width-1 anchor point");
-  const uint64_t Machine = priorMachineKey();
-  std::vector<GovernorCurvePoint> Sorted = Points;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const GovernorCurvePoint &A, const GovernorCurvePoint &B) {
-              return A.Width < B.Width;
-            });
-  std::string Text =
-      strf("version=%u\nkind=governor-curve\nmachine=%016llx\n",
-           PriorDbVersion, static_cast<unsigned long long>(Machine));
-  for (const GovernorCurvePoint &P : Sorted)
-    Text += strf("point=%lld:%.17g\n", static_cast<long long>(P.Width),
-                 P.Speedup);
-  ScopedLock Lock(Root);
-  std::string Path = strf("%s/g%016llx.prior", Root.c_str(),
-                          static_cast<unsigned long long>(curveKey(Machine)));
-  if (!writeAtomically(Path, Text))
-    return errorf("prior db: cannot publish %s", Path.c_str());
-  return Error::success();
-}
-
-std::optional<std::vector<GovernorCurvePoint>> PriorDb::lookupCurve() {
-  if (!enabled())
-    return std::nullopt;
-  const uint64_t Machine = priorMachineKey();
-  std::string Path = strf("%s/g%016llx.prior", Root.c_str(),
-                          static_cast<unsigned long long>(curveKey(Machine)));
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  // Checked parse, quarantine-on-corrupt, exactly like tuned records: a
-  // half-written or tampered curve must never steer the governor.
-  auto Corrupt = [&]() -> std::optional<std::vector<GovernorCurvePoint>> {
-    GCorruptSeen.fetch_add(1, std::memory_order_relaxed);
-    ScopedLock Lock(Root);
-    if (rename(Path.c_str(), (Path + ".bad").c_str()) == 0)
-      GQuarantined.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  };
-  std::vector<GovernorCurvePoint> Out;
-  bool SawVersion = false, SawKind = false, SawMachine = false;
-  std::istringstream Lines(Buf.str());
-  std::string Line;
-  while (std::getline(Lines, Line)) {
-    if (Line.empty())
-      continue;
-    size_t Eq = Line.find('=');
-    if (Eq == std::string::npos)
-      return Corrupt();
-    std::string Key = Line.substr(0, Eq), Val = Line.substr(Eq + 1);
-    if (Key == "version") {
-      int64_t V = 0;
-      if (!parseI64(Val, V) || V != PriorDbVersion)
-        return Corrupt();
-      SawVersion = true;
-    } else if (Key == "kind") {
-      if (Val != "governor-curve")
-        return Corrupt();
-      SawKind = true;
-    } else if (Key == "machine") {
-      uint64_t M = 0;
-      if (!parseU64Hex(Val, M))
-        return Corrupt();
-      if (M != Machine) {
-        // Foreign curve (copied database): ignore, don't quarantine.
-        GMachineMismatch.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-      SawMachine = true;
-    } else if (Key == "point") {
-      size_t Colon = Val.find(':');
-      if (Colon == std::string::npos)
-        return Corrupt();
-      GovernorCurvePoint P;
-      if (!parseI64(Val.substr(0, Colon), P.Width) ||
-          !parseF64(Val.substr(Colon + 1), P.Speedup) || P.Width <= 0 ||
-          !(P.Speedup > 0))
-        return Corrupt();
-      Out.push_back(P);
-    }
-    // Unknown keys are tolerated (forward compatibility), same as records.
-  }
-  if (!SawVersion || !SawKind || !SawMachine || Out.empty())
-    return Corrupt();
-  std::sort(Out.begin(), Out.end(),
-            [](const GovernorCurvePoint &A, const GovernorCurvePoint &B) {
-              return A.Width < B.Width;
-            });
-  return Out;
-}
-
 PriorDb::Stats PriorDb::stats() {
   Stats S;
   S.Lookups = GLookups.load(std::memory_order_relaxed);

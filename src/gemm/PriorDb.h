@@ -101,16 +101,6 @@ struct PriorRecord {
   double margin() const { return TunedGflops - ModelGflops; }
 };
 
-/// One point of the measured strong-scaling curve (bench_threads
-/// --store-curve): macro-kernel speedup at team size Width over team size
-/// 1 on this machine. The governor's width model interpolates these to
-/// decide how many threads a shape can productively use; see
-/// governorWidthForShape (Planner.h) and docs/CONCURRENCY.md.
-struct GovernorCurvePoint {
-  int64_t Width = 1;
-  double Speedup = 1.0;
-};
-
 /// Record (de)serialization: versioned key=value text. parsePriorRecord
 /// fails (rather than defaulting) on a missing mandatory field, a value
 /// that does not fully parse, or a version other than PriorDbVersion —
@@ -175,16 +165,6 @@ public:
 
   /// All live (non-quarantined) entries, oldest first.
   std::vector<Entry> list();
-
-  /// Atomically publishes the machine-keyed strong-scaling curve under
-  /// `g<16-hex>.prior` (key FNV-1a(machine)); replaces any previous curve.
-  /// Points must be positive-width, positive-speedup, and include width 1.
-  exo::Error storeCurve(const std::vector<GovernorCurvePoint> &Points);
-
-  /// The stored curve for this machine, sorted by width; nullopt when
-  /// absent, unparsable, version-mismatched, or measured elsewhere
-  /// (curve files are machine-pinned exactly like tuned records).
-  std::optional<std::vector<GovernorCurvePoint>> lookupCurve();
 
   /// Renames every corrupt entry to `<name>.bad` so it is never reparsed;
   /// returns how many were quarantined.

@@ -4,7 +4,6 @@
 
 #include "exo/support/Env.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -51,11 +50,6 @@ int64_t ThreadPool::workerCount() const {
   return static_cast<int64_t>(Workers.size());
 }
 
-int64_t ThreadPool::busyWorkers() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return ClaimedCount;
-}
-
 void ThreadPool::ensureWorkersLocked(int64_t Target) {
   while (static_cast<int64_t>(Workers.size()) < Target) {
     int64_t Idx = static_cast<int64_t>(Workers.size());
@@ -68,9 +62,8 @@ void ThreadPool::claimAndAssignLocked(int64_t Count, TeamCtl *Team,
                                       int64_t TidBase) {
   int64_t Assigned = 0;
   for (size_t I = 0; I < Slots.size() && Assigned < Count; ++I) {
-    if (Slots[I].Claimed)
+    if (Slots[I].Team)
       continue;
-    Slots[I].Claimed = true;
     Slots[I].Team = Team;
     Slots[I].Tid = TidBase + Assigned;
     ++ClaimedCount;
@@ -94,12 +87,10 @@ void ThreadPool::workerLoop(int64_t WorkerIdx) {
     }
     Lock.lock();
     Slots[WorkerIdx].Team = nullptr;
-    Slots[WorkerIdx].Claimed = false;
     --ClaimedCount;
     if (--T->Remaining == 0)
       CvDone.notify_all();
-    // A freed worker may complete the head FIFO waiter's quota, or open a
-    // window for tryReserve (which polls, so only waiters need waking).
+    // A freed worker may complete the head FIFO waiter's quota.
     if (WaitHead)
       CvTicket.notify_all();
   }
@@ -129,9 +120,8 @@ void ThreadPool::parallel(int64_t NThreads, ParallelFn Fn, void *Ctx) {
     ensureWorkersLocked(Need); // pool grows to the high-water mark
     if (WaitHead != nullptr || idleLocked() < Need) {
       // Not enough idle workers (or others arrived first): wait FIFO.
-      // Strict arrival order plus tryReserve staying off the head waiter's
-      // quota means a large team is never starved by a stream of small
-      // ones. The node lives on this stack frame.
+      // Strict arrival order means a large team is never starved by a
+      // stream of small ones. The node lives on this stack frame.
       Waiter Me;
       Me.Need = Need;
       if (WaitTail)
@@ -166,76 +156,6 @@ void ThreadPool::parallel(int64_t NThreads, ParallelFn Fn, void *Ctx) {
   }
   std::unique_lock<std::mutex> Lock(Mu);
   CvDone.wait(Lock, [&] { return Ctl.Remaining == 0; });
-}
-
-int64_t ThreadPool::tryReserve(int64_t Want, int64_t SpawnCap,
-                               Reservation &R) {
-  assert(R.Count == 0 && "tryReserve: reservation already holds workers");
-  if (Want <= 0)
-    return 0;
-  Want = std::min(Want, Reservation::CapSlots);
-  std::lock_guard<std::mutex> Lock(Mu);
-  // Spawn only within the cap; idle workers from past growth beyond it are
-  // still usable (they exist either way).
-  if (idleLocked() < Want && SpawnCap > 0)
-    ensureWorkersLocked(
-        std::min<int64_t>(SpawnCap, ClaimedCount + Want));
-  // Leave the head FIFO waiter whole: never claim into its quota.
-  int64_t Avail = idleLocked() - (WaitHead ? WaitHead->Need : 0);
-  int64_t Take = std::max<int64_t>(0, std::min(Want, Avail));
-  for (size_t I = 0; I < Slots.size() && R.Count < Take; ++I) {
-    if (Slots[I].Claimed)
-      continue;
-    Slots[I].Claimed = true;
-    Slots[I].Team = nullptr; // reserved, not yet dispatched
-    ++ClaimedCount;
-    R.Slots[R.Count++] = static_cast<int32_t>(I);
-  }
-  return R.Count;
-}
-
-void ThreadPool::release(Reservation &R) {
-  if (R.Count == 0)
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (int64_t I = 0; I < R.Count; ++I) {
-      Slot &S = Slots[static_cast<size_t>(R.Slots[I])];
-      assert(S.Claimed && S.Team == nullptr && "release: worker not reserved");
-      S.Claimed = false;
-      --ClaimedCount;
-    }
-  }
-  R.Count = 0;
-  CvTicket.notify_all();
-}
-
-void ThreadPool::runTeam(Reservation &R, ParallelFn Fn, void *Ctx) {
-  if (R.Count == 0) {
-    Fn(Ctx, 0);
-    return;
-  }
-  TeamCtl Ctl;
-  Ctl.Fn = Fn;
-  Ctl.Ctx = Ctx;
-  Ctl.Remaining = R.Count;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (int64_t I = 0; I < R.Count; ++I) {
-      Slot &S = Slots[static_cast<size_t>(R.Slots[I])];
-      assert(S.Claimed && S.Team == nullptr && "runTeam: worker not reserved");
-      S.Team = &Ctl;
-      S.Tid = I + 1;
-    }
-  }
-  CvWork.notify_all();
-  {
-    JobPoolScope Scope(this);
-    Fn(Ctx, 0);
-  }
-  std::unique_lock<std::mutex> Lock(Mu);
-  CvDone.wait(Lock, [&] { return Ctl.Remaining == 0; });
-  R.Count = 0; // workers freed themselves as they finished
 }
 
 void ThreadPool::parallel(int64_t NThreads,

@@ -26,17 +26,10 @@
 ///      a running job of the same pool (re-entrancy) is detected and
 ///      degrades to inline sequential execution — see parallel() below.
 ///
-/// Two admission paths share the worker set:
-///
-///   - parallel(N, ...) *guarantees* a full team of N: when fewer than
-///     N - 1 workers are idle it waits, FIFO, until enough drain. Waiters
-///     are served strictly in arrival order so a stream of small teams
-///     cannot starve one large request (waiter fairness).
-///   - tryReserve(...) *never waits*: it claims however many workers are
-///     idle right now (possibly zero) up to the requested width, and it
-///     refuses to touch workers the head FIFO waiter is owed. This is the
-///     governor's path (Governor.h): a governed GEMM shrinks its team
-///     under contention instead of queuing behind it.
+/// Admission: parallel(N, ...) guarantees a full team of N. When fewer than
+/// N - 1 workers are idle it waits, FIFO, until enough drain; waiters are
+/// served strictly in arrival order, so a stream of small teams cannot
+/// starve one large request (waiter fairness).
 ///
 /// TeamBarrier is the in-job synchronization primitive: a central
 /// generation-counting barrier sized to the team, used by the driver to
@@ -75,20 +68,6 @@ public:
   /// overload below may allocate for capturing lambdas.
   using ParallelFn = void (*)(void *Ctx, int64_t Tid);
 
-  /// A claim on specific idle workers, produced by tryReserve() and
-  /// consumed by runTeam() (which dispatches on exactly those workers) or
-  /// release() (which returns them unused). Value-semantically a small
-  /// fixed array of worker indices; movable only in the trivial sense of
-  /// being copyable before consumption. A non-empty Reservation must be
-  /// consumed before it goes out of scope or its workers leak (debug
-  /// builds assert in ~Reservation via the pool bookkeeping staying
-  /// non-zero; release() is cheap — call it).
-  struct Reservation {
-    static constexpr int64_t CapSlots = 64;
-    int32_t Slots[CapSlots];
-    int64_t Count = 0;
-  };
-
   /// Runs Fn(Ctx, Tid) for Tid in [0, NThreads): Tid 0 on the calling
   /// thread, the rest on pool workers (spawned on first use, kept forever).
   /// Returns when every Tid has completed. NThreads <= 1 calls Fn(Ctx, 0)
@@ -107,32 +86,9 @@ public:
   /// beyond one-time worker spawning.
   void parallel(int64_t NThreads, ParallelFn Fn, void *Ctx);
 
-  /// Claims up to \p Want currently-idle workers and records them in \p R
-  /// (appending to any prior claim is not supported: R must be empty).
-  /// Never blocks and never waits: under contention it claims fewer than
-  /// Want, possibly zero. New workers are spawned only while the pool has
-  /// fewer than \p SpawnCap total; an explicit parallel() may already have
-  /// grown the pool past that, in which case existing idle workers are
-  /// still claimable. Workers owed to the head FIFO waiter of parallel()
-  /// are never claimed (waiter fairness). Returns R.Count.
-  int64_t tryReserve(int64_t Want, int64_t SpawnCap, Reservation &R);
-
-  /// Returns the workers of \p R to the idle set without running anything.
-  /// R becomes empty. No-op on an empty reservation.
-  void release(Reservation &R);
-
-  /// Runs Fn(Ctx, Tid) for Tid in [0, R.Count]: Tid 0 on the calling
-  /// thread, Tid I on the worker R.Slots[I-1]. Returns when every member
-  /// has completed; the reservation is consumed (R becomes empty and its
-  /// workers are idle again). An empty reservation runs Fn(Ctx, 0) inline.
-  /// Re-entrant use is a caller bug: reserve only from outside pool jobs
-  /// (the Engine checks inParallel() before taking the governed path).
-  void runTeam(Reservation &R, ParallelFn Fn, void *Ctx);
-
   /// True iff the calling thread is currently executing a job of this pool
-  /// (i.e. a parallel() or runTeam() body, on the caller's thread or a
-  /// worker). Used by the GEMM driver to collapse nested teams instead of
-  /// blocking.
+  /// (i.e. a parallel() body, on the caller's thread or a worker). Used by
+  /// the GEMM driver to collapse nested teams instead of blocking.
   bool inParallel() const;
 
   /// Convenience overload wrapping \p Body in the raw form above.
@@ -141,13 +97,9 @@ public:
   /// Workers currently alive (high-water mark of demand).
   int64_t workerCount() const;
 
-  /// Workers currently claimed by a reservation or running a team body —
-  /// the live-occupancy input to the governor's decision.
-  int64_t busyWorkers() const;
-
 private:
-  /// One fork-join dispatch, shared by parallel() and runTeam(). Lives on
-  /// the dispatching caller's stack; Remaining is guarded by Mu.
+  /// One fork-join dispatch. Lives on the dispatching caller's stack;
+  /// Remaining is guarded by Mu.
   struct TeamCtl {
     ParallelFn Fn = nullptr;
     void *Ctx = nullptr;
@@ -156,9 +108,8 @@ private:
 
   /// Per-worker assignment slot, guarded by Mu.
   struct Slot {
-    TeamCtl *Team = nullptr; ///< team to run next / running now
+    TeamCtl *Team = nullptr; ///< team to run next / running now; null = idle
     int64_t Tid = 0;         ///< this worker's Tid within Team
-    bool Claimed = false;    ///< reserved (or running) — not idle
   };
 
   /// FIFO queue node for a parallel() caller short on workers; lives on
@@ -171,7 +122,7 @@ private:
   void workerLoop(int64_t WorkerIdx);
   /// Spawns workers until at least \p Target exist (Mu held).
   void ensureWorkersLocked(int64_t Target);
-  /// Idle = spawned and not claimed (Mu held).
+  /// Idle = spawned and not assigned to a team (Mu held).
   int64_t idleLocked() const {
     return static_cast<int64_t>(Slots.size()) - ClaimedCount;
   }

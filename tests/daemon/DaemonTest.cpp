@@ -16,7 +16,8 @@
 //   - admission control answers Busy instead of queueing unboundedly,
 //   - handshake rejections (bad version, --max-clients, a region fd that
 //     is missing, extra, unsealed or mis-sized) are clean and leak no fd,
-//     and a session region never has a /dev/shm name to leak,
+//     a silent or short-Hello peer stalls no other tenant, and a session
+//     region never has a /dev/shm name to leak,
 //   - the response ring's Spinning word skips exactly the doorbells of
 //     the session that set it, and stop() answers every admitted request
 //     whether the poller runs it or an executor does.
@@ -954,6 +955,41 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
       Admitted = true;
   }
   EXPECT_TRUE(Admitted);
+}
+
+// A peer that connects and never sends its Hello waits beside the other
+// tenants instead of holding the poller: a fresh client is served at once,
+// and a peer whose Hello is short is closed at once.
+TEST(GemmdAdmission, SilentPeerDoesNotStallOtherTenants) {
+  ServerFixture F;
+  const int64_t N = 16;
+  std::vector<float> A(N * N, 1.0f), B(N * N, 1.0f), C(N * N, 0.0f);
+  {
+    // Plan (and maybe JIT) the shape first, so the timed call below
+    // measures admission only.
+    gemm::Client Warm(F.clientOpts());
+    ASSERT_FALSE(Warm.sgemm(N, N, N, 1.0f, A.data(), N, B.data(), N, 0.0f,
+                            C.data(), N));
+  }
+  Expected<ipc::Socket> Silent = ipc::Socket::connect(F.Opts.SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Silent)) << Silent.message();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto T0 = std::chrono::steady_clock::now();
+  gemm::Client Fresh(F.clientOpts());
+  ASSERT_FALSE(Fresh.sgemm(N, N, N, 1.0f, A.data(), N, B.data(), N, 0.0f,
+                           C.data(), N));
+  EXPECT_LT(std::chrono::steady_clock::now() - T0, std::chrono::seconds(1));
+  EXPECT_EQ(C[0], static_cast<float>(N));
+
+  Expected<ipc::Socket> Short = ipc::Socket::connect(F.Opts.SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Short)) << Short.message();
+  const char Part[sizeof(ipc::HelloMsg) / 2] = {};
+  ASSERT_FALSE(Short->sendAll(Part, sizeof(Part)));
+  pollfd P{Short->fd(), POLLIN, 0};
+  char Byte;
+  ASSERT_EQ(1, ::poll(&P, 1, 2000));
+  EXPECT_EQ(0, ::recv(Short->fd(), &Byte, 1, 0));
 }
 
 /// A Hello whose fds are not exactly one sealed memfd of ShmBytes.

@@ -2,9 +2,14 @@
 
 #include "exo/isa/IsaLib.h"
 
+#include "exo/codegen/CEmit.h"
+#include "exo/ir/Builder.h"
 #include "exo/ir/Printer.h"
+#include "exo/jit/Jit.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace exo;
 
@@ -94,4 +99,79 @@ TEST(IsaTest, InstrSemanticsShapesAreConsistent) {
       }
     }
   }
+}
+
+namespace {
+
+/// Every instruction \p Isa offers, over every scalar kind and role.
+std::vector<InstrPtr> allInstrs(const IsaLib &Isa) {
+  std::vector<InstrPtr> Out;
+  std::set<std::string> Seen;
+  for (ScalarKind Ty : {ScalarKind::F16, ScalarKind::BF16, ScalarKind::F32,
+                        ScalarKind::F64, ScalarKind::I8, ScalarKind::I16,
+                        ScalarKind::I32}) {
+    std::vector<InstrPtr> Cands = {Isa.dotAccum(Ty)};
+    if (Isa.supports(Ty))
+      Cands.insert(Cands.end(), {Isa.load(Ty), Isa.store(Ty), Isa.fmaLane(Ty),
+                                 Isa.fmaBroadcast(Ty), Isa.broadcast(Ty)});
+    for (const InstrPtr &I : Cands)
+      if (I && Seen.insert(I->name()).second)
+        Out.push_back(I);
+  }
+  return Out;
+}
+
+/// A proc making one call to \p I: DRAM operands become parameters of the
+/// instruction's shape, register operands one register each, and an index
+/// operand (a lane) is 0.
+Proc probeProc(const InstrPtr &I) {
+  ProcBuilder B("probe_" + I->name());
+  std::vector<CallArg> Args;
+  for (const Param &Pa : I->semantics().params()) {
+    if (Pa.PKind != Param::Kind::Tensor) {
+      Args.push_back(CallArg::scalar(idx(0)));
+      continue;
+    }
+    std::vector<ExprPtr> Shape = Pa.Shape;
+    if (Pa.Mem->isRegisterFile()) {
+      Shape = {idx(Pa.Mem->lanes(Pa.Ty))};
+      B.alloc(Pa.Name, Pa.Ty, Shape, Pa.Mem);
+    } else {
+      B.tensorParam(Pa.Name, Pa.Ty, Shape, Pa.Mem, Pa.Mutable);
+    }
+    std::vector<WindowDim> Dims;
+    for (const ExprPtr &Extent : Shape)
+      Dims.push_back(WindowDim::interval(idx(0), Extent));
+    Args.push_back(CallArg::window(Pa.Name, std::move(Dims)));
+  }
+  B.call(I, std::move(Args));
+  return B.build();
+}
+
+} // namespace
+
+// Anything a library offers on a host where it claims to run must compile
+// there: an entry naming an intrinsic the compiler lacks would otherwise
+// only ever run inside the interpreter.
+TEST(IsaTest, EveryHostExecutableInstructionCompiles) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no working C compiler";
+  int Compiled = 0;
+  for (const IsaLib *Isa : allIsas()) {
+    if (!Isa->hostExecutable())
+      continue;
+    for (const InstrPtr &I : allInstrs(*Isa)) {
+      Proc P = probeProc(I);
+      CodegenOptions Opts;
+      Opts.Isa = Isa;
+      Expected<std::string> Src = emitCModule(P, Opts);
+      ASSERT_TRUE(static_cast<bool>(Src)) << I->name() << ": "
+                                          << Src.message();
+      Expected<JitKernelPtr> K = jitCompile(*Src, P.name(), Isa->jitFlags());
+      EXPECT_TRUE(static_cast<bool>(K))
+          << Isa->name() << " " << I->name() << ": " << K.message();
+      ++Compiled;
+    }
+  }
+  EXPECT_GT(Compiled, 0);
 }

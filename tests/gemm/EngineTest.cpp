@@ -3,7 +3,8 @@
 // The Engine's core guarantee: Engine::sgemm is a *dispatch* layer over one
 // executor. The differential sweep holds every result to refSgemm across a
 // broad shape set (edge-heavy shapes included) and all four transpose
-// combos, and holds team sizes 1 and 4 to bitwise identity. Also covers
+// combos, and holds team sizes 1 and 4 to bitwise identity, also with
+// eight callers racing for the pool's workers. Also covers
 // argument validation (the gemm::Client leading-dimension rule), the plan
 // cache's observable behavior (counters, cap eviction) and plan provenance.
 //
@@ -19,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace gemm;
@@ -106,7 +110,6 @@ EngineConfig widthConfig(EngineSeries Series, int64_t Threads) {
   EngineConfig Cfg;
   Cfg.Series = Series;
   Cfg.Threads = Threads;
-  Cfg.Governor = 0; // the widths under test, not a grant
   return Cfg;
 }
 
@@ -371,4 +374,71 @@ TEST(EngineConfigTest, OnlyF32PlansProbeEdgeKernels) {
                           A.data(), M, B.data(), K, 0.0, C.data(), M);
   ASSERT_FALSE(Err) << Err.message();
   EXPECT_GT(P->EdgeCalls, 0);
+}
+
+namespace {
+
+/// \p Elems elements of \p Ty input storage: small integers for i8,
+/// inexact fractions (so any reordered sum would show) for the floats.
+std::vector<unsigned char> operand(DType Ty, int64_t Elems, unsigned Seed) {
+  std::vector<unsigned char> V(Elems * dtypeInBytes(Ty));
+  std::mt19937 Rng(Seed);
+  for (int64_t I = 0; I < Elems; ++I) {
+    const int Q = static_cast<int>(Rng() % 17) - 8;
+    const float X = static_cast<float>(Q) / 7.0f;
+    if (Ty == DType::I8I32) {
+      V[I] = static_cast<unsigned char>(static_cast<int8_t>(Q));
+    } else if (Ty == DType::F32) {
+      std::memcpy(&V[I * 4], &X, 4);
+    } else {
+      const uint16_t H = Ty == DType::F16 ? f32ToF16(X) : f32ToBf16(X);
+      std::memcpy(&V[I * 2], &H, 2);
+    }
+  }
+  return V;
+}
+
+} // namespace
+
+// Eight plain threads share one Engine whose plans run 4-wide teams. The
+// pool holds only the 3 workers one team needs, so most calls wait in
+// ThreadPool::parallel's FIFO for a whole team to drain; every result must
+// still equal the 1-thread plan bitwise, in f32, bf16 and i8 -> i32.
+TEST(EngineConcurrency, RacingFixedTeamCallersMatchOneThreadBitwise) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+
+  const int64_t M = 96, N = 80, K = 112;
+  for (DType Ty : {DType::F32, DType::BF16, DType::I8I32}) {
+    const std::vector<unsigned char> A = operand(Ty, M * K, 41);
+    const std::vector<unsigned char> B = operand(Ty, K * N, 42);
+    const size_t CBytes = M * N * dtypeOutBytes(Ty);
+
+    Engine ERef(widthConfig(EngineSeries::Blis, 1));
+    std::vector<unsigned char> CRef(CBytes, 0);
+    ASSERT_FALSE(ERef.gemm(Ty, Trans::None, Trans::None, M, N, K, 1.0,
+                           A.data(), M, B.data(), K, 0.0, CRef.data(), M));
+
+    Engine E4(widthConfig(EngineSeries::Blis, 4));
+    const int Callers = 8, Rounds = 16;
+    std::vector<std::vector<unsigned char>> Cs(
+        Callers, std::vector<unsigned char>(CBytes, 0));
+    std::atomic<int> Failures{0};
+    std::vector<std::thread> Threads;
+    for (int T = 0; T != Callers; ++T)
+      Threads.emplace_back([&, T] {
+        for (int R = 0; R != Rounds; ++R)
+          if (E4.gemm(Ty, Trans::None, Trans::None, M, N, K, 1.0, A.data(),
+                      M, B.data(), K, 0.0, Cs[T].data(), M))
+            Failures.fetch_add(1, std::memory_order_relaxed);
+      });
+    for (std::thread &Th : Threads)
+      Th.join();
+
+    EXPECT_EQ(Failures.load(), 0) << dtypeName(Ty);
+    for (int T = 0; T != Callers; ++T)
+      EXPECT_EQ(Cs[T], CRef) << dtypeName(Ty) << ": caller " << T
+                             << " differs from the 1-thread result";
+    EXPECT_EQ(E4.stats().Builds, 1u) << dtypeName(Ty);
+  }
 }

@@ -71,7 +71,6 @@ Engine providerEngine(std::shared_ptr<KernelProvider> P, int64_t Threads = 0) {
   Cfg.Series = EngineSeries::Custom;
   Cfg.Provider = std::move(P);
   Cfg.Threads = Threads;
-  Cfg.Governor = 0;
   return Engine(Cfg);
 }
 

@@ -1,9 +1,10 @@
-//===- ThreadPoolTest.cpp - Pool re-entrancy detection and degradation ----===//
+//===- ThreadPoolTest.cpp - Pool admission, re-entrancy and degradation ---===//
 //
-// The pool admits one fork-join job at a time (JobMu), so a body that
-// calls parallel() on the same pool again used to self-deadlock: the
-// inner call waited on the mutex its own outer job holds. The contract
-// under test here is the degradation path that replaced the deadlock:
+// The pool's admission contract: concurrent parallel() callers each get a
+// full team on workers no other team holds, waiting FIFO while too few are
+// idle; and a body that calls parallel() on the same pool again (which
+// would wait for the very workers its own job holds) degrades instead of
+// deadlocking:
 //
 //   - inParallel() is true exactly while the calling thread is inside a
 //     job body on that pool (workers and the caller-as-member alike),
@@ -167,63 +168,39 @@ void teamProbeBody(void *CtxP, int64_t Tid) {
 
 } // namespace
 
-TEST(ThreadPool, TryReserveRunTeamRelease) {
-  ThreadPool &P = ThreadPool::global();
-
-  // An idle pool grants the full request (growing up to the spawn cap)
-  // and runTeam runs the caller as Tid 0 plus one Tid per reserved worker.
-  ThreadPool::Reservation R;
-  ASSERT_EQ(P.tryReserve(3, /*SpawnCap=*/8, R), 3);
-  EXPECT_EQ(R.Count, 3);
-  TeamProbeCtx Ctx;
-  P.runTeam(R, &teamProbeBody, &Ctx);
-  EXPECT_EQ(Ctx.Ran.load(), 4);
-  EXPECT_EQ(Ctx.TidMask.load(), 0xfu); // Tids 0..3, each exactly once
-  EXPECT_EQ(R.Count, 0) << "runTeam must consume the reservation";
-
-  // Two live reservations never share a worker slot.
-  ThreadPool::Reservation R1, R2;
-  int64_t N1 = P.tryReserve(2, 8, R1);
-  int64_t N2 = P.tryReserve(2, 8, R2);
-  for (int64_t I = 0; I < N1; ++I)
-    for (int64_t J = 0; J < N2; ++J)
-      EXPECT_NE(R1.Slots[I], R2.Slots[J]);
-  P.release(R1);
-  P.release(R2);
-  EXPECT_EQ(R1.Count, 0);
-  EXPECT_EQ(R2.Count, 0);
-
-  // A zero-worker reservation still runs the caller inline.
-  ThreadPool::Reservation R0;
-  EXPECT_EQ(P.tryReserve(0, 8, R0), 0);
-  TeamProbeCtx Solo;
-  P.runTeam(R0, &teamProbeBody, &Solo);
-  EXPECT_EQ(Solo.Ran.load(), 1);
-  EXPECT_EQ(Solo.TidMask.load(), 0x1u);
-}
-
+// Four callers race 4-wide teams on the shared pool. Each team's members
+// meet at a TeamBarrier, which only completes if all four run at once on
+// distinct threads, so a worker lent to two teams, or a team admitted
+// short of workers, hangs or shows up in the thread-id check.
 TEST(ThreadPool, ConcurrentTeamsOnDisjointWorkers) {
   ThreadPool &P = ThreadPool::global();
   const int NCallers = 4, Rounds = 32;
+  const int64_t Width = 4;
   std::atomic<int> TotalRan{0};
   std::atomic<bool> Bad{false};
   std::vector<std::thread> Callers;
   for (int C = 0; C != NCallers; ++C)
     Callers.emplace_back([&] {
       for (int R = 0; R != Rounds; ++R) {
-        ThreadPool::Reservation Res;
-        int64_t Got = P.tryReserve(2, /*SpawnCap=*/8, Res);
-        if (Got < 0 || Got > 2)
-          Bad.store(true, std::memory_order_relaxed);
+        TeamBarrier Bar(Width);
+        std::thread::id Ids[Width];
         TeamProbeCtx Ctx;
-        P.runTeam(Res, &teamProbeBody, &Ctx);
-        if (Ctx.Ran.load() != Got + 1)
+        P.parallel(Width, [&](int64_t Tid) {
+          Ids[Tid] = std::this_thread::get_id();
+          Bar.arriveAndWait();
+          teamProbeBody(&Ctx, Tid);
+        });
+        if (Ctx.Ran.load() != Width || Ctx.TidMask.load() != 0xfu)
           Bad.store(true, std::memory_order_relaxed);
+        for (int64_t I = 0; I != Width; ++I)
+          for (int64_t J = I + 1; J != Width; ++J)
+            if (Ids[I] == Ids[J])
+              Bad.store(true, std::memory_order_relaxed);
         TotalRan.fetch_add(Ctx.Ran.load(), std::memory_order_relaxed);
       }
     });
   for (std::thread &Th : Callers)
     Th.join();
   EXPECT_FALSE(Bad.load());
-  EXPECT_GE(TotalRan.load(), NCallers * Rounds); // every caller always runs
+  EXPECT_EQ(TotalRan.load(), NCallers * Rounds * Width);
 }

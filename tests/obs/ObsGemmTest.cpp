@@ -46,7 +46,6 @@ protected:
     Cfg.Series = EngineSeries::Custom;
     Cfg.Provider = std::make_shared<FixedProvider>(blisKernel(), "BLIS");
     Cfg.Threads = Threads;
-    Cfg.Governor = 0;
     return Cfg;
   }
 

@@ -61,7 +61,6 @@
 #include "dnn/Models.h"
 #include "exo/jit/DiskCache.h"
 #include "gemm/Engine.h"
-#include "gemm/Governor.h"
 #include "gemm/Planner.h"
 #include "gemm/PriorDb.h"
 #include "gemm/Tuner.h"
@@ -278,27 +277,12 @@ int cmdStats(bool JsonOut) {
     Priors.set("machine_mismatch", static_cast<int64_t>(PS.MachineMismatch));
     Priors.set("corrupt_seen", static_cast<int64_t>(PS.CorruptSeen));
     Priors.set("quarantined", static_cast<int64_t>(PS.Quarantined));
-    gemm::Governor &Gov = gemm::Governor::global();
-    gemm::GovernorStats GS = Gov.stats();
-    benchutil::Json Governor = benchutil::Json::object();
-    Governor.set("enabled", gemm::Governor::enabledByEnv());
-    Governor.set("ceiling", Gov.ceiling());
-    Governor.set("min_work_flops", Gov.minWorkFlops());
-    Governor.set("curve_stored",
-                 gemm::PriorDb::global().lookupCurve().has_value());
-    Governor.set("grants", static_cast<int64_t>(GS.Grants));
-    Governor.set("shape_clamped", static_cast<int64_t>(GS.ShapeClamped));
-    Governor.set("occupancy_clamped",
-                 static_cast<int64_t>(GS.OccupancyClamped));
-    Governor.set("full_width", static_cast<int64_t>(GS.FullWidth));
-    Governor.set("width_sum", static_cast<int64_t>(GS.WidthSum));
     benchutil::Json Root = benchutil::Json::object();
-    Root.set("schema", "ukr_cachectl.stats/v2");
+    Root.set("schema", "ukr_cachectl.stats/v3");
     Root.set("plan_cache", std::move(Plan));
     Root.set("jit_cache", std::move(Jit));
     Root.set("disk_cache", std::move(Disk));
     Root.set("prior_db", std::move(Priors));
-    Root.set("governor", std::move(Governor));
     std::printf("%s\n", Root.dump().c_str());
     return 0;
   }
@@ -343,26 +327,6 @@ int cmdStats(bool JsonOut) {
               static_cast<unsigned long long>(PS.CorruptSeen),
               gemm::PriorDb::global().root().c_str(),
               gemm::PriorDb::global().enabled() ? "" : " (disabled)");
-  // Why a call got fewer threads than EXO_GEMM_GOVERNOR_MAX: shape-clamped
-  // grants hit the work floor / scaling curve, occupancy-clamped grants
-  // found the budget or pool already claimed by concurrent callers.
-  gemm::Governor &Gov = gemm::Governor::global();
-  gemm::GovernorStats GS = Gov.stats();
-  std::printf("governor:    %s, ceiling %lld, min work %lld flops, curve %s; "
-              "%llu grant(s), %llu shape-clamped, %llu occupancy-clamped, "
-              "%llu full-width, avg width %.2f\n",
-              gemm::Governor::enabledByEnv() ? "on (EXO_GEMM_GOVERNOR)"
-                                             : "off by default",
-              static_cast<long long>(Gov.ceiling()),
-              static_cast<long long>(Gov.minWorkFlops()),
-              gemm::PriorDb::global().lookupCurve() ? "stored" : "none",
-              static_cast<unsigned long long>(GS.Grants),
-              static_cast<unsigned long long>(GS.ShapeClamped),
-              static_cast<unsigned long long>(GS.OccupancyClamped),
-              static_cast<unsigned long long>(GS.FullWidth),
-              GS.Grants ? static_cast<double>(GS.WidthSum) /
-                              static_cast<double>(GS.Grants)
-                        : 0.0);
   return 0;
 }
 
