@@ -87,7 +87,7 @@ int main(int Argc, char **Argv) {
   if (Opt.Smoke)
     Shapes = {{64, 64, 64}};
 
-  TuneOptions TO = tuneOptionsFromEnv();
+  TuneOptions TO;
   if (Opt.Smoke) {
     TO.Budget = std::min<int64_t>(TO.Budget, 4);
     TO.Seconds = std::min(TO.Seconds, 0.01);

@@ -2,8 +2,7 @@
 
 #include "benchutil/Bench.h"
 
-#include "exo/support/Env.h"
-
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -14,10 +13,6 @@ using namespace benchutil;
 
 BenchOptions BenchOptions::parse(int Argc, char **Argv) {
   BenchOptions O;
-  O.Seconds = exo::envDouble("EXO_BENCH_SECONDS",
-                             std::getenv("EXO_BENCH_SECONDS"), O.Seconds,
-                             /*Min=*/0.0, /*Max=*/3600.0);
-  O.Big = exo::envBool("EXO_BENCH_BIG", std::getenv("EXO_BENCH_BIG"), O.Big);
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--big"))
       O.Big = true;

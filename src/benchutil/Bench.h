@@ -8,7 +8,7 @@
 /// Wall-clock measurement in the style of the paper's driver: run the
 /// workload repeatedly until a minimum duration elapses (the paper uses 5
 /// seconds in solo mode; these benches default lower so the full suite runs
-/// in minutes — raise with --seconds or EXO_BENCH_SECONDS), then report
+/// in minutes — raise with --seconds), then report
 /// GFLOPS. Also provides the aligned-column table printer the fig benches
 /// share, and common CLI parsing (--big, --seconds, --csv, --smoke,
 /// --json, --trace).
@@ -34,7 +34,7 @@
 
 namespace benchutil {
 
-/// CLI/env options shared by the fig benches.
+/// CLI options shared by the fig benches.
 struct BenchOptions {
   /// Use the paper's full problem sizes instead of scaled defaults.
   bool Big = false;

@@ -121,16 +121,12 @@ struct Server::Impl {
     if (Opts.SocketPath.empty())
       Opts.SocketPath = ipc::defaultSocketPath();
     if (Opts.MaxClients <= 0)
-      Opts.MaxClients = static_cast<int>(exo::envInt(
-          "EXO_GEMMD_MAX_CLIENTS", std::getenv("EXO_GEMMD_MAX_CLIENTS"), 64,
-          1, 4096));
+      Opts.MaxClients = 64;
     if (Opts.Workers == 0)
       Opts.Workers = static_cast<unsigned>(exo::envInt(
           "EXO_GEMMD_WORKERS", std::getenv("EXO_GEMMD_WORKERS"), 1, 1, 256));
     if (Opts.QueueMax == 0)
-      Opts.QueueMax = static_cast<size_t>(
-          exo::envInt("EXO_GEMMD_QUEUE_MAX",
-                      std::getenv("EXO_GEMMD_QUEUE_MAX"), 64, 1, 1 << 20));
+      Opts.QueueMax = 64;
   }
 
   void pollLoop();

@@ -58,8 +58,7 @@ struct ServerOptions {
   /// Rendezvous socket path; empty resolves EXO_GEMMD_SOCKET, else
   /// /tmp/exo-gemmd-<uid>.sock.
   std::string SocketPath;
-  /// Concurrent sessions admitted; 0 resolves EXO_GEMMD_MAX_CLIENTS,
-  /// else 64.
+  /// Concurrent sessions admitted; 0 means 64.
   int MaxClients = 0;
   /// Threads running Engine calls, the poller included (so at most this
   /// many GEMMs run at once); 0 resolves EXO_GEMMD_WORKERS, else 1 (the
@@ -67,8 +66,8 @@ struct ServerOptions {
   /// many tiny concurrent requests). With 1, control packets (Ping, stats)
   /// and new sessions wait at most for the request being run.
   unsigned Workers = 0;
-  /// Bounded request-queue depth; 0 resolves EXO_GEMMD_QUEUE_MAX, else 64.
-  /// Past it, requests get an immediate Busy reply.
+  /// Bounded request-queue depth; 0 means 64. Past it, requests get an
+  /// immediate Busy reply.
   size_t QueueMax = 0;
   /// The one shared Engine's configuration (default: Auto series).
   gemm::EngineConfig Engine;

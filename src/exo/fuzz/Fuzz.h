@@ -32,7 +32,7 @@
 /// inherits a regression corpus under tests/fuzz/corpus/.
 ///
 /// Determinism: a campaign is fully determined by (seed, iteration count).
-/// Fault injection (FuzzSample::Fault, EXO_FUZZ_FAULT) simulates a rewrite
+/// Fault injection (FuzzSample::Fault, `fuzz_replay --fault`) simulates a rewrite
 /// bug — after the matching rewrite step is applied, the first loop of the
 /// proc silently loses its last iteration — so the oracle stack itself is
 /// testable: an injected fault must be caught and must minimize.
@@ -183,7 +183,8 @@ struct FuzzOptions {
   /// mapping the planner uses, so the campaign exercises the
   /// Prior→schedule path end to end.
   int PriorEvery = 8;
-  /// Inject this fault into every drawn chain sample (EXO_FUZZ_FAULT).
+  /// Inject this fault into every drawn chain sample (`fuzz_replay
+  /// --fault`).
   std::string Fault;
 };
 
@@ -248,10 +249,9 @@ FuzzSample minimizeSample(const FuzzSample &S, const OracleOptions &O,
                           int *RoundsOut = nullptr);
 
 /// Environment knobs (documented in docs/TESTING.md): EXO_FUZZ_SEED,
-/// EXO_FUZZ_ITERS, EXO_FUZZ_FAULT.
+/// EXO_FUZZ_ITERS.
 uint64_t fuzzSeedFromEnv(uint64_t Dflt);
 int fuzzItersFromEnv(int Dflt);
-std::string fuzzFaultFromEnv();
 
 } // namespace fuzz
 } // namespace exo

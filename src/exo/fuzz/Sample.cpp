@@ -420,8 +420,3 @@ int fuzz::fuzzItersFromEnv(int Dflt) {
   }
   return Dflt;
 }
-
-std::string fuzz::fuzzFaultFromEnv() {
-  const char *V = std::getenv("EXO_FUZZ_FAULT");
-  return V ? V : "";
-}

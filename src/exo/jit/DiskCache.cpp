@@ -2,6 +2,7 @@
 
 #include "exo/jit/DiskCache.h"
 
+#include "exo/support/Env.h"
 #include "exo/support/Str.h"
 
 #include <algorithm>
@@ -9,10 +10,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -87,10 +88,7 @@ uint64_t exo::jitArtifactKey(std::string_view CSource, std::string_view Flags,
   return H;
 }
 
-namespace {
-
-/// mkdir -p. Returns true when the directory exists afterwards.
-bool makeDirs(const std::string &Path) {
+bool exo::makeDirs(const std::string &Path) {
   if (Path.empty())
     return false;
   std::string Cur = Path[0] == '/' ? "" : ".";
@@ -103,29 +101,25 @@ bool makeDirs(const std::string &Path) {
   return stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
 }
 
-/// flock on <root>/.lock, released on scope exit. Serializes mutating
-/// operations across processes; a failure to lock degrades to lockless
-/// operation (rename is still atomic).
-class ScopedLock {
-public:
-  explicit ScopedLock(const std::string &Root) {
-    Fd = open((Root + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
-    if (Fd >= 0 && flock(Fd, LOCK_EX) != 0) {
-      close(Fd);
-      Fd = -1;
-    }
+StoreLock::StoreLock(const std::string &Root) {
+  Fd = open((Root + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
+  if (Fd >= 0 && flock(Fd, LOCK_EX) != 0) {
+    close(Fd);
+    Fd = -1;
   }
-  ~ScopedLock() {
-    if (Fd >= 0) {
-      flock(Fd, LOCK_UN);
-      close(Fd);
-    }
+}
+
+StoreLock::~StoreLock() {
+  if (Fd >= 0) {
+    flock(Fd, LOCK_UN);
+    close(Fd);
   }
+}
 
-private:
-  int Fd = -1;
-};
+namespace {
 
+/// EXO_JIT_CACHE_DIR (set but empty disables the cache), else the XDG or
+/// home cache directory.
 std::string defaultRoot() {
   if (const char *Dir = std::getenv("EXO_JIT_CACHE_DIR"))
     return Dir;
@@ -134,14 +128,6 @@ std::string defaultRoot() {
   if (const char *Home = std::getenv("HOME"))
     return std::string(Home) + "/.cache/exo-ukr";
   return {};
-}
-
-bool killSwitchSet() {
-  const char *V = std::getenv("EXO_JIT_CACHE");
-  if (!V)
-    return false;
-  return !std::strcmp(V, "0") || !std::strcmp(V, "off") ||
-         !std::strcmp(V, "disabled");
 }
 
 struct GlobalCache {
@@ -185,16 +171,12 @@ void JitDiskCache::setGlobalRoot(const std::string &RootDir) {
   G.C = std::make_unique<JitDiskCache>(RootDir);
 }
 
-bool JitDiskCache::enabled() const { return RootUsable && !killSwitchSet(); }
+bool JitDiskCache::enabled() const { return RootUsable; }
 
 uint64_t JitDiskCache::configuredMaxBytes() {
-  if (const char *V = std::getenv("EXO_JIT_CACHE_MAX_BYTES")) {
-    char *End = nullptr;
-    unsigned long long N = std::strtoull(V, &End, 10);
-    if (End && *End == '\0' && N > 0)
-      return N;
-  }
-  return 256ull << 20;
+  return static_cast<uint64_t>(exo::envInt(
+      "EXO_JIT_CACHE_MAX_BYTES", std::getenv("EXO_JIT_CACHE_MAX_BYTES"),
+      256ll << 20, /*Min=*/1, std::numeric_limits<long long>::max()));
 }
 
 std::string JitDiskCache::entryPath(uint64_t Key, const char *Ext) const {
@@ -219,7 +201,7 @@ Expected<std::string> JitDiskCache::store(uint64_t Key,
                                           const ArtifactMeta &Meta) {
   if (!enabled())
     return errorf("disk cache disabled");
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
 
   std::string Final = entryPath(Key, ".so");
   std::string Tmp = strf("%s.tmp.%d", Final.c_str(), getpid());
@@ -249,7 +231,7 @@ Expected<std::string> JitDiskCache::store(uint64_t Key,
 bool JitDiskCache::remove(uint64_t Key) {
   if (Root.empty())
     return false;
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
   bool Removed = unlink(entryPath(Key, ".so").c_str()) == 0;
   unlink(entryPath(Key, ".meta").c_str());
   return Removed;
@@ -351,6 +333,6 @@ size_t JitDiskCache::pruneLocked(uint64_t MaxBytes) {
 size_t JitDiskCache::prune(uint64_t MaxBytes) {
   if (Root.empty())
     return 0;
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
   return pruneLocked(MaxBytes);
 }

@@ -13,11 +13,12 @@
 /// anything that could change the produced code changes the key.
 ///
 /// Layout under the cache root (default `~/.cache/exo-ukr/`, override with
-/// EXO_JIT_CACHE_DIR, disable with EXO_JIT_CACHE=0):
+/// EXO_JIT_CACHE_DIR; an empty EXO_JIT_CACHE_DIR disables the cache):
 ///
 ///   k<16-hex-digits>.so     the artifact
 ///   k<16-hex-digits>.meta   key=value sidecar (symbol, flags, compiler...)
 ///   .lock                   flock'd around store/prune/remove
+///   priors/                 the tuned-prior database (gemm/PriorDb.h)
 ///
 /// Writers stage into a `.tmp.<pid>` file and rename into place, so readers
 /// never observe a partial artifact; the lock file only serializes the
@@ -48,6 +49,24 @@ uint64_t fnv1a64(std::string_view S, uint64_t Seed = 0xcbf29ce484222325ull);
 /// the cache entry format (or the generated-kernel calling convention)
 /// changes incompatibly.
 inline constexpr uint32_t JitCacheAbiVersion = 1;
+
+/// mkdir -p for the on-disk stores (this cache and gemm::PriorDb). Returns
+/// true when the directory exists afterwards; false for an empty path.
+bool makeDirs(const std::string &Path);
+
+/// flock on <root>/.lock, released on scope exit. Serializes the mutating
+/// operations of concurrent processes on one store; a failure to lock
+/// degrades to lockless operation (rename is still atomic).
+class StoreLock {
+public:
+  explicit StoreLock(const std::string &Root);
+  ~StoreLock();
+  StoreLock(const StoreLock &) = delete;
+  StoreLock &operator=(const StoreLock &) = delete;
+
+private:
+  int Fd = -1;
+};
 
 /// The compiler the JIT shells out to: $EXO_CC or "cc".
 std::string jitCompilerCommand();
@@ -88,9 +107,7 @@ public:
   /// subsequent operations only; in-memory JIT handles stay valid.
   static void setGlobalRoot(const std::string &Root);
 
-  /// False when the kill switch (EXO_JIT_CACHE=0/off/disabled) is set or no
-  /// usable root directory exists. Checked per call so tests can toggle the
-  /// environment.
+  /// False when no usable root directory exists (an empty root included).
   bool enabled() const;
 
   const std::string &root() const { return Root; }
@@ -134,8 +151,8 @@ public:
   /// Returns the number of evicted artifacts.
   size_t prune(uint64_t MaxBytes);
 
-  /// The size bound used by automatic pruning: EXO_JIT_CACHE_MAX_BYTES or
-  /// 256 MiB.
+  /// The size bound used by automatic pruning: EXO_JIT_CACHE_MAX_BYTES (a
+  /// positive byte count; anything else warns and is ignored) or 256 MiB.
   static uint64_t configuredMaxBytes();
 
 private:

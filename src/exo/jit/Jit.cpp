@@ -47,10 +47,8 @@ struct JitState {
   }
 };
 
-/// Base directory for scratch dirs: EXO_JIT_DIR, else TMPDIR, else /tmp.
+/// Base directory for scratch dirs: TMPDIR, else /tmp.
 std::string scratchBase() {
-  if (const char *D = std::getenv("EXO_JIT_DIR"))
-    return D;
   if (const char *D = std::getenv("TMPDIR"))
     return D;
   return "/tmp";

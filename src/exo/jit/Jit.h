@@ -7,7 +7,7 @@
 /// \file
 /// Exo's contract is "emit plain C and let the user pick the compiler". The
 /// JIT honours it literally: generated C is written to a scratch directory
-/// (EXO_JIT_DIR, else TMPDIR, else /tmp), compiled with the system C
+/// (TMPDIR, else /tmp), compiled with the system C
 /// compiler (override with EXO_CC), loaded with dlopen, and the kernel
 /// symbol resolved. Compilations are cached at two levels: an in-process
 /// map and the persistent content-addressed artifact cache of DiskCache.h,

@@ -92,27 +92,6 @@ inline bool envBool(const char *Name, const char *Raw, bool Default) {
   return V != 0;
 }
 
-/// Floating-point knob (EXO_BENCH_SECONDS): same contract as envInt with a
-/// strtod parse.
-inline double envDouble(const char *Name, const char *Raw, double Default,
-                        double Min, double Max) {
-  if (!Raw || !*Raw)
-    return Default;
-  errno = 0;
-  char *End = nullptr;
-  double V = std::strtod(Raw, &End);
-  if (End == Raw || *End != '\0' || errno == ERANGE || !(V >= Min) ||
-      !(V <= Max)) {
-    if (!env_impl::envAlreadyWarned(Name))
-      std::fprintf(stderr,
-                   "exo: ignoring %s='%s' (expected a number in [%g, %g]); "
-                   "using default %g\n",
-                   Name, Raw, Min, Max, Default);
-    return Default;
-  }
-  return V;
-}
-
 } // namespace exo
 
 #endif // EXO_SUPPORT_ENV_H

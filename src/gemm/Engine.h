@@ -91,7 +91,7 @@ struct EngineConfig {
   /// 256 entries).
   int64_t PlanCacheCap = -1;
   /// Consult the autotuner's persistent prior database (PriorDb::global(),
-  /// rooted at EXO_GEMM_PRIOR_DB) before the model.
+  /// the `priors/` directory of the JIT cache root) before the model.
   /// false is the ablation arm benches use to measure the model alone.
   bool TunedPriors = true;
 };

@@ -14,10 +14,6 @@ ExoProvider::ExoProvider(int64_t MR, int64_t NR, const exo::IsaLib *Isa,
       UnrollCompute(UnrollCompute) {}
 
 std::optional<MicroKernel> ExoProvider::shape(int64_t Mr, int64_t Nr) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto Memo = ShapeCache.find({Mr, Nr});
-  if (Memo != ShapeCache.end())
-    return Memo->second;
   // Full tiles use the configured library; edges re-pick per shape via the
   // shared selection rule (shapeConfig) so provider, planner, and fuzzer
   // agree.
@@ -25,13 +21,13 @@ std::optional<MicroKernel> ExoProvider::shape(int64_t Mr, int64_t Nr) {
       ukr::shapeConfig(Mr, Nr, Mr == MR ? Isa : nullptr, UnrollCompute);
 
   auto K = ukr::KernelService::global().get(Cfg);
-  std::optional<MicroKernel> Out;
-  if (K && (*K)->Fn)
-    Out = MicroKernel{Mr, Nr, (*K)->Fn, "exo generated"};
-  else if (!K)
+  if (!K) {
     std::fprintf(stderr, "exo provider: %s\n", K.message().c_str());
-  ShapeCache.emplace(std::make_pair(Mr, Nr), Out);
-  return Out;
+    return std::nullopt;
+  }
+  if (!(*K)->Fn)
+    return std::nullopt;
+  return MicroKernel{Mr, Nr, (*K)->Fn, "exo generated"};
 }
 
 MicroKernel ExoProvider::main() {

@@ -21,8 +21,7 @@
 #include "gemm/MicroKernel.h"
 #include "ukr/KernelService.h"
 
-#include <map>
-#include <mutex>
+#include <utility>
 
 namespace gemm {
 
@@ -65,16 +64,6 @@ private:
   const exo::IsaLib *Isa;
   bool UnrollCompute;
   bool SpecializeEdges = true;
-  /// Per-provider memo of resolved shapes: the macro-kernel asks for the
-  /// same edge kernel once per tile, and the global registry lookup (name
-  /// formatting + mutex) would otherwise dominate small tiles. Guarded by
-  /// Mu: one provider may serve concurrent GEMM calls (the threaded
-  /// macro-kernel pre-resolves on the calling thread, but callers also
-  /// share providers across their own threads). KernelService is
-  /// internally locked; this memo was the remaining race.
-  std::mutex Mu;
-  std::map<std::pair<int64_t, int64_t>, std::optional<MicroKernel>>
-      ShapeCache;
 };
 
 } // namespace gemm

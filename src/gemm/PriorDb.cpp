@@ -14,12 +14,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
-#include <fcntl.h>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -28,60 +26,17 @@ using namespace gemm;
 
 namespace {
 
-/// mkdir -p. Returns true when the directory exists afterwards.
-bool makeDirs(const std::string &Path) {
-  if (Path.empty())
-    return false;
-  std::string Cur = Path[0] == '/' ? "" : ".";
-  for (const std::string &Part : split(Path, '/', /*KeepEmpty=*/false)) {
-    Cur += "/" + Part;
-    if (mkdir(Cur.c_str(), 0755) != 0 && errno != EEXIST)
-      return false;
-  }
-  struct stat St;
-  return stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
-}
-
-/// flock on <root>/.lock, released on scope exit; a failure to lock
-/// degrades to lockless operation (rename is still atomic).
-class ScopedLock {
-public:
-  explicit ScopedLock(const std::string &Root) {
-    Fd = open((Root + "/.lock").c_str(), O_CREAT | O_RDWR, 0644);
-    if (Fd >= 0 && flock(Fd, LOCK_EX) != 0) {
-      close(Fd);
-      Fd = -1;
-    }
-  }
-  ~ScopedLock() {
-    if (Fd >= 0) {
-      flock(Fd, LOCK_UN);
-      close(Fd);
-    }
-  }
-
-private:
-  int Fd = -1;
-};
-
+/// The global database and the JIT cache root it was derived from, so that
+/// repointing the cache moves the priors with it.
 struct GlobalDb {
   std::mutex Mu;
   std::unique_ptr<PriorDb> Db;
+  std::string CacheRoot;
 };
 
 GlobalDb &globalDb() {
   static GlobalDb G;
   return G;
-}
-
-std::string defaultRoot() {
-  if (const char *Dir = std::getenv("EXO_GEMM_PRIOR_DB"))
-    return Dir; // "" disables (PriorDb("") is never usable)
-  if (const char *Xdg = std::getenv("XDG_CACHE_HOME"))
-    return std::string(Xdg) + "/exo-ukr/priors";
-  if (const char *Home = std::getenv("HOME"))
-    return std::string(Home) + "/.cache/exo-ukr/priors";
-  return {};
 }
 
 std::atomic<uint64_t> GLookups{0}, GHits{0}, GClassHits{0},
@@ -326,17 +281,24 @@ PriorDb::PriorDb(std::string RootDir) : Root(std::move(RootDir)) {
 }
 
 PriorDb &PriorDb::global() {
+  std::string CacheRoot = JitDiskCache::global().root();
   GlobalDb &G = globalDb();
   std::lock_guard<std::mutex> Lock(G.Mu);
-  if (!G.Db)
-    G.Db = std::make_unique<PriorDb>(defaultRoot());
+  if (!G.Db || G.CacheRoot != CacheRoot) {
+    // An empty cache root disables both stores (never "/priors").
+    G.Db = std::make_unique<PriorDb>(CacheRoot.empty() ? CacheRoot
+                                                       : CacheRoot + "/priors");
+    G.CacheRoot = std::move(CacheRoot);
+  }
   return *G.Db;
 }
 
 void PriorDb::setGlobalRoot(const std::string &RootDir) {
+  std::string CacheRoot = JitDiskCache::global().root();
   GlobalDb &G = globalDb();
   std::lock_guard<std::mutex> Lock(G.Mu);
   G.Db = std::make_unique<PriorDb>(RootDir);
+  G.CacheRoot = std::move(CacheRoot);
 }
 
 bool PriorDb::enabled() const { return RootUsable; }
@@ -361,7 +323,7 @@ std::optional<PriorRecord> PriorDb::readChecked(const std::string &Path,
     // so the damaged file is never reparsed, and a later `priors prune`
     // can sweep it.
     GCorruptSeen.fetch_add(1, std::memory_order_relaxed);
-    ScopedLock Lock(Root);
+    StoreLock Lock(Root);
     if (rename(Path.c_str(), (Path + ".bad").c_str()) == 0)
       GQuarantined.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -382,7 +344,7 @@ Error PriorDb::store(const PriorRecord &In) {
     R.Class = priorShapeClass(R.M, R.N, R.K);
   std::string Text = formatPriorRecord(R);
 
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
   std::string Exact =
       entryPath(exactKey(R.Machine, R.M, R.N, R.K, R.Dtype), false);
   if (!writeAtomically(Exact, Text))
@@ -494,7 +456,7 @@ std::vector<PriorDb::Entry> PriorDb::list() {
 size_t PriorDb::quarantine() {
   if (Root.empty())
     return 0;
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
   size_t N = 0;
   for (const Entry &E : list()) {
     if (!E.Corrupt)
@@ -510,7 +472,7 @@ size_t PriorDb::quarantine() {
 size_t PriorDb::prune(bool DropForeign, int64_t MaxRecords) {
   if (Root.empty())
     return 0;
-  ScopedLock Lock(Root);
+  StoreLock Lock(Root);
   size_t Removed = 0;
   // Quarantined files first: they hold no usable data by definition.
   if (DIR *D = opendir(Root.c_str())) {

@@ -13,8 +13,8 @@
 /// uses, so a copied database or a hardware/toolchain change can never
 /// smuggle a stale tile into the planner.
 ///
-/// Layout under the database root (default `~/.cache/exo-ukr/priors`,
-/// override with EXO_GEMM_PRIOR_DB):
+/// Layout under the database root (default: `priors/` under the JIT cache
+/// root, so `~/.cache/exo-ukr/priors`; EXO_JIT_CACHE_DIR moves both):
 ///
 ///   p<16-hex-digits>.prior   exact-shape record: key is
 ///                            FNV-1a(machine, m, n, k)
@@ -119,17 +119,18 @@ public:
   /// A database over an explicit root directory (tests, CLI --db).
   explicit PriorDb(std::string Root);
 
-  /// The process-wide database at $EXO_GEMM_PRIOR_DB /
-  /// ~/.cache/exo-ukr/priors.
+  /// The process-wide database at `<exo::JitDiskCache::global().root()>/
+  /// priors`; it follows the cache root when that is repointed, and an
+  /// empty cache root leaves it disabled.
   static PriorDb &global();
 
-  /// Repoints the global database (tests, `ukr_cachectl --db`). Affects
-  /// subsequent operations only. Note the Engine's plan cache snapshots
-  /// planner decisions: clearPlanCache() after repointing.
+  /// Repoints the global database (tests, `ukr_cachectl --db`) until the
+  /// JIT cache root next moves. Affects subsequent operations only. Note
+  /// the Engine's plan cache snapshots planner decisions: clearPlanCache()
+  /// after repointing.
   static void setGlobalRoot(const std::string &Root);
 
-  /// False when no usable root directory exists (empty
-  /// EXO_GEMM_PRIOR_DB disables the database entirely).
+  /// False when no usable root directory exists (an empty root included).
   bool enabled() const;
 
   const std::string &root() const { return Root; }

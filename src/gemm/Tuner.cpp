@@ -6,7 +6,6 @@
 
 #include "gemm/Tuner.h"
 
-#include "exo/support/Env.h"
 #include "gemm/CacheModel.h"
 #include "gemm/Engine.h"
 #include "gemm/Planner.h"
@@ -14,7 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 using exo::Error;
@@ -22,19 +20,6 @@ using exo::errorf;
 using exo::Expected;
 
 namespace gemm {
-
-TuneOptions tuneOptionsFromEnv() {
-  TuneOptions O;
-  O.Budget = exo::envInt("EXO_TUNE_BUDGET", std::getenv("EXO_TUNE_BUDGET"),
-                         O.Budget, 1, 1 << 20);
-  O.Seconds = exo::envDouble("EXO_TUNE_SECONDS",
-                             std::getenv("EXO_TUNE_SECONDS"), O.Seconds,
-                             0.0001, 600.0);
-  O.Seed = static_cast<uint64_t>(exo::envInt(
-      "EXO_TUNE_SEED", std::getenv("EXO_TUNE_SEED"),
-      static_cast<long long>(O.Seed), 0, (1ll << 62)));
-  return O;
-}
 
 namespace {
 

@@ -21,13 +21,13 @@
 /// drag a shape below the model.
 ///
 /// Determinism: the candidate sample order is drawn from a seeded
-/// SplitMix64 Fisher-Yates (EXO_TUNE_SEED), so two runs with the same
+/// SplitMix64 Fisher-Yates (TuneOptions::Seed), so two runs with the same
 /// seed, budget, and machine enumerate the same schedules. Measured GFLOPS still vary with
 /// machine load — only the *search trajectory* is reproducible, which is
 /// what the deterministic-seed tests pin down.
 ///
-/// Knobs (all read by tuneOptionsFromEnv): EXO_TUNE_BUDGET,
-/// EXO_TUNE_SECONDS, EXO_TUNE_SEED. See docs/TUNING.md.
+/// Callers set TuneOptions fields (`ukr_cachectl tune --budget --seconds`).
+/// See docs/TUNING.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,10 +74,6 @@ struct TuneOptions {
   DType Dtype = DType::F32;
 };
 
-/// Defaults overridden by EXO_TUNE_BUDGET / EXO_TUNE_SECONDS /
-/// EXO_TUNE_SEED (checked parses, see Env.h).
-TuneOptions tuneOptionsFromEnv();
-
 /// One schedule candidate's measurement (the tune log benches and the CLI
 /// print).
 struct TuneSample {
@@ -115,7 +111,7 @@ std::vector<TuneSample> tuneCandidates(int64_t M, int64_t N, int64_t K,
 /// Auto series would degrade every candidate to the same portable kernel,
 /// making the measurements meaningless) or when the shape is degenerate.
 exo::Expected<TuneResult> tuneShape(int64_t M, int64_t N, int64_t K,
-                                    const TuneOptions &O = tuneOptionsFromEnv(),
+                                    const TuneOptions &O = TuneOptions{},
                                     PriorDb *Db = nullptr);
 
 } // namespace gemm

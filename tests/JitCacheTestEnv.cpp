@@ -40,14 +40,9 @@ public:
     // Both halves matter: setenv covers subprocesses and a global() that
     // has not been constructed yet; setGlobalRoot repoints one that has.
     ASSERT_EQ(setenv("EXO_JIT_CACHE_DIR", Dir.c_str(), 1), 0);
+    // The planner's tuning-prior database lives under the same root, so a
+    // stale developer DB under ~/.cache never steers test plans either.
     exo::JitDiskCache::setGlobalRoot(Dir);
-    // Same isolation for the planner's tuning-prior database: a stale
-    // developer DB under ~/.cache must never steer test plans. setenv is
-    // enough — gemm::PriorDb::global() reads it lazily — and keeps this
-    // file linkable from binaries that do not link gemm.
-    std::string PriorDir = makeTempDir("exo-prior-db");
-    ASSERT_FALSE(PriorDir.empty());
-    ASSERT_EQ(setenv("EXO_GEMM_PRIOR_DB", PriorDir.c_str(), 1), 0);
   }
 };
 

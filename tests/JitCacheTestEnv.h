@@ -14,7 +14,8 @@
 /// environment that, before any test runs, repoints both the process
 /// environment (EXO_JIT_CACHE_DIR, inherited by any subprocess the tests
 /// spawn) and the already-constructed JitDiskCache::global() at a fresh
-/// directory under TMPDIR. Tests that want a *private* cache on top of the
+/// directory under TMPDIR; the tuning-prior database follows it into that
+/// directory's priors/. Tests that want a *private* cache on top of the
 /// shared ephemeral one (cold/warm-dir scenarios) call makeTempDir().
 ///
 //===----------------------------------------------------------------------===//

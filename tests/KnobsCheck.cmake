@@ -4,6 +4,12 @@
 #   1. every `getenv("EXO_*")` in the tree must be documented in KNOBS.md;
 #   2. every EXO_* name KNOBS.md mentions must actually be read by code
 #      (no documented-but-dead knobs).
+# Plus a one-way check over README.md, DESIGN.md and docs/*.md:
+#   3. every EXO_* name they mention must be a knob the code reads, a CMake
+#      cache variable declared in the build (option() or CACHE), or a macro
+#      #define'd under src/; a name written with a trailing `*` is a prefix
+#      and must match at least one knob. CHANGES.md, EXPERIMENTS.md,
+#      ROADMAP.md and PAPER*.md keep their history and are not scanned.
 # Non-EXO variables the code honors (HOME, TMPDIR, XDG_CACHE_HOME) are
 # documented prose-only and not gated here. Run directly with:
 #
@@ -61,8 +67,72 @@ foreach(V ${DOC_VARS})
   endif()
 endforeach()
 
+# Names the docs may use besides knobs: CMake cache variables and src/
+# macros.
+file(GLOB_RECURSE CMAKE_FILES
+  "${REPO}/src/CMakeLists.txt" "${REPO}/tests/CMakeLists.txt"
+  "${REPO}/tests/*.cmake" "${REPO}/bench/CMakeLists.txt"
+  "${REPO}/tools/CMakeLists.txt" "${REPO}/examples/CMakeLists.txt")
+set(OTHER_NAMES "")
+foreach(F "${REPO}/CMakeLists.txt" ${CMAKE_FILES})
+  file(READ "${F}" TEXT)
+  string(REGEX MATCHALL "option\\(EXO_[A-Z0-9_]+|set\\(EXO_[A-Z0-9_]+[^)]*CACHE"
+         MATCHES "${TEXT}")
+  foreach(M ${MATCHES})
+    string(REGEX MATCH "EXO_[A-Z0-9_]+" VAR "${M}")
+    list(APPEND OTHER_NAMES "${VAR}")
+  endforeach()
+endforeach()
+file(GLOB_RECURSE SRC_FILES "${REPO}/src/*.cpp" "${REPO}/src/*.h"
+     "${REPO}/src/*.inc")
+foreach(F ${SRC_FILES})
+  file(READ "${F}" TEXT)
+  string(REGEX MATCHALL "#define EXO_[A-Z0-9_]+" MATCHES "${TEXT}")
+  foreach(M ${MATCHES})
+    string(REGEX REPLACE "^#define " "" VAR "${M}")
+    list(APPEND OTHER_NAMES "${VAR}")
+  endforeach()
+endforeach()
+
+file(GLOB PROSE_DOCS "${REPO}/README.md" "${REPO}/DESIGN.md"
+     "${REPO}/docs/*.md")
+list(REMOVE_ITEM PROSE_DOCS "${KNOBS_MD}") # check 2 is the stricter one
+foreach(F ${PROSE_DOCS})
+  file(READ "${F}" TEXT)
+  file(RELATIVE_PATH REL "${REPO}" "${F}")
+  string(REGEX MATCHALL "EXO_[A-Z0-9_]+\\*?" NAMES "${TEXT}")
+  list(REMOVE_DUPLICATES NAMES)
+  foreach(N ${NAMES})
+    if(N MATCHES "\\*$")
+      string(REGEX REPLACE "\\*$" "" PREFIX "${N}")
+      set(HIT FALSE)
+      foreach(V ${READ_VARS})
+        string(FIND "${V}" "${PREFIX}" POS)
+        if(POS EQUAL 0)
+          set(HIT TRUE)
+        endif()
+      endforeach()
+      if(NOT HIT)
+        message(SEND_ERROR "${REL} mentions ${N} but no knob has that prefix")
+        set(FAILED TRUE)
+      endif()
+      continue()
+    endif()
+    list(FIND READ_VARS "${N}" IDX)
+    list(FIND OTHER_NAMES "${N}" IDX2)
+    if(IDX EQUAL -1 AND IDX2 EQUAL -1)
+      message(SEND_ERROR
+              "${REL} mentions ${N}, which is neither a knob the code reads "
+              "nor a CMake cache variable nor a src/ macro")
+      set(FAILED TRUE)
+    endif()
+  endforeach()
+endforeach()
+
 if(FAILED)
   message(FATAL_ERROR "knobs-check: FAILED")
 endif()
 list(LENGTH READ_VARS NVARS)
-message(STATUS "knobs-check: PASS (${NVARS} EXO_* knobs consistent)")
+list(LENGTH PROSE_DOCS NDOCS)
+message(STATUS "knobs-check: PASS (${NVARS} EXO_* knobs consistent; "
+               "${NDOCS} prose docs name only live EXO_* names)")

@@ -229,20 +229,40 @@ TEST(DiskCacheTest, CorruptedArtifactRecompiles) {
 }
 
 TEST(DiskCacheTest, KillSwitchBypassesDisk) {
+  // An empty root (EXO_JIT_CACHE_DIR="") is the kill switch: the JIT still
+  // compiles, but nothing may be published.
   if (!jitAvailable())
     GTEST_SKIP();
-  JitDiskCache::setGlobalRoot(makeTempDir());
+  std::string Dir = makeTempDir();
+  JitDiskCache::setGlobalRoot("");
   jitClearMemoryCache();
 
-  setenv("EXO_JIT_CACHE", "0", 1);
   EXPECT_FALSE(JitDiskCache::global().enabled());
   auto K = jitCompile("int exo_dc_killed(void) { return 3; }\n",
                       "exo_dc_killed", "");
   ASSERT_TRUE(static_cast<bool>(K)) << K.message();
   EXPECT_EQ(K->get()->as<int (*)(void)>()(), 3);
-  unsetenv("EXO_JIT_CACHE");
+  EXPECT_TRUE(JitDiskCache::global().list().empty());
 
-  // Nothing may have been published while the switch was set.
+  JitDiskCache::setGlobalRoot(Dir);
   EXPECT_TRUE(JitDiskCache::global().enabled());
   EXPECT_TRUE(JitDiskCache::global().list().empty());
+}
+
+TEST(DiskCacheTest, MaxBytesKnobRejectsNonPositiveAndGarbage) {
+  // 0 would collide with `prune --max-bytes 0` (evict everything), -5 must
+  // not wrap to 2^64 - 5, and "64MB" is not a byte count: each warns and
+  // keeps the 256 MiB default.
+  const char *Saved = std::getenv("EXO_JIT_CACHE_MAX_BYTES");
+  const std::string Restore = Saved ? Saved : "";
+  for (const char *Bad : {"0", "-5", "64MB"}) {
+    ASSERT_EQ(setenv("EXO_JIT_CACHE_MAX_BYTES", Bad, 1), 0);
+    EXPECT_EQ(JitDiskCache::configuredMaxBytes(), 256ull << 20) << Bad;
+  }
+  ASSERT_EQ(setenv("EXO_JIT_CACHE_MAX_BYTES", "1048576", 1), 0);
+  EXPECT_EQ(JitDiskCache::configuredMaxBytes(), 1048576u);
+  if (Saved)
+    setenv("EXO_JIT_CACHE_MAX_BYTES", Restore.c_str(), 1);
+  else
+    unsetenv("EXO_JIT_CACHE_MAX_BYTES");
 }

@@ -461,7 +461,7 @@ TEST(Batched, TunedPriorsKeepBitwiseThreadCountInvariance) {
   if (Tile.first == 0)
     GTEST_SKIP() << "host has a single admissible tile";
 
-  const char *SavedRoot = std::getenv("EXO_GEMM_PRIOR_DB");
+  const std::string SavedRoot = PriorDb::global().root();
   std::string Root = exotest::makeTempDir("exo-batchtune");
   PriorDb::setGlobalRoot(Root);
   PriorRecord R;
@@ -514,7 +514,7 @@ TEST(Batched, TunedPriorsKeepBitwiseThreadCountInvariance) {
                            CByThreads[0].size() * sizeof(float)))
       << "tuned priors broke thread-count invariance";
 
-  PriorDb::setGlobalRoot(SavedRoot ? SavedRoot : "");
+  PriorDb::setGlobalRoot(SavedRoot);
 }
 
 TEST(Batched, RejectsBadArguments) {

@@ -10,6 +10,7 @@
 #include "gemm/PriorDb.h"
 
 #include "JitCacheTestEnv.h"
+#include "exo/jit/DiskCache.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 #include <utime.h>
@@ -324,18 +326,44 @@ TEST(PriorDbTest, ConcurrentReadersAndWritersStayConsistent) {
 }
 
 TEST(PriorDbTest, GlobalRespectsEnvRootAndSetGlobalRoot) {
-  // JitCacheTestEnv points EXO_GEMM_PRIOR_DB at an ephemeral dir for the
-  // whole binary; global() must land there, not in ~/.cache.
-  const char *Env = std::getenv("EXO_GEMM_PRIOR_DB");
-  ASSERT_NE(Env, nullptr);
-  PriorDb::setGlobalRoot(Env); // reset in case a prior test repointed it
-  EXPECT_EQ(PriorDb::global().root(), std::string(Env));
+  // JitCacheTestEnv points the JIT cache at an ephemeral dir for the whole
+  // binary; global() must live under it, not in ~/.cache.
+  const std::string Saved = PriorDb::global().root();
+  EXPECT_EQ(Saved, exo::JitDiskCache::global().root() + "/priors");
   std::string Dir = makeTempDir();
   PriorDb::setGlobalRoot(Dir);
   EXPECT_EQ(PriorDb::global().root(), Dir);
   ASSERT_FALSE(
       static_cast<bool>(PriorDb::global().store(sampleRecord(40, 40, 40))));
   EXPECT_TRUE(PriorDb::global().lookup(40, 40, 40).has_value());
-  PriorDb::setGlobalRoot(Env);
+  PriorDb::setGlobalRoot(Saved);
   EXPECT_FALSE(PriorDb::global().lookup(40, 40, 40).has_value());
+}
+
+TEST(PriorDbTest, OneCacheRootIsolatesBothStores) {
+  // The priors follow the JIT cache root: one setting isolates both
+  // stores, and an empty root disables both without creating "/priors".
+  const std::string SavedCache = exo::JitDiskCache::global().root();
+  std::string Cache = makeTempDir();
+  exo::JitDiskCache::setGlobalRoot(Cache);
+  EXPECT_EQ(PriorDb::global().root(), Cache + "/priors");
+  ASSERT_FALSE(
+      static_cast<bool>(PriorDb::global().store(sampleRecord(48, 48, 48))));
+  struct stat St;
+  EXPECT_EQ(stat((Cache + "/priors").c_str(), &St), 0);
+
+  const bool SlashPriorsExisted = stat("/priors", &St) == 0;
+  exo::JitDiskCache::setGlobalRoot("");
+  EXPECT_FALSE(exo::JitDiskCache::global().enabled());
+  EXPECT_FALSE(PriorDb::global().enabled());
+  EXPECT_EQ(PriorDb::global().root(), "");
+  EXPECT_TRUE(
+      static_cast<bool>(PriorDb::global().store(sampleRecord(48, 48, 48))));
+  EXPECT_FALSE(PriorDb::global().lookup(48, 48, 48).has_value());
+  if (!SlashPriorsExisted) {
+    EXPECT_NE(stat("/priors", &St), 0) << "empty root created /priors";
+  }
+
+  exo::JitDiskCache::setGlobalRoot(SavedCache);
+  EXPECT_EQ(PriorDb::global().root(), SavedCache + "/priors");
 }

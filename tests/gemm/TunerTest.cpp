@@ -1,12 +1,11 @@
 //===- TunerTest.cpp - Autotuner search + never-lose planner gate ---------===//
 //
 // The search half of the tuner and its contract with the planner:
-// deterministic candidate enumeration under EXO_TUNE_SEED, env-knob
-// parsing, and — the heart of the feature — the never-lose gate: a tuned
-// database record steers the planner only when its tile is admissible and
-// its stored margin over the measured model baseline is positive, and a
-// tuned plan computes bitwise-identical results to the model plan on the
-// same inputs.
+// deterministic candidate enumeration under TuneOptions::Seed, and — the
+// heart of the feature — the never-lose gate: a tuned database record
+// steers the planner only when its tile is admissible and its stored margin
+// over the measured model baseline is positive, and a tuned plan computes
+// bitwise-identical results to the model plan on the same inputs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -67,49 +65,7 @@ PriorRecord tunedRecord(int64_t M, int64_t N, int64_t K, int64_t Mr,
   return R;
 }
 
-/// Scoped setenv/unsetenv with restore.
-struct ScopedEnv {
-  std::string Name, Old;
-  bool HadOld;
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    const char *Prev = std::getenv(Name);
-    HadOld = Prev != nullptr;
-    Old = Prev ? Prev : "";
-    if (Value)
-      setenv(Name, Value, 1);
-    else
-      unsetenv(Name);
-  }
-  ~ScopedEnv() {
-    if (HadOld)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-};
-
 } // namespace
-
-TEST(TuneOptionsTest, EnvKnobsParseAndClamp) {
-  ScopedEnv B("EXO_TUNE_BUDGET", "7");
-  ScopedEnv S("EXO_TUNE_SECONDS", "0.25");
-  ScopedEnv Sd("EXO_TUNE_SEED", "99");
-  TuneOptions O = tuneOptionsFromEnv();
-  EXPECT_EQ(O.Budget, 7);
-  EXPECT_DOUBLE_EQ(O.Seconds, 0.25);
-  EXPECT_EQ(O.Seed, 99u);
-}
-
-TEST(TuneOptionsTest, MalformedEnvFallsBackToDefaults) {
-  const TuneOptions Def; // compiled-in defaults
-  ScopedEnv B("EXO_TUNE_BUDGET", "banana");
-  ScopedEnv S("EXO_TUNE_SECONDS", "-3");   // below range
-  ScopedEnv Sd("EXO_TUNE_SEED", nullptr);  // unset
-  TuneOptions O = tuneOptionsFromEnv();
-  EXPECT_EQ(O.Budget, Def.Budget);
-  EXPECT_DOUBLE_EQ(O.Seconds, Def.Seconds);
-  EXPECT_EQ(O.Seed, Def.Seed);
-}
 
 TEST(TuneCandidatesTest, DeterministicPerSeedAndAllAdmissible) {
   TuneOptions O;
@@ -259,9 +215,7 @@ namespace {
 struct ScopedGlobalDb {
   std::string Saved;
   std::string Dir;
-  ScopedGlobalDb() : Dir(makeTempDir()) {
-    const char *Env = std::getenv("EXO_GEMM_PRIOR_DB");
-    Saved = Env ? Env : "";
+  ScopedGlobalDb() : Saved(PriorDb::global().root()), Dir(makeTempDir()) {
     PriorDb::setGlobalRoot(Dir);
   }
   ~ScopedGlobalDb() { PriorDb::setGlobalRoot(Saved); }
@@ -360,14 +314,14 @@ TEST(TunedEngineTest, TunedPlanIsBitwiseIdenticalToModelPlan) {
 }
 
 TEST(TunedSearchSmokeTest, SeededSearchIsReproducible) {
-  // EXO_TUNE_SEED pins the search trajectory: two tuneShape runs with the
-  // same seed and budget measure the same candidate sequence (GFLOPS
+  // TuneOptions::Seed pins the search trajectory: two tuneShape runs with
+  // the same seed and budget measure the same candidate sequence (GFLOPS
   // vary; the schedule list must not). Tiny budget keeps this a smoke.
   if (!exo::jitAvailable())
     GTEST_SKIP() << "no JIT toolchain";
   ScopedGlobalDb G;
-  ScopedEnv Sd("EXO_TUNE_SEED", "424242");
-  TuneOptions O = tuneOptionsFromEnv();
+  TuneOptions O;
+  O.Seed = 424242;
   O.Budget = 3;
   O.Seconds = 0.002;
   O.MinMargin = 1e9; // measurement smoke only: nothing can qualify

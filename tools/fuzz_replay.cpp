@@ -10,8 +10,8 @@
 //   fuzz_replay --minimize FILE         shrink a failing repro and print
 //                                       (or --out PATH, write) the result
 //   fuzz_replay --fuzz                  run a fresh campaign (EXO_FUZZ_SEED /
-//                                       EXO_FUZZ_ITERS / EXO_FUZZ_FAULT or
-//                                       --seed/--iters/--fault); on failure,
+//                                       EXO_FUZZ_ITERS or --seed/--iters;
+//                                       --fault injects a fault); on failure,
 //                                       minimize and write the repro to
 //                                       --out PATH (default fuzz_fail.repro)
 //
@@ -153,7 +153,6 @@ int main(int Argc, char **Argv) {
   FuzzOptions FO;
   FO.Seed = fuzzSeedFromEnv(FO.Seed);
   FO.Iterations = fuzzItersFromEnv(FO.Iterations);
-  FO.Fault = fuzzFaultFromEnv();
   std::vector<std::string> Files;
 
   for (int K = 1; K < Argc; ++K) {

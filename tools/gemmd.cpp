@@ -14,8 +14,9 @@
 // included: N - 1 executors beside it, so at most N GEMMs run at once
 // (default 1: the poller runs each request itself).
 //
-// Knobs: every flag has an EXO_GEMMD_* environment twin (docs/KNOBS.md);
-// flags win.
+// Knobs: EXO_GEMMD_SOCKET and EXO_GEMMD_WORKERS stand in for an unset
+// --socket and --workers (docs/KNOBS.md); flags win. --max-clients and
+// --queue-max default to 64.
 //
 //===----------------------------------------------------------------------===//
 

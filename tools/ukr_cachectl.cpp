@@ -37,7 +37,7 @@
 //   --dir PATH        operate on this cache root (default:
 //                     $EXO_JIT_CACHE_DIR, else ~/.cache/exo-ukr)
 //   --db PATH         operate on this prior-database root (default:
-//                     $EXO_GEMM_PRIOR_DB, else ~/.cache/exo-ukr/priors)
+//                     priors/ under the cache root)
 //   warm:  --mr N --nr N (family base tile, default 8x12), --full (every
 //          pickShape candidate tile), --jobs N (compile workers),
 //          --shape MxNxK (repeatable: warm the planner's kernel family for
@@ -473,7 +473,9 @@ int main(int Argc, char **Argv) {
   int64_t MaxRecords = 0;
   std::vector<Problem> Problems;
   gemm::DType Dtype = gemm::DType::F32;
-  gemm::TuneOptions Tune = gemm::tuneOptionsFromEnv();
+  gemm::TuneOptions Tune;
+  // Applied after --dir, which moves the default prior database with it.
+  const char *DbRoot = nullptr;
 
   for (int I = 1; I < Argc; ++I) {
     auto Value = [&](const char *Flag) -> const char * {
@@ -488,7 +490,7 @@ int main(int Argc, char **Argv) {
     if (const char *V = Value("--dir")) {
       JitDiskCache::setGlobalRoot(V);
     } else if (const char *V = Value("--db")) {
-      gemm::PriorDb::setGlobalRoot(V);
+      DbRoot = V;
     } else if (const char *V = Value("--budget")) {
       Tune.Budget = std::atoll(V);
       if (Tune.Budget < 1) {
@@ -581,6 +583,8 @@ int main(int Argc, char **Argv) {
       return 2;
     }
   }
+  if (DbRoot)
+    gemm::PriorDb::setGlobalRoot(DbRoot);
 
   Tune.Dtype = Dtype;
   if (Cmd == "list")
